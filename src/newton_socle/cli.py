@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import combid, facering, fan as fanmod, grobner, localalg, residue
 from .errors import (InputError, RegularizationError, TruncationError,
                      VerificationError)
+from .linalg import rank, vec_sub
 from .polylattice import (INFINITY, SparsePoly, faces, newton_order,
                           newton_polyhedron)
 
@@ -63,14 +64,34 @@ def read_system(spec, nvars=None):
 
 
 def read_polytope(spec):
+    """Lattice points spanning a full-dimensional polytope: a preset name, a
+    JSON file or a JSON literal."""
     if spec in _POLYTOPE_PRESETS:
         return _POLYTOPE_PRESETS[spec]
     text = spec
     if os.path.exists(spec):
         with open(spec) as handle:
             text = handle.read().strip()
-    pts = json.loads(text)
-    return [tuple(int(x) for x in p) for p in pts]
+    try:
+        pts = [tuple(int(x) for x in p) for p in json.loads(text)]
+    except (TypeError, ValueError) as exc:
+        raise InputError("malformed polytope (%s)" % exc) from None
+    if not pts or len({len(p) for p in pts}) != 1:
+        raise InputError("polytope points must share one dimension")
+    if rank([vec_sub(p, pts[0]) for p in pts[1:]]) < len(pts[0]):
+        raise InputError("polytope is not full-dimensional")
+    return pts
+
+
+def read_fan(path):
+    """A fan from a JSON file."""
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise InputError("cannot read fan file %s: %s"
+                         % (path, exc.strerror)) from None
+    return fanmod.fan_from_json(text)
 
 
 def _face_entry(face, idx):
@@ -128,8 +149,7 @@ def cmd_fan(args):
     f = read_polynomial(args.poly, args.vars)
     poly = newton_polyhedron(f)
     if args.fan:
-        with open(args.fan) as handle:
-            fan = fanmod.fan_from_json(handle.read())
+        fan = read_fan(args.fan)
     else:
         fan = fanmod.dual_fan(poly)
     report = {"dual_fan": fan.to_json()}

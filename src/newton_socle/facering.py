@@ -14,7 +14,8 @@ import math
 from .errors import InputError, VerificationError
 from .fan import Cone, cone_from_rays
 from .linalg import dot, in_row_span, rank, rref, solve
-from .polylattice import FaceDescriptor, SparsePoly, face_part
+from .polylattice import (FaceDescriptor, SparsePoly, face_part,
+                          lattice_points, parallelepiped_points)
 
 
 @dataclass(frozen=True)
@@ -117,20 +118,9 @@ def graded_monomials(sigma, grading, scaled_degree, interior):
         corners.append(tuple(Fraction(scaled_degree * x, h) for x in ray))
     lo = [min(c[i] for c in corners) for i in range(n)]
     hi = [max(c[i] for c in corners) for i in range(n)]
-    out = []
-    test = sigma.relative_interior_contains if interior else sigma.contains
-
-    def scan(prefix, k):
-        if k == n:
-            m = tuple(prefix)
-            if dot(scaled_cov, m) == scaled_degree and test(m):
-                out.append(m)
-            return
-        for x in range(math.ceil(lo[k]), math.floor(hi[k]) + 1):
-            scan(prefix + [x], k + 1)
-
-    scan([], 0)
-    return sorted(out)
+    ineqs = [(l, 0, interior) for l in sigma.facet_normals]
+    eqs = [(e, 0) for e in sigma.equations] + [(scaled_cov, scaled_degree)]
+    return lattice_points(lo, hi, ineqs, eqs)
 
 
 @dataclass(frozen=True)
@@ -183,15 +173,27 @@ def _parameter_degree(p, grading):
     return degs.pop()
 
 
-def _image_matrix(sigma, grading, params, scaled_degree, param_degrees):
+def _interior_piece(sigma, grading, scaled_degree, pieces):
+    """Interior monomials of the given scaled degree, kept in ``pieces``."""
+    if scaled_degree not in pieces:
+        pieces[scaled_degree] = graded_monomials(sigma, grading, scaled_degree,
+                                                 interior=True)
+    return pieces[scaled_degree]
+
+
+def _image_matrix(sigma, grading, params, scaled_degree, param_degrees,
+                  pieces=None):
     """Rows spanning the image of multiplication by the parameters inside the
     interior-monomial piece of the given scaled degree; returns (rows, piece,
-    index of piece monomials)."""
-    piece = graded_monomials(sigma, grading, scaled_degree, interior=True)
+    index of piece monomials).  ``pieces`` carries the interior pieces
+    already enumerated, by scaled degree, from one call to the next."""
+    if pieces is None:
+        pieces = {}
+    piece = _interior_piece(sigma, grading, scaled_degree, pieces)
     index = {m: i for i, m in enumerate(piece)}
     rows = []
     for p, pd in zip(params, param_degrees):
-        below = graded_monomials(sigma, grading, scaled_degree - pd, interior=True)
+        below = _interior_piece(sigma, grading, scaled_degree - pd, pieces)
         for m in below:
             row = [Fraction(0)] * len(piece)
             for e, c in p.terms.items():
@@ -226,14 +228,16 @@ def canonical_quotient(fc, params, grading=None, margin=1):
     expected_scaled = sum(param_degrees)
     top_scaled = expected_scaled + max(1, margin) * d
 
+    pieces = {}
     k_dims = {}
     q_dims = {}
     socle_rows = None
     socle_piece = None
     for k in range(0, top_scaled + 1):
-        k_dims[k] = len(graded_monomials(sigma, grading, k, interior=True))
+        k_dims[k] = len(_interior_piece(sigma, grading, k, pieces))
     for k in range(0, top_scaled + 1):
-        rows, piece, _ = _image_matrix(sigma, grading, params, k, param_degrees)
+        rows, piece, _ = _image_matrix(sigma, grading, params, k,
+                                       param_degrees, pieces)
         q_dims[k] = len(piece) - rank(rows)
         if k == expected_scaled:
             socle_rows, socle_piece = rows, piece
@@ -319,31 +323,6 @@ class PoincareSeries:
         return out
 
 
-def _parallelepiped_half_open_above(rays):
-    """Lattice points sum(a_i * m_i) with 0 < a_i <= 1 over independent rays."""
-    n = len(rays[0])
-    corners = []
-    for bits in range(1 << len(rays)):
-        corners.append(tuple(sum(rays[i][k] for i in range(len(rays))
-                                 if bits >> i & 1) for k in range(n)))
-    lo = [min(c[i] for c in corners) for i in range(n)]
-    hi = [max(c[i] for c in corners) for i in range(n)]
-    mat = [tuple(r[k] for r in rays) for k in range(n)]
-    pts = []
-
-    def scan(prefix, k):
-        if k == n:
-            coeffs = solve(mat, prefix)
-            if coeffs is not None and all(0 < t <= 1 for t in coeffs):
-                pts.append(tuple(prefix))
-            return
-        for x in range(math.ceil(lo[k]), math.floor(hi[k]) + 1):
-            scan(prefix + [x], k + 1)
-
-    scan([], 0)
-    return pts
-
-
 def poincare_series(sigma, grading, truncation):
     """Graded dimensions of the cone monomials and the interior monomials up
     to the given degree.
@@ -379,7 +358,7 @@ def poincare_series(sigma, grading, truncation):
     infinity = None
     if sigma.rays and len(sigma.rays) == sigma.dim:
         numerator = {}
-        for w in _parallelepiped_half_open_above(list(sigma.rays)):
+        for w in parallelepiped_points(sigma.rays, False, True):
             k = grading.scaled(w)
             numerator[k] = numerator.get(k, 0) + 1
         den_degrees = tuple(sorted(grading.scaled(r) for r in sigma.rays))

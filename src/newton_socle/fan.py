@@ -9,12 +9,12 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 import json
-import math
 
 from .errors import InputError, RegularizationError, VerificationError
 from .linalg import det, dot, primitive, rank, solve, vec_sub
 from .polylattice import (INFINITY, faces, newton_order, newton_polyhedron,
-                          polar_generators, polyhedron_hull)
+                          parallelepiped_points, polar_generators,
+                          polyhedron_hull)
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +58,27 @@ def cone_from_rays(rays):
         return zero_cone(n)
     lin_n, normals = polar_generators(gens, dim=n)
     equations = tuple(sorted(lin_n))
-    lin_c, extreme = polar_generators(list(normals), [e for e in equations], dim=n)
-    allrays = list(extreme)
-    for l in lin_c:
-        allrays.append(l)
-        allrays.append(tuple(-x for x in l))
+    lin_c, extreme = polar_generators(list(normals), list(equations), dim=n)
+    allrays = _generators(lin_c, extreme)
     d = rank(gens)
     return Cone(tuple(sorted(set(allrays))), tuple(sorted(normals)),
                 equations, d)
+
+
+def _generators(lineality, extreme):
+    """Generators of a cone from its ``polar_generators`` description: the
+    extreme rays plus a +/- pair for each lineality basis vector."""
+    gens = list(extreme)
+    for l in lineality:
+        gens.append(l)
+        gens.append(tuple(-x for x in l))
+    return gens
+
+
+def _polar_cone(ineqs, eqs, n):
+    """The cone {x : r.x >= 0 for r in ineqs, e.x = 0 for e in eqs}."""
+    gens = _generators(*polar_generators(list(ineqs), list(eqs), dim=n))
+    return cone_from_rays(gens) if gens else zero_cone(n)
 
 
 def _std_basis(n):
@@ -73,31 +86,13 @@ def _std_basis(n):
 
 
 def zero_cone(n):
-    eqs = tuple(sorted(tuple(int(i == j) for j in range(n)) for i in range(n)))
-    return Cone((), (), eqs, 0)
+    return Cone((), (), tuple(sorted(_std_basis(n))), 0)
 
 
 def dual_cone(cone, nvars=None):
     """The dual {x : <a, x> >= 0 for all a in the cone}."""
     n = nvars if nvars is not None else _cone_ambient(cone)
-    if not cone.rays:
-        # dual of the zero cone is everything
-        gens = []
-        for b in _std_basis(n):
-            gens.append(b)
-            gens.append(tuple(-x for x in b))
-        return cone_from_rays(gens)
-    return cone_from_rays(_dual_generators(cone.rays))
-
-
-def _dual_generators(rays):
-    n = len(rays[0])
-    lin, extreme = polar_generators(list(rays), dim=n)
-    gens = list(extreme)
-    for l in lin:
-        gens.append(l)
-        gens.append(tuple(-x for x in l))
-    return gens
+    return _polar_cone(cone.rays, (), n)
 
 
 def _cone_ambient(cone):
@@ -135,14 +130,7 @@ def check_face_duality(cone, nvars=None):
     ok = True
     notes = []
     for tau in faces_c:
-        ineqs = list(cone.rays) if cone.rays else []
-        eqs = list(tau.rays)
-        lin, extreme = polar_generators(ineqs, eqs, dim=n)
-        gens = list(extreme)
-        for l in lin:
-            gens.append(l)
-            gens.append(tuple(-x for x in l))
-        image = cone_from_rays(gens) if gens else zero_cone(n)
+        image = _polar_cone(cone.rays, tau.rays, n)
         if image not in faces_d:
             ok = False
             notes.append("image of a face is not a face of the dual: %r" % (tau.rays,))
@@ -214,13 +202,18 @@ def fan_from_cones(nvars, max_cones, validate=True):
 
 
 def fan_from_json(obj, validate=True):
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    rays = [tuple(int(x) for x in r) for r in obj["rays"]]
+    try:
+        if isinstance(obj, str):
+            obj = json.loads(obj)
+        rays = [tuple(int(x) for x in r) for r in obj["rays"]]
+        cone_rays = [[rays[i] for i in c] for c in obj["cones"]]
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise InputError("malformed fan JSON (%s: %s)"
+                         % (type(exc).__name__, exc)) from None
     if not rays:
         raise InputError("fan JSON needs rays")
     n = len(rays[0])
-    max_cones = [cone_from_rays([rays[i] for i in c]) for c in obj["cones"]]
+    max_cones = [cone_from_rays(c) for c in cone_rays]
     return fan_from_cones(n, max_cones, validate=validate)
 
 
@@ -264,14 +257,8 @@ def validate_fan(fan):
 
 
 def _intersect_cones(c1, c2, n):
-    ineqs = list(c1.facet_normals) + list(c2.facet_normals)
-    eqs = list(c1.equations) + list(c2.equations)
-    lin, extreme = polar_generators(ineqs, eqs, dim=n)
-    gens = list(extreme)
-    for l in lin:
-        gens.append(l)
-        gens.append(tuple(-x for x in l))
-    return cone_from_rays(gens) if gens else zero_cone(n)
+    return _polar_cone(c1.facet_normals + c2.facet_normals,
+                       c1.equations + c2.equations, n)
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +338,7 @@ def _hj_chain(u, v):
     """Rays of the regular subdivision of the 2D cone <u, v>: the lattice
     points on the bounded boundary of the convex hull of the nonzero lattice
     points of the cone.  Endpoints included, consecutive determinants +-1."""
-    corners = [(0, 0), u, v, (u[0] + v[0], u[1] + v[1])]
-    lo = [min(c[i] for c in corners) for i in (0, 1)]
-    hi = [max(c[i] for c in corners) for i in (0, 1)]
-    mat = [(u[0], v[0]), (u[1], v[1])]
-    candidates = []
-    for x in range(math.ceil(lo[0]), math.floor(hi[0]) + 1):
-        for y in range(math.ceil(lo[1]), math.floor(hi[1]) + 1):
-            if (x, y) == (0, 0):
-                continue
-            ab = solve(mat, (x, y))
-            if ab is None:
-                continue
-            if all(0 <= t <= 1 for t in ab):
-                candidates.append((x, y))
+    candidates = parallelepiped_points([u, v], True, True)
     _, facets = polyhedron_hull(candidates, [u, v])
     chain = set()
     for normal, c in facets:
@@ -393,38 +367,6 @@ def _regularize_2d(fan):
         new_rays.extend(_hj_chain(u, v)[1:])
     max_cones = [cone_from_rays([a, b]) for a, b in zip(new_rays, new_rays[1:])]
     return fan_from_cones(2, max_cones)
-
-
-def _parallelepiped_points(rays):
-    """Nonzero lattice points with coordinates in [0, 1) with respect to the
-    given (independent) generators."""
-    n = len(rays[0])
-    corners = []
-    for bits in range(1 << len(rays)):
-        corners.append(tuple(sum(rays[i][k] for i in range(len(rays))
-                                 if bits >> i & 1) for k in range(n)))
-    lo = [min(c[i] for c in corners) for i in range(n)]
-    hi = [max(c[i] for c in corners) for i in range(n)]
-    mat = [tuple(r[k] for r in rays) for k in range(n)]
-    pts = []
-    for point in _box_points(lo, hi):
-        if all(x == 0 for x in point):
-            continue
-        coeffs = solve(mat, point)
-        if coeffs is None:
-            continue
-        if all(0 <= t < 1 for t in coeffs):
-            pts.append(tuple(point))
-    return pts
-
-
-def _box_points(lo, hi):
-    if not lo:
-        yield ()
-        return
-    for x in range(math.ceil(lo[0]), math.floor(hi[0]) + 1):
-        for rest in _box_points(lo[1:], hi[1:]):
-            yield (x,) + rest
 
 
 def _coeffs_in_cone(point, rays):
@@ -461,7 +403,7 @@ def _regularize_3d(fan, max_iterations=400):
         if worst_det == 1:
             max_cones = [cone_from_rays(list(t)) for t in triangles]
             return fan_from_cones(3, max_cones)
-        pts = _parallelepiped_points(list(worst))
+        pts = parallelepiped_points(worst, True, False)
         center = primitive(min(pts, key=lambda p: (sum(x * x for x in p), p)))
         new_triangles = []
         for t in triangles:

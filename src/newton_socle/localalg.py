@@ -49,13 +49,23 @@ class TruncatedLocalAlgebra:
 
 class _Echelon:
     """Sparse row-echelon span of polynomials, pivoting on the maximal
-    monomial under ``key``."""
+    monomial under ``key``.
+
+    An input may come with its combination, a dict {label: coefficient}
+    naming what it stands for as a sum of labelled originals.  Its row then
+    keeps in ``combs`` the combination it equals, and ``reduce`` carries a
+    combination along with the terms it reduces."""
 
     def __init__(self, key):
         self.key = key
         self.rows = {}
+        self.combs = {}
 
-    def reduce(self, terms):
+    def reduce(self, terms, comb=None, lead_only=False):
+        """Normal form of ``terms``: what is left once every pivot monomial
+        is cancelled, or with ``lead_only`` once the leading monomial is not
+        a pivot.  A given ``comb`` is updated in place to the combination of
+        what is left."""
         work = dict(terms)
         out = {}
         while work:
@@ -66,6 +76,9 @@ class _Echelon:
             row = self.rows.get(m)
             if row is None:
                 out[m] = c
+                if lead_only:
+                    out.update(work)
+                    return out
                 continue
             for m2, c2 in row.items():
                 if m2 == m:
@@ -75,16 +88,48 @@ class _Echelon:
                     work.pop(m2, None)
                 else:
                     work[m2] = w
+            if comb is not None:
+                for label, v in self.combs[m].items():
+                    w = comb.get(label, 0) - c * v
+                    if w == 0:
+                        comb.pop(label, None)
+                    else:
+                        comb[label] = w
         return out
 
-    def insert(self, terms):
-        red = self.reduce(terms)
+    def insert(self, terms, comb=None):
+        """Add ``terms`` to the span; False when it is already in it.  The
+        new row's tail stays unreduced: pivots and normal forms depend only
+        on the span, and reducing tails would make tracked combinations
+        several times denser."""
+        red = self.reduce(terms, comb, lead_only=True)
         if not red:
             return False
         pivot = max(red, key=self.key)
         inv = 1 / red[pivot]
         self.rows[pivot] = {m: c * inv for m, c in red.items()}
+        if comb is not None:
+            self.combs[pivot] = {k: v * inv for k, v in comb.items()}
         return True
+
+
+def _shifted_span(gens, D, track=False):
+    """Echelon span of the shifts x^a * g_j truncated beyond degree D, each
+    generator's shifts inserted in ascending degrevlex order of a.  With
+    ``track`` each shift enters with the combination labelled (j, a)."""
+    nvars = gens[0].nvars
+    ech = _Echelon(degrevlex_key)
+    for j, g in enumerate(gens):
+        shifts = []
+        for d in range(D - g.order() + 1):
+            shifts.extend(monomials_of_degree(nvars, d))
+        shifts.sort(key=degrevlex_key)
+        for a in shifts:
+            shifted = SparsePoly.monomial(a).mul_truncated(g, D)
+            if not shifted.is_zero():
+                ech.insert(shifted.terms,
+                           {(j, a): Fraction(1)} if track else None)
+    return ech
 
 
 @dataclass
@@ -119,17 +164,7 @@ def build_ideal(gens, D):
         if g.is_zero() or g.order() < 1:
             raise InputError("generators must lie in the maximal ideal")
     alg = TruncatedLocalAlgebra(nvars, D)
-    ech = _Echelon(degrevlex_key)
-    for g in gens:
-        o = g.order()
-        shifts = []
-        for d in range(D - o + 1):
-            shifts.extend(monomials_of_degree(nvars, d))
-        shifts.sort(key=degrevlex_key)
-        for a in shifts:
-            shifted = SparsePoly.monomial(a).mul_truncated(g, D)
-            if not shifted.is_zero():
-                ech.insert(shifted.terms)
+    ech = _shifted_span(gens, D)
     bound = None
     for k in range(1, D + 1):
         if all(not ech.reduce({m: Fraction(1)})
@@ -269,7 +304,7 @@ def coset_newton_order(h, span, poly):
     return min(level(m) for m in red)
 
 
-def socle_newton_order(f, D=None, primes=3, seed=0):
+def socle_newton_order(f, D=None):
     """Newton order of the socle of the quotient by (x_i f_xi), with the
     predicted value n - nu(x1...xn) checked exactly.
 

@@ -98,21 +98,27 @@ class SparsePoly:
         """Parse ``c*x1^a1*...*xn^an`` terms joined by ``+``/``-``.
 
         Coefficients are integers or ``p/q``; ``nvars`` is inferred from the
-        largest variable index when not given.
+        largest variable index when not given.  The signs in a run between
+        two terms multiply, so ``x1 + -1*x2`` (as ``str`` writes it) and
+        ``--x1`` parse; a second ``+`` in one run marks a missing term and is
+        rejected, as is text that ends on a sign.
         """
         text = text.strip()
         if not text:
             raise InputError("empty polynomial text")
         chunks = []
-        sign = 1
-        buf = ""
+        sign, plus, buf = 1, False, ""
         for ch in text:
             if ch in "+-":
                 if buf.strip():
                     chunks.append((sign, buf))
-                elif chunks:
+                    sign, plus = 1, False
+                if ch == "-":
+                    sign = -sign
+                elif plus:
                     raise InputError("dangling sign in %r" % text)
-                sign = 1 if ch == "+" else -1
+                else:
+                    plus = True
                 buf = ""
             else:
                 buf += ch
@@ -150,10 +156,15 @@ class SparsePoly:
 
     @classmethod
     def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        terms = {tuple(t["e"]): Fraction(str(t["c"])) for t in obj["terms"]}
-        return cls(int(obj["nvars"]), terms)
+        try:
+            if isinstance(obj, str):
+                obj = json.loads(obj)
+            terms = {tuple(t["e"]): Fraction(str(t["c"])) for t in obj["terms"]}
+            nvars = int(obj["nvars"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError("malformed JSON polynomial (%s: %s)"
+                             % (type(exc).__name__, exc)) from None
+        return cls(nvars, terms)
 
     # -- basic queries -----------------------------------------------------
 
@@ -669,6 +680,96 @@ def normalized_volume(points):
     return int(total)
 
 
+def lattice_points(lo, hi, ineqs=(), eqs=()):
+    """Lattice points m of the box lo <= m <= hi with a.m >= b for every
+    inequality ``(a, b, strict)`` (a.m > b when ``strict``) and a.m = b for
+    every equation ``(a, b)``, in lexicographic order.
+
+    Rows may be rational.  Each is scaled once to a primitive integer row,
+    which turns a strict inequality into a.m >= b + 1.  Coordinates are fixed
+    one at a time, and the range of each is cut to the values for which every
+    row can still be met by some completion inside the box, so a prefix that
+    cannot be completed is never extended and every point reached at the
+    last coordinate satisfies all rows.
+    """
+    lo = [math.ceil(x) for x in lo]
+    hi = [math.floor(x) for x in hi]
+    if any(l > h for l, h in zip(lo, hi)):
+        return []
+    n = len(lo)
+    rows = []  # (coefficients, low, high): low <= coefficients.m <= high
+    for a, b, strict in ineqs:
+        *coeffs, rhs = primitive(tuple(a) + (b,))
+        rows.append((coeffs, rhs + 1 if strict else rhs, None))
+    for a, b in eqs:
+        *coeffs, rhs = primitive(tuple(a) + (b,))
+        rows.append((coeffs, rhs, rhs))
+    # range of sum(coeffs[j] * m_j for j >= k) over the box, for each row
+    rest_min, rest_max = [], []
+    for coeffs, _, _ in rows:
+        mins, maxs = [0] * (n + 1), [0] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            ends = (coeffs[j] * lo[j], coeffs[j] * hi[j])
+            mins[j] = mins[j + 1] + min(ends)
+            maxs[j] = maxs[j + 1] + max(ends)
+        rest_min.append(mins)
+        rest_max.append(maxs)
+    out = []
+    point = [0] * n
+
+    def scan(k, sums):
+        first, last = lo[k], hi[k]
+        for (coeffs, low, high), mins, maxs, s in zip(rows, rest_min,
+                                                       rest_max, sums):
+            a = coeffs[k]
+            # a * m_k must lie in [need_lo, need_hi]
+            need_lo = low - s - maxs[k + 1]
+            need_hi = None if high is None else high - s - mins[k + 1]
+            if a > 0:
+                first = max(first, -(-need_lo // a))
+                if need_hi is not None:
+                    last = min(last, need_hi // a)
+            elif a < 0:
+                last = min(last, need_lo // a)
+                if need_hi is not None:
+                    first = max(first, -(-need_hi // a))
+            elif need_lo > 0 or (need_hi is not None and need_hi < 0):
+                return
+        for x in range(first, last + 1):
+            point[k] = x
+            if k + 1 == n:
+                out.append(tuple(point))
+            else:
+                scan(k + 1, [s + coeffs[k] * x
+                             for (coeffs, _, _), s in zip(rows, sums)])
+
+    scan(0, [0] * len(rows))
+    return out
+
+
+def parallelepiped_points(rays, low_closed, high_closed):
+    """Nonzero lattice points sum(t_i * r_i) over linearly independent rays
+    with every t_i between 0 and 1; each end of that interval is included
+    when its flag is set.
+
+    The coefficient t_i is the dual-basis covector d_i (d_i.r_j = 1 if
+    i = j, else 0) applied to the point, and the equations confine the
+    points to the span of the rays."""
+    rays = list(rays)
+    n = len(rays[0])
+    ineqs = []
+    for i in range(len(rays)):
+        d = solve(rays, [int(i == j) for j in range(len(rays))])
+        if d is None:
+            raise ValueError("parallelepiped rays are not independent")
+        ineqs.append((d, 0, not low_closed))
+        ineqs.append((tuple(-x for x in d), -1, not high_closed))
+    eqs = [(w, 0) for w in kernel_basis(rays)]
+    lo = [sum(min(0, r[k]) for r in rays) for k in range(n)]
+    hi = [sum(max(0, r[k]) for r in rays) for k in range(n)]
+    return [m for m in lattice_points(lo, hi, ineqs, eqs) if any(m)]
+
+
 def polytope_lattice_points(points, interior=False, dilation=1):
     """Lattice points of dilation*conv(points); relative interior on request."""
     pts = [tuple(Fraction(x) * dilation for x in p) for p in points]
@@ -676,22 +777,5 @@ def polytope_lattice_points(points, interior=False, dilation=1):
     n = len(pts[0])
     lo = [min(p[i] for p in pts) for i in range(n)]
     hi = [max(p[i] for p in pts) for i in range(n)]
-    ranges = [range(math.ceil(lo[i]), math.floor(hi[i]) + 1) for i in range(n)]
-    out = []
-
-    def scan(prefix, k):
-        if k == n:
-            m = tuple(prefix)
-            if any(dot(eq, m) != c for eq, c in equations):
-                return
-            for normal, c in facets:
-                v = dot(normal, m)
-                if v < c or (interior and v == c):
-                    return
-            out.append(m)
-            return
-        for x in ranges[k]:
-            scan(prefix + [x], k + 1)
-
-    scan([], 0)
-    return out
+    return lattice_points(lo, hi, [(a, c, interior) for a, c in facets],
+                          equations)

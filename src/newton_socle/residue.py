@@ -16,12 +16,10 @@ import random
 from .errors import InputError, TruncationError, VerificationError
 from .facering import canonical_quotient, class_nonzero, face_cone, \
     face_derivatives, select_parameters
-from .grobner import degrevlex_key
 from .linalg import rank, solve
-from .localalg import (_Echelon, certified_ideal, ideal_generators,
-                       monomials_of_degree)
-from .polylattice import (SparsePoly, hull_vertices, normalized_volume,
-                          polytope_lattice_points)
+from .localalg import _shifted_span, certified_ideal, ideal_generators
+from .polylattice import (SparsePoly, hull_vertices, lattice_points,
+                          normalized_volume, polytope_lattice_points)
 
 
 @dataclass(frozen=True)
@@ -44,82 +42,6 @@ def monomial_residue(g, a):
     return g.coeff(tuple(x - 1 for x in a))
 
 
-class _TrackedEchelon:
-    """Echelon span that remembers each row as a combination of the original
-    generators.  Combinations are plain dicts {(j, shift): coeff} meaning
-    coeff * x^shift * generator_j, kept raw for speed and converted to
-    polynomials only on extraction."""
-
-    def __init__(self, nvars, ngens):
-        self.echelon = _Echelon(degrevlex_key)
-        self.combos = {}
-        self.nvars = nvars
-        self.ngens = ngens
-
-    @staticmethod
-    def _axpy(target, factor, source):
-        for key, v in source.items():
-            w = target.get(key, 0) - factor * v
-            if w == 0:
-                target.pop(key, None)
-            else:
-                target[key] = w
-
-    def insert(self, terms, gen_index, shift):
-        work = dict(terms)
-        comb = {(gen_index, shift): Fraction(1)}
-        while work:
-            m = max(work, key=degrevlex_key)
-            c = work.pop(m)
-            if c == 0:
-                continue
-            row = self.echelon.rows.get(m)
-            if row is None:
-                inv = 1 / c
-                work[m] = c
-                self.echelon.rows[m] = {k: v * inv for k, v in work.items()
-                                        if v != 0}
-                self.combos[m] = {k: v * inv for k, v in comb.items()}
-                return
-            for m2, c2 in row.items():
-                if m2 == m:
-                    continue
-                w = work.get(m2, Fraction(0)) - c * c2
-                if w == 0:
-                    work.pop(m2, None)
-                else:
-                    work[m2] = w
-            self._axpy(comb, c, self.combos[m])
-
-    def express(self, terms):
-        """Combination polynomials a_j with sum a_j * generator_j equal to the
-        input modulo degrees beyond the cap; None when not in the span."""
-        work = dict(terms)
-        comb = {}
-        while work:
-            m = max(work, key=degrevlex_key)
-            c = work.pop(m)
-            if c == 0:
-                continue
-            row = self.echelon.rows.get(m)
-            if row is None:
-                return None
-            for m2, c2 in row.items():
-                if m2 == m:
-                    continue
-                w = work.get(m2, Fraction(0)) - c * c2
-                if w == 0:
-                    work.pop(m2, None)
-                else:
-                    work[m2] = w
-            self._axpy(comb, -c, self.combos[m])
-        out = [dict() for _ in range(self.ngens)]
-        for (j, shift), v in comb.items():
-            if v:
-                out[j][shift] = out[j].get(shift, Fraction(0)) + v
-        return [SparsePoly(self.nvars, d) for d in out]
-
-
 def _poly_det(matrix, cap):
     """Determinant of a small polynomial matrix, products truncated."""
     n = len(matrix)
@@ -137,26 +59,19 @@ def _residue_at(g, system, power, cap):
     """Transformation-law residue with x_i^power expressed through the system
     inside the degree-cap truncation."""
     n = system[0].nvars
-    tracked = _TrackedEchelon(n, len(system))
-    for j, gen in enumerate(system):
-        o = gen.order()
-        shifts = []
-        for d in range(cap - o + 1):
-            shifts.extend(monomials_of_degree(n, d))
-        shifts.sort(key=degrevlex_key)
-        for a in shifts:
-            shifted = SparsePoly.monomial(a).mul_truncated(gen, cap)
-            if shifted.is_zero():
-                continue
-            tracked.insert(shifted.terms, j, a)
+    span = _shifted_span(system, cap, track=True)
     matrix = []
     for i in range(n):
         target = tuple(power if k == i else 0 for k in range(n))
-        combo = tracked.express({target: Fraction(1)})
-        if combo is None:
+        comb = {}
+        if span.reduce({target: Fraction(1)}, comb):
             raise TruncationError(
                 "x_%d^%d is not in the truncated span; raise truncation" % (i + 1, power))
-        matrix.append(combo)
+        # the normal form is zero, so the target equals -comb
+        row = [dict() for _ in system]
+        for (j, shift), v in comb.items():
+            row[j][shift] = -v
+        matrix.append([SparsePoly(n, d) for d in row])
     transformed = g.mul_truncated(_poly_det(matrix, cap), cap)
     return monomial_residue(transformed, (power,) * n)
 
@@ -326,61 +241,42 @@ def volume_by_lattice_count(polytope_points):
     coordinates over point subsets, independent of the hull code."""
     pts = [tuple(map(Fraction, p)) for p in polytope_points]
     n = len(pts[0])
+    if rank([p + (1,) for p in pts]) < n + 1:
+        return 0  # a flat polytope has no full-dimensional simplex
     counts = [1]  # the 0-dilate is the origin
     for k in range(1, n + 1):
         counts.append(_count_by_caratheodory(pts, k))
     rows = [tuple(Fraction(k) ** j for j in range(n + 1)) for k in range(n + 1)]
     coeffs = solve(rows, counts)
     lead = coeffs[n]
-    value = lead * _factorial(n)
+    value = lead * math.factorial(n)
     if value.denominator != 1:
         raise VerificationError("Ehrhart leading term is not integral")
     return int(value)
 
 
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _count_by_caratheodory(pts, dilation):
+    """Lattice points of the dilated hull, as the union of the lattice points
+    of every full-dimensional simplex on the dilated points (Carathéodory).
+    Each simplex is cut out by its barycentric coordinates, so the count
+    never touches the hull code."""
     n = len(pts[0])
     scaled = [tuple(x * dilation for x in p) for p in pts]
-    lo = [math.floor(min(p[i] for p in scaled)) for i in range(n)]
-    hi = [math.ceil(max(p[i] for p in scaled)) for i in range(n)]
-    simplex_list = []
-    for size in range(1, n + 2):
-        for subset in combinations(scaled, size):
-            base = subset[0]
-            if rank([tuple(a - b for a, b in zip(p, base))
-                     for p in subset[1:]]) == size - 1:
-                simplex_list.append(subset)
-
-    def member(m):
-        for subset in simplex_list:
-            rows = [tuple(p[i] for p in subset) for i in range(n)]
-            rows.append(tuple(Fraction(1) for _ in subset))
-            bary = solve(rows, list(m) + [Fraction(1)])
-            if bary is not None and all(b >= 0 for b in bary):
-                return True
-        return False
-
-    count = 0
-    grid = [range(lo[i], hi[i] + 1) for i in range(n)]
-
-    def scan(prefix, k):
-        nonlocal count
-        if k == n:
-            if member(tuple(prefix)):
-                count += 1
-            return
-        for x in grid[k]:
-            scan(prefix + [x], k + 1)
-
-    scan([], 0)
-    return count
+    found = set()
+    for subset in combinations(scaled, n + 1):
+        lifted = [p + (1,) for p in subset]
+        if rank(lifted) < n + 1:
+            continue
+        # barycentric coordinate i is the affine form y.(m, 1) with
+        # y.(p_j, 1) = 1 if i = j, else 0
+        ineqs = []
+        for i in range(n + 1):
+            y = solve(lifted, [int(i == j) for j in range(n + 1)])
+            ineqs.append((y[:n], -y[n], False))
+        lo = [min(p[k] for p in subset) for k in range(n)]
+        hi = [max(p[k] for p in subset) for k in range(n)]
+        found.update(lattice_points(lo, hi, ineqs))
+    return len(found)
 
 
 def trace_volume_check(polytope_points):

@@ -1,8 +1,12 @@
 import io
 import json
 import os
+import subprocess
 import sys
 
+import pytest
+
+import newton_socle
 from newton_socle.cli import main
 
 
@@ -156,6 +160,26 @@ def test_verify_all_stops_on_degenerate():
 def test_parse_error_exit_code():
     code, _ = run_json(["nu", "--poly", "x1^^", "--g", "x1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["nu", "--poly", '{"nvars": 2}', "--g", "x1"],
+    ["fan", "--poly", "x1^2 + x2^3", "--fan", "no-such-fan.json"],
+    ["fan", "--poly", "x1^2 + x2^3", "--fan", "fan-without-cones.json"],
+    ["koszul", "--polytope", "[[0,0],[1,1],[2,2]]"],
+    ["koszul", "--polytope", "[[0,0],[1,0,0],[0,1]]"],
+], ids=["json-without-terms", "missing-fan-file", "fan-without-cones",
+        "flat-polytope", "ragged-polytope"])
+def test_bad_input_exits_2_without_traceback(argv, tmp_path):
+    (tmp_path / "fan-without-cones.json").write_text('{"rays": [[1, 0]]}')
+    src = os.path.dirname(os.path.dirname(newton_socle.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "newton_socle.cli"] + argv,
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
 
 
 def test_truncation_cap_exit_code():

@@ -10,6 +10,7 @@ from newton_socle import (SparsePoly, canonical_quotient, class_nonzero,
 from newton_socle.errors import InputError
 from newton_socle.facering import graded_monomials, grading_from_covector
 from newton_socle.linalg import dot, solve
+from newton_socle.polylattice import parallelepiped_points
 
 from conftest import poly
 
@@ -227,6 +228,20 @@ def test_graded_monomials_against_box_oracle():
                         if ok:
                             expected.add((x, y))
                 assert got == expected
+        # the parallelepiped of the same rays, for each kind of interval
+        for low_closed, high_closed in ((False, True), (True, False),
+                                        (True, True)):
+            got = set(parallelepiped_points([m1, m2], low_closed, high_closed))
+            expected = set()
+            for x in range(-1, 7):
+                for y in range(-1, 7):
+                    coeffs = solve(mat, (x, y))
+                    if (x, y) != (0, 0) and all(
+                            (0 <= t if low_closed else 0 < t)
+                            and (t <= 1 if high_closed else t < 1)
+                            for t in coeffs):
+                        expected.add((x, y))
+            assert got == expected
 
 
 # ---------------------------------------------------------------------------

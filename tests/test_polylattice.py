@@ -276,6 +276,34 @@ def test_parse_round_trip():
     assert again == f
 
 
+_COEFFS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def sparse_polys(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    return SparsePoly(nvars, draw(st.dictionaries(exps, _COEFFS, max_size=6)))
+
+
+@given(sparse_polys())
+@settings(max_examples=150, deadline=None)
+def test_parse_inverts_str(p):
+    assert SparsePoly.parse(str(p), nvars=p.nvars) == p
+
+
+def test_parse_sign_runs():
+    assert poly("--x1") == poly("x1")
+    assert poly("-+x1") == poly("x1").scale(-1)
+    assert poly("x1 + -1*x2") == poly("x1 - x2")
+    assert poly("x1 - -x2") == poly("x1 + x2")
+    for bad in ("x1 -", "x1 + -", "-"):
+        with pytest.raises(InputError, match="trailing operator"):
+            poly(bad)
+    with pytest.raises(InputError, match="dangling sign"):
+        poly("x1 + + x2")
+
+
 def test_parse_rejects_junk():
     for bad in ("", "x1 + + x2", "x0", "2**x1", "x1^", "y1"):
         with pytest.raises(InputError):
@@ -287,3 +315,39 @@ def test_polyhedron_json_round_trip():
     D = newton_polyhedron(poly("x1^2 + x2^3"))
     again = NewtonPolyhedron.from_json(D.to_json())
     assert again == D
+
+
+# ---------------------------------------------------------------------------
+# The lattice-point enumerator against a brute-force box filter
+# ---------------------------------------------------------------------------
+
+_SMALL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
+
+
+@st.composite
+def lattice_problems(draw):
+    n = draw(st.integers(1, 3))
+    lo = [draw(_SMALL) for _ in range(n)]
+    # a negative width gives an empty box
+    hi = [x + draw(st.builds(Fraction, st.integers(-2, 12), st.integers(1, 3)))
+          for x in lo]
+    row = st.tuples(*[_SMALL] * n)
+    ineqs = draw(st.lists(st.tuples(row, _SMALL, st.booleans()), max_size=4))
+    eqs = draw(st.lists(st.tuples(row, _SMALL), max_size=2))
+    return lo, hi, ineqs, eqs
+
+
+@given(lattice_problems())
+@settings(max_examples=200, deadline=None)
+def test_lattice_points_against_box_filter(problem):
+    from itertools import product
+    from math import ceil, floor
+    from newton_socle.polylattice import lattice_points
+    lo, hi, ineqs, eqs = problem
+    expected = []
+    for m in product(*[range(ceil(a), floor(b) + 1) for a, b in zip(lo, hi)]):
+        if all(dot(a, m) > b if strict else dot(a, m) >= b
+               for a, b, strict in ineqs) \
+                and all(dot(a, m) == b for a, b in eqs):
+            expected.append(m)
+    assert lattice_points(lo, hi, ineqs, eqs) == expected

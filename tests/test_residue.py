@@ -249,3 +249,4 @@ def test_trace_volume_cross_checks():
 def test_volume_by_lattice_count_matches():
     assert volume_by_lattice_count(TRIANGLE) == normalized_volume(TRIANGLE)
     assert volume_by_lattice_count(CUBE) == 6
+    assert volume_by_lattice_count([(0, 0), (1, 1), (2, 2)]) == 0
