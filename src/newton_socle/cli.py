@@ -58,7 +58,11 @@ def read_system(spec, nvars=None):
         with open(spec) as handle:
             text = handle.read().strip()
     if text.startswith("["):
-        return [SparsePoly.from_json(obj) for obj in json.loads(text)]
+        try:
+            objs = json.loads(text)
+        except ValueError as exc:
+            raise InputError("malformed system (%s)" % exc) from None
+        return [SparsePoly.from_json(obj) for obj in objs]
     return [SparsePoly.parse(part, nvars=nvars)
             for part in text.split(";") if part.strip()]
 
@@ -198,7 +202,8 @@ def cmd_kbar(args):
                          % len(admissible))
     face = admissible[args.face]
     fc = facering.face_cone(face)
-    params = facering.select_parameters(facering.face_derivatives(f, face), fc)
+    params = facering.select_parameters(facering.face_derivatives(f, face), fc,
+                                        verify=False)
     quotient = facering.canonical_quotient(fc, params)
     report = quotient.to_json()
     report["face"] = _face_entry(face, args.face)
@@ -284,7 +289,7 @@ def cmd_verify_all(args):
         entry = {"face": _face_entry(face, idx)}
         fc = facering.face_cone(face)
         params = facering.select_parameters(
-            facering.face_derivatives(f, face), fc)
+            facering.face_derivatives(f, face), fc, verify=False)
         quotient = facering.canonical_quotient(fc, params)
         entry["kbar"] = quotient.to_json()
         entry["socle_degree_matches"] = \
@@ -436,7 +441,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     env_seed = os.environ.get("NEWTON_SOCLE_SEED")
     if env_seed is not None and hasattr(args, "seed"):
-        args.seed = int(env_seed)
+        try:
+            args.seed = int(env_seed)
+        except ValueError:
+            sys.stderr.write("input error: NEWTON_SOCLE_SEED must be an "
+                             "integer, got %r\n" % env_seed)
+            return EXIT_INPUT
     try:
         report, code = args.func(args)
     except InputError as exc:

@@ -9,6 +9,8 @@ and D0 is recorded as the certificate.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 import random
 
 from .errors import InputError, TruncationError, VerificationError
@@ -47,13 +49,39 @@ class TruncatedLocalAlgebra:
         return {e: c for e, c in poly.terms.items() if sum(e) <= self.D}
 
 
+def _integral(terms, comb=None):
+    """``terms`` and ``comb`` (a dict or None) over their common denominator
+    d: integer dicts without zero entries, and d."""
+    d = lcm(*(v.denominator for v in terms.values()),
+            *(v.denominator for v in (comb or {}).values()))
+
+    def scaled(dct):
+        return {k: v.numerator * (d // v.denominator)
+                for k, v in dct.items() if v}
+
+    return scaled(terms), None if comb is None else scaled(comb), d
+
+
+def _sub_multiple(dst, b, src):
+    """dst -= b * src over integer dicts, dropping the entries that vanish."""
+    for k, v in src.items():
+        w = dst.get(k, 0) - b * v
+        if w:
+            dst[k] = w
+        else:
+            del dst[k]
+
+
 class _Echelon:
     """Sparse row-echelon span of polynomials, pivoting on the maximal
     monomial under ``key``.
 
-    An input may come with its combination, a dict {label: coefficient}
-    naming what it stands for as a sum of labelled originals.  Its row then
-    keeps in ``combs`` the combination it equals, and ``reduce`` carries a
+    Rows are primitive integer dicts with a positive pivot coefficient, and
+    elimination is fraction-free: ``Fraction`` appears only where ``reduce``
+    hands its results back.  An input may come with its combination, a dict
+    {label: coefficient} naming what it stands for as a sum of labelled
+    originals.  Its row then keeps in ``combs`` the integer combination it
+    equals, made primitive together with the row, and ``reduce`` carries a
     combination along with the terms it reduces."""
 
     def __init__(self, key):
@@ -61,74 +89,92 @@ class _Echelon:
         self.rows = {}
         self.combs = {}
 
-    def reduce(self, terms, comb=None, lead_only=False):
-        """Normal form of ``terms``: what is left once every pivot monomial
-        is cancelled, or with ``lead_only`` once the leading monomial is not
-        a pivot.  A given ``comb`` is updated in place to the combination of
-        what is left."""
-        work = dict(terms)
+    def _eliminate(self, work, comb, lead_only):
+        """Cancel pivot monomials, largest first, from the integer dict
+        ``work`` in place.  Before each cancellation ``work`` and the integer
+        combination ``comb`` (or None) are multiplied by the least factor
+        that keeps them integral; the product of these factors is the scale.
+        Returns the terms split off as {monomial: (coefficient, scale then)}
+        and the final scale.  ``lead_only`` stops at the first monomial that
+        is not a pivot."""
         out = {}
+        scale = 1
         while work:
             m = max(work, key=self.key)
-            c = work.pop(m)
-            if c == 0:
-                continue
+            c = work[m]
             row = self.rows.get(m)
             if row is None:
-                out[m] = c
+                out[m] = (c, scale)
+                del work[m]
                 if lead_only:
-                    out.update(work)
-                    return out
+                    break
                 continue
-            for m2, c2 in row.items():
-                if m2 == m:
-                    continue
-                w = work.get(m2, Fraction(0)) - c * c2
-                if w == 0:
-                    work.pop(m2, None)
-                else:
-                    work[m2] = w
+            p = row[m]
+            g = gcd(c, p)
+            a, b = p // g, c // g
+            if a != 1:
+                scale *= a
+                for k in work:
+                    work[k] *= a
+                if comb is not None:
+                    for k in comb:
+                        comb[k] *= a
+            _sub_multiple(work, b, row)
             if comb is not None:
-                for label, v in self.combs[m].items():
-                    w = comb.get(label, 0) - c * v
-                    if w == 0:
-                        comb.pop(label, None)
-                    else:
-                        comb[label] = w
-        return out
+                _sub_multiple(comb, b, self.combs[m])
+        return out, scale
+
+    def reduce(self, terms, comb=None):
+        """Normal form of ``terms``: what is left once every pivot monomial
+        is cancelled.  A given ``comb`` is updated in place to the
+        combination of what is left."""
+        work, icomb, d = _integral(terms, comb)
+        out, scale = self._eliminate(work, icomb, lead_only=False)
+        if comb is not None:
+            comb.clear()
+            comb.update((k, Fraction(v, scale * d)) for k, v in icomb.items())
+        return {m: Fraction(c, s * d) for m, (c, s) in out.items()}
 
     def insert(self, terms, comb=None):
-        """Add ``terms`` to the span; False when it is already in it.  The
-        new row's tail stays unreduced: pivots and normal forms depend only
-        on the span, and reducing tails would make tracked combinations
-        several times denser."""
-        red = self.reduce(terms, comb, lead_only=True)
-        if not red:
+        """Add ``terms`` to the span; False when it is already in it.  Only
+        the leading term is reduced and the new row's tail stays as it is:
+        pivots and normal forms depend only on the span, and reducing tails
+        would make tracked combinations several times denser."""
+        work, icomb, _ = _integral(terms, comb)
+        out, _ = self._eliminate(work, icomb, lead_only=True)
+        if not out:
             return False
-        pivot = max(red, key=self.key)
-        inv = 1 / red[pivot]
-        self.rows[pivot] = {m: c * inv for m, c in red.items()}
-        if comb is not None:
-            self.combs[pivot] = {k: v * inv for k, v in comb.items()}
+        (pivot, (c, _)), = out.items()
+        row = {pivot: c}
+        row.update(work)
+        g = gcd(*row.values(), *(icomb or {}).values())
+        if c < 0:
+            g = -g
+        self.rows[pivot] = {m: v // g for m, v in row.items()}
+        if icomb is not None:
+            self.combs[pivot] = {k: v // g for k, v in icomb.items()}
         return True
 
 
 def _shifted_span(gens, D, track=False):
     """Echelon span of the shifts x^a * g_j truncated beyond degree D, each
-    generator's shifts inserted in ascending degrevlex order of a.  With
-    ``track`` each shift enters with the combination labelled (j, a)."""
+    generator's shifts inserted in ascending degrevlex order of a.  Each
+    generator is cleared of denominators once, by their lcm l_j, so with
+    ``track`` a shift enters with the combination {(j, a): l_j}."""
     nvars = gens[0].nvars
     ech = _Echelon(degrevlex_key)
     for j, g in enumerate(gens):
+        terms, _, l = _integral(g.terms)
+        graded = [(sum(e), e, c) for e, c in terms.items()]
         shifts = []
         for d in range(D - g.order() + 1):
             shifts.extend(monomials_of_degree(nvars, d))
         shifts.sort(key=degrevlex_key)
         for a in shifts:
-            shifted = SparsePoly.monomial(a).mul_truncated(g, D)
-            if not shifted.is_zero():
-                ech.insert(shifted.terms,
-                           {(j, a): Fraction(1)} if track else None)
+            room = D - sum(a)
+            ech.insert({tuple(map(add, a, e)): c
+                        for deg, e, c in graded if deg <= room},
+                       {(j, a): l} if track else None)
     return ech
 
 

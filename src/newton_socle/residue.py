@@ -125,7 +125,7 @@ def verify_residue_nonvanishing(f, face, h, r, D=None):
     fcone = face_cone(face)
     if fcone.r != r:
         raise InputError("face has r = %d, got %d" % (fcone.r, r))
-    params = select_parameters(face_derivatives(f, face), fcone)
+    params = select_parameters(face_derivatives(f, face), fcone, verify=False)
     quotient = canonical_quotient(fcone, params)
     if not class_nonzero(g, quotient):
         raise InputError("class of x1...xn*h vanishes in the quotient module")

@@ -162,18 +162,21 @@ def test_parse_error_exit_code():
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["nu", "--poly", '{"nvars": 2}', "--g", "x1"],
-    ["fan", "--poly", "x1^2 + x2^3", "--fan", "no-such-fan.json"],
-    ["fan", "--poly", "x1^2 + x2^3", "--fan", "fan-without-cones.json"],
-    ["koszul", "--polytope", "[[0,0],[1,1],[2,2]]"],
-    ["koszul", "--polytope", "[[0,0],[1,0,0],[0,1]]"],
+@pytest.mark.parametrize("argv, extra_env", [
+    (["nu", "--poly", '{"nvars": 2}', "--g", "x1"], {}),
+    (["fan", "--poly", "x1^2 + x2^3", "--fan", "no-such-fan.json"], {}),
+    (["fan", "--poly", "x1^2 + x2^3", "--fan", "fan-without-cones.json"], {}),
+    (["koszul", "--polytope", "[[0,0],[1,1],[2,2]]"], {}),
+    (["koszul", "--polytope", "[[0,0],[1,0,0],[0,1]]"], {}),
+    (["residue", "--g", "x1", "--system", "[1,"], {}),
+    (["detlemma", "--rows", "2", "--cols", "3"], {"NEWTON_SOCLE_SEED": "abc"}),
 ], ids=["json-without-terms", "missing-fan-file", "fan-without-cones",
-        "flat-polytope", "ragged-polytope"])
-def test_bad_input_exits_2_without_traceback(argv, tmp_path):
+        "flat-polytope", "ragged-polytope", "truncated-system-json",
+        "non-integer-env-seed"])
+def test_bad_input_exits_2_without_traceback(argv, extra_env, tmp_path):
     (tmp_path / "fan-without-cones.json").write_text('{"rays": [[1, 0]]}')
     src = os.path.dirname(os.path.dirname(newton_socle.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **extra_env)
     proc = subprocess.run([sys.executable, "-m", "newton_socle.cli"] + argv,
                           capture_output=True, text=True, env=env,
                           cwd=tmp_path)

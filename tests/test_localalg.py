@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newton_socle import (INFINITY, SparsePoly, build_ideal, certified_ideal,
                           coset_newton_order, ideal_generators,
@@ -9,6 +10,9 @@ from newton_socle import (INFINITY, SparsePoly, build_ideal, certified_ideal,
                           newton_polyhedron, socle, socle_newton_order,
                           verify_interior_membership)
 from newton_socle.errors import InputError, TruncationError
+from newton_socle.grobner import degrevlex_key
+from newton_socle.linalg import rref
+from newton_socle.localalg import _Echelon
 
 from conftest import poly
 
@@ -169,3 +173,58 @@ def test_interior_membership_random_monomials(family_polyhedra):
                 continue
             found += 1
             assert member(SparsePoly.monomial(m), span), (str(f), m)
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free echelon against a Fraction rref oracle
+# ---------------------------------------------------------------------------
+
+_COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                    st.integers(1, 4))
+_TERMS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         _COEFFS, min_size=1, max_size=4)
+
+
+def _combine(comb, originals):
+    """The sum of coefficient * original over a combination."""
+    total = {}
+    for label, v in comb.items():
+        for m, c in originals[label].items():
+            total[m] = total.get(m, 0) + v * c
+    return {m: c for m, c in total.items() if c}
+
+
+@given(st.lists(_TERMS, min_size=1, max_size=5), _TERMS)
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_rref_oracle(polys, target):
+    columns = sorted({m for p in polys + [target] for m in p},
+                     key=degrevlex_key, reverse=True)
+    reduced, pivot_cols = rref([[p.get(m, 0) for m in columns]
+                                for p in polys])
+    pivots = [columns[j] for j in pivot_cols]
+    expected = {m: Fraction(c) for m, c in target.items()}
+    for m, row in zip(pivots, reduced):
+        c = expected.get(m, 0)
+        for mc, v in zip(columns, row):
+            expected[mc] = expected.get(mc, 0) - c * v
+    expected = {m: c for m, c in expected.items() if c}
+
+    plain = _Echelon(degrevlex_key)
+    tracked = _Echelon(degrevlex_key)
+    for i, p in enumerate(polys):
+        plain.insert(p)
+        tracked.insert(p, {i: Fraction(1)})
+    originals = dict(enumerate(polys))
+    for ech in (plain, tracked):
+        assert set(ech.rows) == set(pivots)
+        assert ech.reduce(target) == expected
+    for m, row in tracked.rows.items():
+        assert all(isinstance(c, int) for c in row.values())
+        assert row[m] > 0
+        assert row == _combine(tracked.combs[m], originals)
+    comb = {}
+    remainder = tracked.reduce(target, comb)
+    lhs = dict(remainder)
+    for m, c in _combine(comb, originals).items():
+        lhs[m] = lhs.get(m, 0) - c
+    assert {m: c for m, c in lhs.items() if c} == target

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from newton_socle import (SparsePoly, compact_faces, grothendieck_residue,
-                          koszul_check, koszul_top_dimension, lattice_space,
+                          ideal_generators, koszul_check,
+                          koszul_top_dimension, lattice_space,
                           monomial_residue, newton_polyhedron,
                           normalized_volume, trace_volume_check,
                           verify_residue_nonvanishing, volume_by_lattice_count)
@@ -122,6 +123,20 @@ def test_residue_stability_flag():
                                poly("x1*x2 + 3*x2^3", nvars=2)],
                               D=r.truncation_used + 2)
     assert r2.value == r.value
+
+
+def test_residue_scales_inversely_with_a_rational_generator():
+    # the log system of x1^3+x2^3+x3^3+x1*x2*x3: every x_i^N needs real
+    # elimination through the x1*x2*x3 terms
+    f = poly("x1^3 + x2^3 + x3^3 + x1*x2*x3")
+    system = list(ideal_generators(f)[0])
+    g = poly("x1^2*x2^2*x3^2")
+    base = grothendieck_residue(g, system)
+    assert base.value == Fraction(1, 28)
+    scaled = grothendieck_residue(
+        g, [system[0].scale(Fraction(3, 2))] + system[1:])
+    assert scaled.value == base.value * Fraction(2, 3)
+    assert base.stable and scaled.stable
 
 
 def test_residue_infinite_colength_rejected():
