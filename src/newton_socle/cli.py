@@ -43,7 +43,7 @@ def _rat(x):
 def read_polynomial(spec, nvars=None):
     """A polynomial from a file path (text or JSON) or a literal expression."""
     text = spec
-    if os.path.exists(spec):
+    if os.path.exists(spec) and not os.path.isdir(spec):
         with open(spec) as handle:
             text = handle.read().strip()
     if text.startswith("{"):
@@ -54,7 +54,7 @@ def read_polynomial(spec, nvars=None):
 def read_system(spec, nvars=None):
     """A list of polynomials from a JSON array file or ';'-joined literals."""
     text = spec
-    if os.path.exists(spec):
+    if os.path.exists(spec) and not os.path.isdir(spec):
         with open(spec) as handle:
             text = handle.read().strip()
     if text.startswith("["):
@@ -73,7 +73,7 @@ def read_polytope(spec):
     if spec in _POLYTOPE_PRESETS:
         return _POLYTOPE_PRESETS[spec]
     text = spec
-    if os.path.exists(spec):
+    if os.path.exists(spec) and not os.path.isdir(spec):
         with open(spec) as handle:
             text = handle.read().strip()
     try:

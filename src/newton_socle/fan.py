@@ -12,9 +12,9 @@ import json
 
 from .errors import InputError, RegularizationError, VerificationError
 from .linalg import det, dot, primitive, rank, solve, vec_sub
-from .polylattice import (INFINITY, faces, newton_order, newton_polyhedron,
-                          parallelepiped_points, polar_generators,
-                          polyhedron_hull)
+from .polylattice import (INFINITY, faces, incidence_closures, newton_order,
+                          newton_polyhedron, parallelepiped_points,
+                          polar_generators, polyhedron_hull)
 
 
 # ---------------------------------------------------------------------------
@@ -103,19 +103,20 @@ def _cone_ambient(cone):
 
 
 def cone_faces(cone, nvars=None):
-    """All faces of the cone (itself and its minimal face included)."""
+    """All faces of the cone (itself and its minimal face included).
+
+    The faces are the facet intersections from :func:`incidence_closures`.
+    The atoms are the generating rays, each on the facets whose normal
+    vanishes on it; an intersection without rays is the zero cone.  Sorted
+    by dimension and rays."""
     n = nvars if nvars is not None else _cone_ambient(cone)
-    seen = {}
-    nfac = len(cone.facet_normals)
-    for size in range(nfac + 1):
-        for subset in combinations(range(nfac), size):
-            tight_rays = [r for r in cone.rays
-                          if all(dot(cone.facet_normals[j], r) == 0 for j in subset)]
-            key = frozenset(tight_rays)
-            if key in seen:
-                continue
-            seen[key] = cone_from_rays(tight_rays) if tight_rays else zero_cone(n)
-    return sorted(seen.values(), key=lambda c: (c.dim, c.rays))
+    incidences = [[j for j, l in enumerate(cone.facet_normals) if dot(l, r) == 0]
+                  for r in cone.rays]
+    out = []
+    for atoms in incidence_closures(incidences, len(cone.facet_normals)):
+        tight_rays = [cone.rays[a] for a in atoms]
+        out.append(cone_from_rays(tight_rays) if tight_rays else zero_cone(n))
+    return sorted(out, key=lambda c: (c.dim, c.rays))
 
 
 def check_face_duality(cone, nvars=None):

@@ -9,7 +9,6 @@ hulls of Newton polyhedra are obtained from it by homogenization.
 
 from fractions import Fraction
 from dataclasses import dataclass
-from itertools import combinations
 import json
 import math
 import re
@@ -132,7 +131,10 @@ class SparsePoly:
             m = _TERM_RE.match(chunk)
             if not m:
                 raise InputError("cannot parse term %r" % chunk.strip())
-            coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+            try:
+                coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+            except ZeroDivisionError:
+                raise InputError("zero denominator in %r" % chunk.strip()) from None
             exps = {}
             for vm in _VAR_RE.finditer(m.group(2) or ""):
                 idx = int(vm.group(1))
@@ -161,10 +163,10 @@ class SparsePoly:
                 obj = json.loads(obj)
             terms = {tuple(t["e"]): Fraction(str(t["c"])) for t in obj["terms"]}
             nvars = int(obj["nvars"])
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(nvars, terms)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError("malformed JSON polynomial (%s: %s)"
                              % (type(exc).__name__, exc)) from None
-        return cls(nvars, terms)
 
     # -- basic queries -----------------------------------------------------
 
@@ -558,48 +560,85 @@ class FaceDescriptor:
         return True
 
 
+def incidence_closures(incidences, nfacets):
+    """Every distinct intersection of facets of an object, as the sorted
+    tuple of the atoms it contains.
+
+    ``incidences[a]`` lists the facets (indices below ``nfacets``) that atom
+    ``a`` lies on.  The intersections are generated top down, after Kaibel
+    and Pfetsch (Comput. Geom. 23, 2002): each one found is cut with each
+    facet, and a result is kept once per atom set.  The work is
+    O(intersections * facets) bitmask intersections.
+
+    The list is in the order in which a scan of facet subsets, by size and
+    then lexicographically, first reaches each intersection; the whole
+    object (no facet) comes first, and the empty intersection is included
+    when there is one.  The first subset of an intersection is found level
+    by level: dropping any facet from the first subset of size d leaves the
+    first subset of a parent one level up, so it is the least
+    ``sorted(parent subset + (facet,))`` over those parents.
+    """
+    on_facet = [0] * nfacets
+    for a, tight in enumerate(incidences):
+        for j in tight:
+            on_facet[j] |= 1 << a
+    level = {(1 << len(incidences)) - 1: ()}
+    seen = set(level)
+    order = list(level)
+    while level:
+        below = {}
+        for mask, subset in level.items():
+            for j, facet in enumerate(on_facet):
+                cut = mask & facet
+                if cut in seen:
+                    continue
+                candidate = tuple(sorted(subset + (j,)))
+                if cut not in below or candidate < below[cut]:
+                    below[cut] = candidate
+        seen.update(below)
+        order += sorted(below, key=below.get)
+        level = below
+    return [tuple(a for a in range(len(incidences)) if mask >> a & 1)
+            for mask in order]
+
+
 def faces(poly):
     """All faces of the polyhedron, the polyhedron itself included.
 
-    Enumerated from facet-subset intersections, deduplicated by the full set
-    of tight facets; exponential in the facet count, fine at desk scale.
+    The faces are the facet intersections from :func:`incidence_closures`
+    that contain a vertex.  The atoms are the vertices, each on the facets
+    tight at it, and the coordinate axes, each on the facets whose normal
+    is zero there; a face is conv(its vertices) + cone(its axes).  Sorted by
+    dimension and vertex indices; ties keep the order of the first facet
+    subset that cuts each face out.
     """
     n = poly.nvars
-    nfac = len(poly.facets)
-    seen = {}
-    for size in range(nfac + 1):
-        for subset in combinations(range(nfac), size):
-            vidx = [i for i, v in enumerate(poly.vertices)
-                    if all(dot(poly.facets[j].normal, v) == poly.facets[j].offset
-                           for j in subset)]
-            if not vidx:
-                continue
-            axes = [i for i in range(n)
-                    if all(poly.facets[j].normal[i] == 0 for j in subset)]
-            # closure: every facet tight on the whole face
-            tight = []
-            for j, fc in enumerate(poly.facets):
-                if all(dot(fc.normal, poly.vertices[i]) == fc.offset for i in vidx) \
-                        and all(fc.normal[i] == 0 for i in axes):
-                    tight.append(j)
-            key = tuple(tight)
-            if key in seen:
-                continue
-            v0 = poly.vertices[vidx[0]]
-            spanning = [vec_sub(poly.vertices[i], v0) for i in vidx[1:]]
-            spanning += [tuple(int(i == k) for k in range(n)) for i in axes]
-            dim = rank(spanning)
-            compact = not axes
-            in_hyp = any(all(poly.vertices[i][k] == 0 for i in vidx) and k not in axes
-                         for k in range(n))
-            if tight:
-                cert = tuple(sum(poly.facets[j].normal[k] for j in tight)
-                             for k in range(n))
-            else:
-                cert = (0,) * n
-            seen[key] = FaceDescriptor(poly, tuple(vidx), key, tuple(axes),
-                                       dim, compact, in_hyp, cert)
-    return sorted(seen.values(), key=lambda f: (f.dim, f.vertex_indices))
+    nv = len(poly.vertices)
+    incidences = [[j for j, fc in enumerate(poly.facets)
+                   if dot(fc.normal, v) == fc.offset] for v in poly.vertices]
+    incidences += [[j for j, fc in enumerate(poly.facets) if fc.normal[i] == 0]
+                   for i in range(n)]
+    out = []
+    for atoms in incidence_closures(incidences, len(poly.facets)):
+        vidx = [a for a in atoms if a < nv]
+        if not vidx:
+            continue
+        axes = [a - nv for a in atoms if a >= nv]
+        # every facet tight on the whole face
+        tight = sorted(set(incidences[vidx[0]]).intersection(
+            *(incidences[a] for a in atoms)))
+        v0 = poly.vertices[vidx[0]]
+        spanning = [vec_sub(poly.vertices[i], v0) for i in vidx[1:]]
+        spanning += [tuple(int(i == k) for k in range(n)) for i in axes]
+        dim = rank(spanning)
+        compact = not axes
+        in_hyp = any(all(poly.vertices[i][k] == 0 for i in vidx) and k not in axes
+                     for k in range(n))
+        cert = tuple(sum(poly.facets[j].normal[k] for j in tight)
+                     for k in range(n))
+        out.append(FaceDescriptor(poly, tuple(vidx), tuple(tight), tuple(axes),
+                                  dim, compact, in_hyp, cert))
+    return sorted(out, key=lambda f: (f.dim, f.vertex_indices))
 
 
 def compact_faces(poly):

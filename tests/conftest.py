@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from newton_socle import SparsePoly, newton_polyhedron
 
@@ -31,3 +32,16 @@ def family_polyhedra(family):
 
 def frac(a, b=1):
     return Fraction(a, b)
+
+
+@st.composite
+def supports(draw, min_vars=2, max_vars=4, convenient=False):
+    """A polynomial with coefficients 1 on a random support in 2-4 variables,
+    exponents at most 4; ``convenient`` adds a pure power of every variable."""
+    n = draw(st.integers(min_vars, max_vars))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+                           min_size=1, max_size=6))
+    if convenient:
+        points += [tuple(draw(st.integers(1, 4)) * int(i == j)
+                         for j in range(n)) for i in range(n)]
+    return SparsePoly(n, {p: 1 for p in points})

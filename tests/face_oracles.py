@@ -1,0 +1,67 @@
+"""Brute-force face enumerators, kept as test oracles.
+
+Both try every subset of facets, by size and then lexicographically, and
+keep the first subset that reaches each face.  Their cost is 2^facets, so
+they serve only small inputs; ``polylattice.faces`` and ``fan.cone_faces``
+must return the same lists in the same order.
+"""
+
+from itertools import combinations
+
+from newton_socle.fan import _cone_ambient, cone_from_rays, zero_cone
+from newton_socle.linalg import dot, rank, vec_sub
+from newton_socle.polylattice import FaceDescriptor
+
+
+def brute_faces(poly):
+    n = poly.nvars
+    nfac = len(poly.facets)
+    seen = {}
+    for size in range(nfac + 1):
+        for subset in combinations(range(nfac), size):
+            vidx = [i for i, v in enumerate(poly.vertices)
+                    if all(dot(poly.facets[j].normal, v) == poly.facets[j].offset
+                           for j in subset)]
+            if not vidx:
+                continue
+            axes = [i for i in range(n)
+                    if all(poly.facets[j].normal[i] == 0 for j in subset)]
+            # closure: every facet tight on the whole face
+            tight = []
+            for j, fc in enumerate(poly.facets):
+                if all(dot(fc.normal, poly.vertices[i]) == fc.offset for i in vidx) \
+                        and all(fc.normal[i] == 0 for i in axes):
+                    tight.append(j)
+            key = tuple(tight)
+            if key in seen:
+                continue
+            v0 = poly.vertices[vidx[0]]
+            spanning = [vec_sub(poly.vertices[i], v0) for i in vidx[1:]]
+            spanning += [tuple(int(i == k) for k in range(n)) for i in axes]
+            dim = rank(spanning)
+            compact = not axes
+            in_hyp = any(all(poly.vertices[i][k] == 0 for i in vidx) and k not in axes
+                         for k in range(n))
+            if tight:
+                cert = tuple(sum(poly.facets[j].normal[k] for j in tight)
+                             for k in range(n))
+            else:
+                cert = (0,) * n
+            seen[key] = FaceDescriptor(poly, tuple(vidx), key, tuple(axes),
+                                       dim, compact, in_hyp, cert)
+    return sorted(seen.values(), key=lambda f: (f.dim, f.vertex_indices))
+
+
+def brute_cone_faces(cone, nvars=None):
+    n = nvars if nvars is not None else _cone_ambient(cone)
+    seen = {}
+    nfac = len(cone.facet_normals)
+    for size in range(nfac + 1):
+        for subset in combinations(range(nfac), size):
+            tight_rays = [r for r in cone.rays
+                          if all(dot(cone.facet_normals[j], r) == 0 for j in subset)]
+            key = frozenset(tight_rays)
+            if key in seen:
+                continue
+            seen[key] = cone_from_rays(tight_rays) if tight_rays else zero_cone(n)
+    return sorted(seen.values(), key=lambda c: (c.dim, c.rays))

@@ -3,11 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import newton_socle
 from newton_socle.cli import main
+
+from conftest import supports
 
 
 def run_cli(argv, env_seed=None):
@@ -38,6 +43,23 @@ def test_polyhedron_command():
     assert rep["vertices"] == [[0, 3], [2, 0]]
     assert {tuple(f["l"]) for f in rep["facets"]} == {(1, 0), (0, 1), (3, 2)}
     assert len(rep["faces"]) == 6
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_polyhedron_reads_poly_from_a_named_pipe(tmp_path):
+    # a pipe exists but is not a regular file, like /dev/stdin or <(...)
+    fifo = tmp_path / "poly"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("x1^2 + x2^3",))
+    writer.start()
+    try:
+        piped = run_cli(["polyhedron", "--poly", str(fifo)])
+    finally:
+        # if the pipe was never read, the writer still waits for a reader
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join()
+    assert piped == run_cli(["polyhedron", "--poly", "x1^2 + x2^3"])
+    assert piped[0] == 0
 
 
 def test_fan_command_regular():
@@ -170,9 +192,16 @@ def test_parse_error_exit_code():
     (["koszul", "--polytope", "[[0,0],[1,0,0],[0,1]]"], {}),
     (["residue", "--g", "x1", "--system", "[1,"], {}),
     (["detlemma", "--rows", "2", "--cols", "3"], {"NEWTON_SOCLE_SEED": "abc"}),
+    (["polyhedron", "--poly", "x1 + 2/0*x2"], {}),
+    (["polyhedron", "--poly", "."], {}),
+    (["polyhedron", "--poly", '{"nvars": 1, "terms": [{"e": [1], "c": "1/0"}]}'],
+     {}),
+    (["polyhedron", "--poly", '{"nvars": 1, "terms": [{"e": ["a"], "c": "1"}]}'],
+     {}),
 ], ids=["json-without-terms", "missing-fan-file", "fan-without-cones",
         "flat-polytope", "ragged-polytope", "truncated-system-json",
-        "non-integer-env-seed"])
+        "non-integer-env-seed", "zero-denominator", "directory-as-polynomial",
+        "json-zero-denominator", "json-non-integer-exponent"])
 def test_bad_input_exits_2_without_traceback(argv, extra_env, tmp_path):
     (tmp_path / "fan-without-cones.json").write_text('{"rays": [[1, 0]]}')
     src = os.path.dirname(os.path.dirname(newton_socle.__file__))
@@ -183,6 +212,47 @@ def test_bad_input_exits_2_without_traceback(argv, extra_env, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
+
+
+@st.composite
+def literals(draw):
+    """A random support written as the CLI reads it, with signed integer
+    coefficients and ``-`` before a negative one."""
+    terms = []
+    for e in draw(supports()).terms:
+        c = draw(st.sampled_from([1, -1, 2, -3]))
+        factors = [str(abs(c))] + ["x%d^%d" % (i + 1, a)
+                                   for i, a in enumerate(e) if a]
+        terms.append(("- " if c < 0 else "+ ") + "*".join(factors))
+    return " ".join(terms)
+
+
+# Fragments of malformed input.  No fragment starts with a digit, so a
+# concatenation never turns x1 into a variable of high index.
+FRAGMENTS = ["x1", "x2", "x3", "x0", "^2", "^", "*", "+", "-", " ", "/0",
+             "/3", " 2", "*5", ".", "{", "}", "[", "]", ",", ":", '"',
+             '"nvars"', '"terms"', '"e"', '"c"']
+MALFORMED_JSON = [
+    '{"nvars": 1, "terms": [{"e": [1], "c": "1/0"}]}',
+    '{"nvars": 1, "terms": [{"e": ["a"], "c": "1"}]}',
+    '{"nvars": 2, "terms": [{"e": [1], "c": "1"}]}',
+    '{"nvars": 0, "terms": []}',
+    '{"nvars": 1, "terms": 5}',
+    '{"terms": [{"e": [1], "c": "1"}]}',
+]
+
+
+@given(st.one_of(literals(),
+                 st.lists(st.sampled_from(FRAGMENTS), max_size=8).map("".join),
+                 st.sampled_from(MALFORMED_JSON)))
+@settings(max_examples=150, deadline=None)
+def test_polyhedron_fuzz_keeps_exit_code_contract(text):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(["polyhedron", "--poly", text])
+        except SystemExit as exc:  # argparse rejects text that looks like a flag
+            code = exc.code
+    assert code in (0, 1, 2, 3)
 
 
 def test_truncation_cap_exit_code():

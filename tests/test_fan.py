@@ -2,18 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from newton_socle import (SparsePoly, check_face_duality, cone_from_rays,
                           dual_cone, dual_fan, fan_from_json, interior_rays,
                           is_regular, multiplicity, newton_polyhedron,
                           orbit_closure_intersection, pole_components,
                           regularize, support_function)
-from newton_socle.errors import InputError
-from newton_socle.fan import fan_from_cones
+from newton_socle.errors import InputError, RegularizationError
+from newton_socle.fan import cone_faces, fan_from_cones
 from newton_socle.linalg import dot
 from newton_socle.polylattice import faces
 
-from conftest import poly
+from conftest import poly, supports
+from face_oracles import brute_cone_faces
 
 
 ORTHANT_2 = cone_from_rays([(1, 0), (0, 1)])
@@ -70,6 +72,30 @@ def test_face_duality_zero_cone_pairs_with_full_space():
     rep = check_face_duality(zero_cone(2), nvars=2)
     assert rep["ok"] and rep["n_faces"] == 1
     assert rep["pairs"][0]["dims"] == [0, 2]
+
+
+@given(supports(max_vars=3, convenient=True))
+@settings(max_examples=20, deadline=None)
+def test_cone_faces_match_brute_force_oracle_on_fans(f):
+    n = f.nvars
+    D = newton_polyhedron(f)
+    assume(len(D.facets) <= 12)
+    fan = dual_fan(D)
+    cones = list(fan.cones)
+    try:
+        cones += regularize(fan).maximal_cones()
+    except RegularizationError:
+        pass
+    for c in cones:
+        assert cone_faces(c, n) == brute_cone_faces(c, n)
+
+
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_cone_faces_match_brute_force_oracle_with_lineality(vectors):
+    # mixed signs give cones with lineality, the zero cone and the whole space
+    c = cone_from_rays(vectors)
+    assert cone_faces(c, 3) == brute_cone_faces(c, 3)
 
 
 def test_fan_incidence_matches_face_relation():

@@ -2,15 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from newton_socle import (INFINITY, SparsePoly, face_part, faces,
                           newton_order, newton_polyhedron, normalized_volume,
                           support_function)
 from newton_socle.errors import InputError
 from newton_socle.linalg import dot
+from newton_socle.polylattice import incidence_closures
 
-from conftest import poly
+from conftest import poly, supports
+from face_oracles import brute_faces
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +165,96 @@ def test_normal_certificate_cuts_out_face(family_polyhedra):
             for i, v in enumerate(D.vertices):
                 on_face = i in face.vertex_indices
                 assert (dot(cert, v) == s) == on_face
+
+
+def test_incidence_closures_of_a_triangle():
+    # atom a is the vertex opposite edge a; each closure is listed at its
+    # first facet subset by size, then lexicographically
+    assert incidence_closures([[1, 2], [0, 2], [0, 1]], 3) == \
+        [(0, 1, 2), (1, 2), (0, 2), (0, 1), (2,), (1,), (0,), ()]
+
+
+@given(supports())
+@settings(max_examples=200, deadline=None)
+def test_faces_match_brute_force_oracle(f):
+    D = newton_polyhedron(f)
+    assume(len(D.facets) <= 12)
+    assert faces(D) == brute_faces(D)
+
+
+# (dim, vertex_indices, recession_axes) of every face, in the order of the
+# facet-subset scan: faces that tie on (dim, vertex_indices), like the two
+# unbounded edges v + cone(e1) and v + cone(e2), keep the order in which
+# the scan first reaches them
+TIE_ORDER = {
+    "x1*x2 + x3^2": [
+        (0, (0,), ()), (0, (1,), ()),
+        (1, (0,), (0,)), (1, (0,), (2,)), (1, (0,), (1,)), (1, (0, 1), ()),
+        (1, (1,), (0,)), (1, (1,), (1,)),
+        (2, (0,), (0, 2)), (2, (0,), (1, 2)), (2, (0, 1), (0,)),
+        (2, (0, 1), (1,)), (2, (1,), (0, 1)),
+        (3, (0, 1), (0, 1, 2)),
+    ],
+    "x1*x2 + x3^2 + x4^2": [
+        (0, (0,), ()), (0, (1,), ()), (0, (2,), ()),
+        (1, (0,), (0,)), (1, (0,), (3,)), (1, (0,), (1,)), (1, (0, 1), ()),
+        (1, (0, 2), ()), (1, (1,), (0,)), (1, (1,), (2,)), (1, (1,), (1,)),
+        (1, (1, 2), ()), (1, (2,), (0,)), (1, (2,), (1,)),
+        (2, (0,), (0, 3)), (2, (0,), (1, 3)), (2, (0, 1), (0,)),
+        (2, (0, 1), (2, 3)), (2, (0, 1), (1,)), (2, (0, 1, 2), ()),
+        (2, (0, 2), (0,)), (2, (0, 2), (1,)), (2, (1,), (0, 2)),
+        (2, (1,), (1, 2)), (2, (1, 2), (0,)), (2, (1, 2), (1,)),
+        (2, (2,), (0, 1)),
+        (3, (0, 1), (0, 2, 3)), (3, (0, 1), (1, 2, 3)),
+        (3, (0, 1, 2), (0,)), (3, (0, 1, 2), (1,)), (3, (0, 2), (0, 1, 3)),
+        (3, (1, 2), (0, 1, 2)),
+        (4, (0, 1, 2), (0, 1, 2, 3)),
+    ],
+    "x1*x2 + x3*x4": [
+        (0, (0,), ()), (0, (1,), ()),
+        (1, (0,), (2,)), (1, (0,), (3,)), (1, (0,), (0,)), (1, (0,), (1,)),
+        (1, (0, 1), ()), (1, (1,), (0,)), (1, (1,), (1,)), (1, (1,), (2,)),
+        (1, (1,), (3,)),
+        (2, (0,), (0, 2)), (2, (0,), (0, 3)), (2, (0,), (2, 3)),
+        (2, (0,), (1, 2)), (2, (0,), (1, 3)), (2, (0, 1), (0,)),
+        (2, (0, 1), (2,)), (2, (0, 1), (3,)), (2, (0, 1), (1,)),
+        (2, (1,), (0, 1)), (2, (1,), (0, 2)), (2, (1,), (1, 2)),
+        (2, (1,), (0, 3)), (2, (1,), (1, 3)),
+        (3, (0,), (0, 2, 3)), (3, (0,), (1, 2, 3)), (3, (0, 1), (0, 2)),
+        (3, (0, 1), (0, 3)), (3, (0, 1), (1, 2)), (3, (0, 1), (1, 3)),
+        (3, (1,), (0, 1, 2)), (3, (1,), (0, 1, 3)),
+        (4, (0, 1), (0, 1, 2, 3)),
+    ],
+}
+
+
+@pytest.mark.parametrize("text", sorted(TIE_ORDER))
+def test_face_order_breaks_ties_by_facet_subset_scan(text):
+    D = newton_polyhedron(poly(text))
+    got = [(fc.dim, fc.vertex_indices, fc.recession_axes) for fc in faces(D)]
+    assert got == TIE_ORDER[text]
+
+
+def k_support(K):
+    """x1^a x2^b x3^c with (a+1)(b+1) <= K and c = ceil(K/((a+1)(b+1))) - 1."""
+    terms = {}
+    for a in range(K):
+        for b in range(K // (a + 1)):
+            terms[(a, b, -(-K // ((a + 1) * (b + 1))) - 1)] = 1
+    return SparsePoly(3, terms)
+
+
+@pytest.mark.parametrize("K, nfaces", [(24, 116), (36, 152)])
+def test_faces_of_large_supports_satisfy_euler_relation(K, nfaces):
+    D = newton_polyhedron(k_support(K))
+    counts = [0] * 4
+    for fc in faces(D):
+        counts[fc.dim] += 1
+    assert sum(counts) == nfaces
+    # a pointed unbounded polyhedron has Euler characteristic 0, and its
+    # 2-faces are its facets
+    assert counts[0] - counts[1] + counts[2] - counts[3] == 0
+    assert counts[2] == len(D.facets) and counts[3] == 1
 
 
 def test_face_part_examples():
