@@ -82,6 +82,8 @@ def read_polytope(spec):
         raise InputError("malformed polytope (%s)" % exc) from None
     if not pts or len({len(p) for p in pts}) != 1:
         raise InputError("polytope points must share one dimension")
+    if not pts[0]:
+        raise InputError("polytope points need at least one coordinate")
     if rank([vec_sub(p, pts[0]) for p in pts[1:]]) < len(pts[0]):
         raise InputError("polytope is not full-dimensional")
     return pts

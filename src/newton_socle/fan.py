@@ -214,12 +214,38 @@ def fan_from_json(obj, validate=True):
     if not rays:
         raise InputError("fan JSON needs rays")
     n = len(rays[0])
+    if not n or any(len(r) != n for r in rays):
+        raise InputError("fan rays must share one positive dimension")
     max_cones = [cone_from_rays(c) for c in cone_rays]
     return fan_from_cones(n, max_cones, validate=validate)
 
 
 def validate_fan(fan):
-    """Check the fan axioms and that the support is the whole orthant."""
+    """Check the fan axioms and that the support is the whole orthant.
+
+    The fan comes from :func:`fan_from_cones`, so its cones are the faces
+    of the cones it was assembled from, and once their rays are known to lie
+    in the orthant every cone is pointed and spanned by its rays.  Call a
+    cone maximal when its ray set lies in no other cone's ray set; a maximal
+    cone is one the fan was assembled from, so all its faces are in the fan.
+    Two checks then suffice:
+
+    (a) every cone is a face of each maximal cone whose rays contain its
+        rays (checked by facet-ray dot products: the rays of the maximal
+        cone on every facet that holds the cone's rays are exactly those
+        rays);
+    (b) any two maximal cones meet in a cone of the fan whose rays are rays
+        of both; by (a) it is then a face of both.
+
+    Lemma: (a) and (b) make any two cones meet in a common face in the fan.
+    By (a) each cone is a face of a maximal cone, so take faces t1 of s1
+    and t2 of s2 with s1, s2 maximal.  By (b) r = s1 & s2 is a face of
+    both.  t1 & r is an intersection of faces of s1 lying in r, hence a
+    face of r; so is t2 & r.  Their intersection t1 & t2 is then a face of
+    r, hence of s1 and of s2; lying in t1 and t2, it is a face of each, and
+    as a face of s1 it is in the fan.  So only the maximal cones are
+    intersected, each pair through a double description.
+    """
     n = fan.nvars
     for c in fan.cones:
         for r in c.rays:
@@ -228,9 +254,22 @@ def validate_fan(fan):
     maxs = fan.maximal_cones()
     if not maxs:
         raise VerificationError("fan has no full-dimensional cone")
-    # pairwise intersections are common faces
+    ray_sets = [set(c.rays) for c in fan.cones]
+    tops = [(c, rs) for c, rs in zip(fan.cones, ray_sets)
+            if not any(rs < other for other in ray_sets)]
+    for c, rs in zip(fan.cones, ray_sets):
+        for top, top_rays in tops:
+            if c is top or not rs <= top_rays:
+                continue
+            held = [l for l in top.facet_normals
+                    if all(dot(l, r) == 0 for r in c.rays)]
+            if {r for r in top.rays
+                    if all(dot(l, r) == 0 for l in held)} != rs:
+                raise VerificationError(
+                    "cone %r lies in %r but is not one of its faces"
+                    % (c.rays, top.rays))
     cone_set = set(fan.cones)
-    for c1, c2 in combinations(fan.cones, 2):
+    for (c1, _), (c2, _) in combinations(tops, 2):
         inter = _intersect_cones(c1, c2, n)
         if inter not in cone_set:
             raise VerificationError(

@@ -1,12 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Everything works on tuples of ``fractions.Fraction`` (or ``int``); matrices are
-sequences of row tuples.  Sizes here are desk scale, so plain Gaussian
-elimination with exact arithmetic is the right tool.
+Vectors are tuples of ``int`` or ``fractions.Fraction``; matrices are
+sequences of row tuples.  Sizes here are desk scale, so plain elimination
+with exact arithmetic is the right tool, but it never runs on ``Fraction``
+entries.  Each row is turned once into a primitive integer row: scaled by
+the lcm of its denominators and divided by the gcd of its entries (this
+keeps its span).  :func:`_row_reduce` is the one Gauss–Jordan routine behind
+``rref``, ``rank``, ``solve``, ``kernel_basis`` and ``in_row_span``: it
+cancels each pivot by integer cross-multiplication and divides every row it
+changes by its gcd, so the rows stay primitive.  ``det`` is Bareiss's
+fraction-free elimination on the same integer rows (E. H. Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22 (1968)).  ``Fraction`` is built only in what
+``rref``, ``solve``, ``kernel_basis`` and ``det`` return.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def dot(u, v):
@@ -17,11 +27,11 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
+def _integer_row(v):
+    """``(d, w)``: the lcm ``d`` of the denominators of ``v`` and the integer
+    row ``w = d * v``."""
+    d = lcm(*(x.denominator for x in v))
+    return d, [x.numerator * (d // x.denominator) for x in v]
 
 
 def primitive(v):
@@ -29,15 +39,58 @@ def primitive(v):
 
     Accepts rational entries; returns the zero vector unchanged.
     """
-    denom = 1
-    for x in v:
-        d = Fraction(x).denominator
-        denom = denom * d // gcd(denom, d)
-    w = [int(Fraction(x) * denom) for x in v]
-    g = vec_gcd(w)
-    if g == 0:
-        return tuple(0 for _ in w)
+    w = _integer_row(v)[1]
+    g = gcd(*w)
+    if g <= 1:
+        return tuple(w)
     return tuple(x // g for x in w)
+
+
+def _row_reduce(mat, ncols):
+    """Fraction-free Gauss–Jordan elimination of primitive integer rows.
+
+    ``mat`` is a list of integer lists, changed in place.  Pivots are chosen
+    left to right (first nonzero column, first row from the top that has it),
+    and each is cancelled from every other row ``row`` by ``row <- (p/g) row
+    - (a/g) pivot_row`` with ``g = gcd(a, p)``, after which the row is
+    divided by its gcd.  The result is the reduced echelon form up to a
+    nonzero integer scale per row.  Returns the pivot columns; ``mat[i]`` is
+    then the row with pivot ``pivots[i]``.
+    """
+    pivots = []
+    nrows = len(mat)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if mat[i][c]:
+                break
+        else:
+            continue
+        prow = mat[i]
+        mat[i] = mat[r]
+        mat[r] = prow
+        p = prow[c]
+        for i in range(nrows):
+            row = mat[i]
+            a = row[c]
+            if not a or i == r:
+                continue
+            g = gcd(a, p)
+            s, t = p // g, a // g
+            # prow is zero left of c, so there the row is only scaled
+            row = [s * x for x in row[:c]] + \
+                [s * x - t * y for x, y in zip(row[c:], prow[c:])]
+            h = gcd(*row)
+            mat[i] = [x // h for x in row] if h > 1 else row
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _primitive_rows(rows):
+    return [list(primitive(r)) for r in rows]
 
 
 def rref(rows):
@@ -45,38 +98,21 @@ def rref(rows):
 
     Returns ``(reduced_rows, pivot_columns)``; zero rows are dropped.  Pivots
     are chosen left to right (first nonzero column), which makes the result
-    canonical for a fixed row span.
+    canonical for a fixed row span.  Entries are ``Fraction``.
     """
-    mat = [list(map(Fraction, r)) for r in rows]
+    mat = _primitive_rows(rows)
     if not mat:
         return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+    pivots = _row_reduce(mat, len(mat[0]))
+    return [tuple(Fraction(x, row[c]) for x in row)
+            for row, c in zip(mat, pivots)], pivots
 
 
 def rank(rows):
-    return len(rref(rows)[0])
+    mat = _primitive_rows(rows)
+    if not mat:
+        return 0
+    return len(_row_reduce(mat, len(mat[0])))
 
 
 def kernel_basis(rows, ncols=None):
@@ -91,15 +127,17 @@ def kernel_basis(rows, ncols=None):
         return [tuple(Fraction(int(i == j)) for j in range(ncols))
                 for i in range(ncols)]
     ncols = len(rows[0])
-    red, pivots = rref(rows)
+    mat = _primitive_rows(rows)
+    pivots = _row_reduce(mat, ncols)
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
+        for row, pc in zip(mat, pivots):
+            vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(vec))
     return basis
 
@@ -109,43 +147,49 @@ def solve(rows, rhs):
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [tuple(list(map(Fraction, r)) + [Fraction(b)])
-           for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    mat = _primitive_rows(tuple(r) + (b,) for r, b in zip(rows, rhs))
+    pivots = _row_reduce(mat, ncols + 1)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
+    for row, pc in zip(mat, pivots):
+        x[pc] = Fraction(row[ncols], row[pc])
     return tuple(x)
 
 
 def det(rows):
-    """Exact determinant via fraction-free-ish Gaussian elimination."""
+    """Exact determinant by Bareiss's fraction-free elimination.
+
+    Each row is scaled to integers by the lcm of its denominators; after step
+    ``k`` every entry left is a ``(k+1)``-minor of the scaled matrix, so the
+    division by the previous pivot is exact and the last pivot is its
+    determinant."""
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    mat = [list(map(Fraction, r)) for r in rows]
+    scale = 1
+    mat = []
+    for r in rows:
+        d, w = _integer_row(r[:n])
+        scale *= d
+        mat.append(w)
     sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if mat[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            mat[c], mat[pr] = mat[pr], mat[c]
+    prev = 1
+    for k in range(n):
+        if not mat[k][k]:
+            for i in range(k + 1, n):
+                if mat[i][k]:
+                    break
+            else:
+                return Fraction(0)
+            mat[k], mat[i] = mat[i], mat[k]
             sign = -sign
-        pv = mat[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return sign * result
+        prow = mat[k]
+        p = prow[k]
+        for row in mat[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - a * prow[j]) // prev
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def in_row_span(rows, vec):

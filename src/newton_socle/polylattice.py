@@ -161,7 +161,13 @@ class SparsePoly:
         try:
             if isinstance(obj, str):
                 obj = json.loads(obj)
-            terms = {tuple(t["e"]): Fraction(str(t["c"])) for t in obj["terms"]}
+            terms = {}
+            for t in obj["terms"]:
+                e = tuple(t["e"])
+                for x in e:
+                    if int(x) != x:
+                        raise ValueError("non-integral exponent %r" % (x,))
+                terms[e] = Fraction(str(t["c"]))
             nvars = int(obj["nvars"])
             return cls(nvars, terms)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -312,7 +318,7 @@ def _dd_extreme_rays(rows, dim):
         raise ValueError("cone is not pointed")
     rays = []
     for i in range(dim):
-        rhs = [Fraction(int(j == i)) for j in range(dim)]
+        rhs = [int(j == i) for j in range(dim)]
         rays.append(primitive(solve(base, rhs)))
     processed = list(base)
 
@@ -358,16 +364,24 @@ def polar_generators(ineqs, equations=(), dim=None):
             dim = len(equations[0])
         else:
             raise ValueError("ambient dimension unknown")
-    sub = kernel_basis(list(equations), ncols=dim) if equations else \
-        [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+    # an integer basis of the subspace; coordinates are taken against it
+    sub = [primitive(w) for w in kernel_basis(list(equations), ncols=dim)] \
+        if equations else [tuple(int(i == j) for j in range(dim))
+                           for i in range(dim)]
     if not sub:
         return [], []
+
+    def ambient(coords, basis):
+        # a positive multiple of the point with these coordinates, so its
+        # primitive vector is the same
+        y = primitive(coords)
+        return primitive(tuple(sum(a * w[k] for a, w in zip(y, basis))
+                               for k in range(dim)))
+
     # inequality matrix in subspace coordinates
     restricted = [tuple(dot(r, w) for w in sub) for r in ineqs]
     lin_coords = kernel_basis(restricted, ncols=len(sub))
-    lineality = [primitive(tuple(sum(Fraction(y) * w[k] for y, w in zip(lc, sub))
-                                 for k in range(dim)))
-                 for lc in lin_coords]
+    lineality = [ambient(lc, sub) for lc in lin_coords]
     # complement of the lineality inside the subspace
     red, pivots = rref(lin_coords) if lin_coords else ([], [])
     comp_idx = [i for i in range(len(sub)) if i not in pivots]
@@ -378,9 +392,7 @@ def polar_generators(ineqs, equations=(), dim=None):
     for r in ineqs:
         pointed_rows.append(tuple(dot(r, w) for w in comp))
     rays_coords = _dd_extreme_rays(pointed_rows, len(comp))
-    rays = [primitive(tuple(sum(Fraction(y) * w[k] for y, w in zip(rc, comp))
-                            for k in range(dim)))
-            for rc in rays_coords]
+    rays = [ambient(rc, comp) for rc in rays_coords]
     return lineality, sorted(rays)
 
 
@@ -395,8 +407,8 @@ def polyhedron_hull(points, recession=()):
     if not points:
         raise ValueError("no points")
     n = len(points[0])
-    gens = [tuple(list(map(Fraction, p)) + [Fraction(1)]) for p in points]
-    gens += [tuple(list(map(Fraction, r)) + [Fraction(0)]) for r in recession]
+    gens = [tuple(p) + (1,) for p in points]
+    gens += [tuple(r) + (0,) for r in recession]
     lin, rays = polar_generators([primitive(g) for g in gens], dim=n + 1)
     equations = []
     for l in lin:

@@ -3,12 +3,15 @@
 Both try every subset of facets, by size and then lexicographically, and
 keep the first subset that reaches each face.  Their cost is 2^facets, so
 they serve only small inputs; ``polylattice.faces`` and ``fan.cone_faces``
-must return the same lists in the same order.
+must return the same lists in the same order.  ``brute_meets_in_faces``
+checks the fan axiom on every pair of cones, where ``fan.validate_fan``
+intersects only the maximal ones.
 """
 
 from itertools import combinations
 
-from newton_socle.fan import _cone_ambient, cone_from_rays, zero_cone
+from newton_socle.fan import (_cone_ambient, _intersect_cones, cone_from_rays,
+                              zero_cone)
 from newton_socle.linalg import dot, rank, vec_sub
 from newton_socle.polylattice import FaceDescriptor
 
@@ -65,3 +68,16 @@ def brute_cone_faces(cone, nvars=None):
                 continue
             seen[key] = cone_from_rays(tight_rays) if tight_rays else zero_cone(n)
     return sorted(seen.values(), key=lambda c: (c.dim, c.rays))
+
+
+def brute_meets_in_faces(fan):
+    """True iff every two cones of the fan meet in a cone of the fan that is
+    a face of both."""
+    cone_set = set(fan.cones)
+    for c1, c2 in combinations(fan.cones, 2):
+        inter = _intersect_cones(c1, c2, fan.nvars)
+        if inter not in cone_set \
+                or inter not in brute_cone_faces(c1, fan.nvars) \
+                or inter not in brute_cone_faces(c2, fan.nvars):
+            return False
+    return True

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -97,6 +98,18 @@ def test_fan_command_external_file_4d(tmp_path):
     assert [r["generator"] for r in rep["interior_rays"]] == [[1, 1, 1, 1]]
 
 
+def test_fan_file_with_a_non_face_cone_exits_1(tmp_path):
+    # cone [0, 4] lies inside [0, 1, 3, 4] (its rays are two of the four)
+    # but is not one of its faces: no facet holds both rays
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(
+        {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]],
+         "cones": [[0, 1, 3, 4], [2, 3, 4], [0, 4]]}))
+    code, _ = run_json(["fan", "--poly", "x1^2 + x2^3 + x3^4",
+                        "--fan", str(fan_file)])
+    assert code == 1
+
+
 def test_nu_command():
     code, rep = run_json(["nu", "--poly", "x1^2 + x2^3", "--g", "x1*x2"])
     assert code == 0 and rep["nu"] == "5/6"
@@ -188,8 +201,10 @@ def test_parse_error_exit_code():
     (["nu", "--poly", '{"nvars": 2}', "--g", "x1"], {}),
     (["fan", "--poly", "x1^2 + x2^3", "--fan", "no-such-fan.json"], {}),
     (["fan", "--poly", "x1^2 + x2^3", "--fan", "fan-without-cones.json"], {}),
+    (["fan", "--poly", "x1^2 + x2^3", "--fan", "fan-ragged-rays.json"], {}),
     (["koszul", "--polytope", "[[0,0],[1,1],[2,2]]"], {}),
     (["koszul", "--polytope", "[[0,0],[1,0,0],[0,1]]"], {}),
+    (["koszul", "--polytope", "[[], []]"], {}),
     (["residue", "--g", "x1", "--system", "[1,"], {}),
     (["detlemma", "--rows", "2", "--cols", "3"], {"NEWTON_SOCLE_SEED": "abc"}),
     (["polyhedron", "--poly", "x1 + 2/0*x2"], {}),
@@ -198,12 +213,19 @@ def test_parse_error_exit_code():
      {}),
     (["polyhedron", "--poly", '{"nvars": 1, "terms": [{"e": ["a"], "c": "1"}]}'],
      {}),
+    (["polyhedron", "--poly", '{"nvars": 1, "terms": [{"e": [1.5], "c": "1"}]}'],
+     {}),
 ], ids=["json-without-terms", "missing-fan-file", "fan-without-cones",
-        "flat-polytope", "ragged-polytope", "truncated-system-json",
+        "fan-ragged-rays",
+        "flat-polytope", "ragged-polytope", "zero-dimensional-polytope",
+        "truncated-system-json",
         "non-integer-env-seed", "zero-denominator", "directory-as-polynomial",
-        "json-zero-denominator", "json-non-integer-exponent"])
+        "json-zero-denominator", "json-non-integer-exponent",
+        "json-fractional-exponent"])
 def test_bad_input_exits_2_without_traceback(argv, extra_env, tmp_path):
     (tmp_path / "fan-without-cones.json").write_text('{"rays": [[1, 0]]}')
+    (tmp_path / "fan-ragged-rays.json").write_text(
+        '{"rays": [[1, 0], [0, 1, 1]], "cones": [[0, 1]]}')
     src = os.path.dirname(os.path.dirname(newton_socle.__file__))
     env = dict(os.environ, PYTHONPATH=src, **extra_env)
     proc = subprocess.run([sys.executable, "-m", "newton_socle.cli"] + argv,
@@ -242,17 +264,70 @@ MALFORMED_JSON = [
 ]
 
 
+def _exit_code(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects text that looks like a flag
+            return exc.code
+
+
 @given(st.one_of(literals(),
                  st.lists(st.sampled_from(FRAGMENTS), max_size=8).map("".join),
                  st.sampled_from(MALFORMED_JSON)))
 @settings(max_examples=150, deadline=None)
 def test_polyhedron_fuzz_keeps_exit_code_contract(text):
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        try:
-            code = main(["polyhedron", "--poly", text])
-        except SystemExit as exc:  # argparse rejects text that looks like a flag
-            code = exc.code
-    assert code in (0, 1, 2, 3)
+    assert _exit_code(["polyhedron", "--poly", text]) in (0, 1, 2, 3)
+
+
+@st.composite
+def fan_files(draw):
+    """Fan JSON in 2 or 3 variables: rays mostly in the orthant (some not,
+    some zero), cones as index lists that may overlap, repeat, nest without
+    being faces, or point past the rays; now and then a ragged ray or a
+    missing key."""
+    n = draw(st.integers(2, 3))
+    rays = draw(st.lists(st.lists(st.integers(-1, 3), min_size=n, max_size=n),
+                         min_size=1, max_size=6))
+    if draw(st.booleans()):
+        rays = [[int(i == j) for j in range(n)] for i in range(n)] + rays
+    if draw(st.integers(0, 9)) == 0:
+        rays.append([1] * (n + 1))
+    index = st.integers(-1, len(rays))
+    cones = draw(st.lists(st.lists(index, max_size=4), min_size=1, max_size=4))
+    obj = {"rays": rays, "cones": cones}
+    if draw(st.integers(0, 9)) == 0:
+        del obj[draw(st.sampled_from(["rays", "cones"]))]
+    return n, obj
+
+
+@given(fan_files(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_fan_file_fuzz_keeps_exit_code_contract(fan, regular):
+    n, obj = fan
+    poly = "x1^2 + x2^3" if n == 2 else "x1^2 + x2^3 + x3^4"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fan.json")
+        with open(path, "w") as handle:
+            json.dump(obj, handle)
+        argv = ["fan", "--poly", poly, "--fan", path]
+        assert _exit_code(argv + ["--regular"] if regular else argv) \
+            in (0, 1, 2, 3)
+
+
+POINT_LISTS = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.one_of(st.lists(st.integers(-1, 2), min_size=n, max_size=n),
+              st.lists(st.integers(-1, 2), max_size=n + 1)),
+    max_size=6))
+
+
+@given(st.one_of(POINT_LISTS.map(json.dumps),
+                 st.sampled_from(['{"a": 1}', "5", "[[1, 2], 3]", "[[0.5]]",
+                                  '[["a"]]', "[", "[[]]"])))
+@settings(max_examples=60, deadline=None)
+def test_koszul_polytope_fuzz_keeps_exit_code_contract(text):
+    assert _exit_code(["koszul", "--polytope", text, "--trials", "1"]) \
+        in (0, 1, 2, 3)
 
 
 def test_truncation_cap_exit_code():

@@ -9,13 +9,14 @@ from newton_socle import (SparsePoly, check_face_duality, cone_from_rays,
                           is_regular, multiplicity, newton_polyhedron,
                           orbit_closure_intersection, pole_components,
                           regularize, support_function)
-from newton_socle.errors import InputError, RegularizationError
-from newton_socle.fan import cone_faces, fan_from_cones
+from newton_socle.errors import (InputError, RegularizationError,
+                                 VerificationError)
+from newton_socle.fan import cone_faces, fan_from_cones, validate_fan
 from newton_socle.linalg import dot
 from newton_socle.polylattice import faces
 
 from conftest import poly, supports
-from face_oracles import brute_cone_faces
+from face_oracles import brute_cone_faces, brute_meets_in_faces
 
 
 ORTHANT_2 = cone_from_rays([(1, 0), (0, 1)])
@@ -96,6 +97,39 @@ def test_cone_faces_match_brute_force_oracle_with_lineality(vectors):
     # mixed signs give cones with lineality, the zero cone and the whole space
     c = cone_from_rays(vectors)
     assert cone_faces(c, 3) == brute_cone_faces(c, 3)
+
+
+RAY_POOL_3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+              (0, 1, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1)]
+
+
+@given(st.lists(st.lists(st.sampled_from(RAY_POOL_3), min_size=1, max_size=4,
+                         unique=True),
+                min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_validate_fan_matches_pairwise_oracle(cone_rays):
+    # validate_fan checks the orthant, a full-dimensional cone, the fan
+    # axiom, then the support; the oracle checks the fan axiom on all pairs
+    fan = fan_from_cones(3, [cone_from_rays(c) for c in cone_rays],
+                         validate=False)
+    assume(fan.maximal_cones())
+    try:
+        validate_fan(fan)
+        axiom_holds = True
+    except VerificationError as exc:
+        axiom_holds = str(exc).startswith("support is not the orthant")
+    assert axiom_holds == brute_meets_in_faces(fan)
+
+
+def test_validate_fan_rejects_a_cone_inside_another_but_not_a_face():
+    # (1, 0, 0) and (0, 1, 1) are opposite corners of the quadrilateral cone
+    quad = cone_from_rays([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)])
+    diagonal = cone_from_rays([(1, 0, 0), (0, 1, 1)])
+    top = cone_from_rays([(0, 0, 1), (1, 0, 1), (0, 1, 1)])
+    with pytest.raises(VerificationError, match="not one of its faces"):
+        fan_from_cones(3, [quad, top, diagonal])
+    # without the diagonal the two cones make a fan of the orthant
+    assert len(fan_from_cones(3, [quad, top]).maximal_cones()) == 2
 
 
 def test_fan_incidence_matches_face_relation():

@@ -1,0 +1,121 @@
+"""Compare the CLI reports of two source trees byte for byte.
+
+    python3 tools/report_identity.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository.  Every invocation of a fixed
+list runs as ``python -m newton_socle.cli ...`` with ``PYTHONPATH`` set to
+``<tree>/src``, once per tree (the two side by side), from a temporary
+directory that holds the fan files some invocations read.  One line is
+printed per invocation: ``same`` when stdout and the exit code agree byte
+for byte, else ``DIFF`` with both exit codes and the first line where
+stdout differs.  The exit status is 0 when every invocation agrees and 1
+otherwise.  Standard library only.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir))
+
+from perfbench.workloads import CURVES, SURFACES  # noqa: E402
+
+# tests/conftest.py::FAMILY
+FAMILY = [
+    "x1^2 + x2^3",
+    "x1^2 + x2^2",
+    "x1^2 + x1*x2 + x2^3",
+    "x1^3 + x2^3",
+    "x1^2 + x2^5",
+    "x1^2 + x2^2 + x3^2",
+]
+
+KOSZUL_PRESETS = ["unit-square", "triangle", "unit-cube", "unit-simplex-2",
+                  "unit-simplex-3"]
+
+# File name -> contents, written to the working directory of every run.
+FILES = {
+    "fan-2d.json": {"rays": [[1, 0], [1, 1], [0, 1]],
+                    "cones": [[0, 1], [1, 2]]},
+    # cone [0, 4] lies inside [0, 1, 3, 4] but is not one of its faces
+    "fan-non-face.json": {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                   [1, 0, 1], [0, 1, 1]],
+                          "cones": [[0, 1, 3, 4], [2, 3, 4], [0, 4]]},
+}
+
+
+def invocations():
+    """``(id, argv)`` pairs, in the order they are reported."""
+    out = []
+    for item in CURVES + SURFACES:
+        out.append(("verify-all " + item["poly"],
+                    ["verify-all", "--poly", item["poly"], "--seed", "1"]))
+    for f in FAMILY:
+        out.append(("polyhedron " + f, ["polyhedron", "--poly", f]))
+        out.append(("fan --regular " + f, ["fan", "--poly", f, "--regular"]))
+        out.append(("nondeg " + f, ["nondeg", "--poly", f, "--seed", "1"]))
+    for name in KOSZUL_PRESETS:
+        out.append(("koszul " + name, ["koszul", "--polytope", name]))
+    # the residue runs of tests/test_cli.py
+    out.append(("residue value", ["residue", "--g", "x1*x2^2", "--system",
+                                  "2*x1^2; 3*x2^3", "--vars", "2"]))
+    out.append(("residue cap", ["residue", "--g", "x1", "--system",
+                                "x1^2; x1*x2", "--vars", "2"]))
+    out.append(("residue bad system", ["residue", "--g", "x1", "--system",
+                                       "[1,"]))
+    out.append(("detlemma", ["detlemma", "--rows", "3", "--cols", "5",
+                             "--trials", "50", "--seed", "1"]))
+    out.append(("fan --fan 2d", ["fan", "--poly", "x1*x2", "--fan",
+                                 "fan-2d.json", "--regular"]))
+    out.append(("fan --fan non-face", ["fan", "--poly", "x1^2+x2^3+x3^4",
+                                       "--fan", "fan-non-face.json"]))
+    out.append(("fractional exponent",
+                ["polyhedron", "--poly",
+                 '{"nvars": 1, "terms": [{"e": [1.5], "c": "1"}]}']))
+    return out
+
+
+def run(tree, argv, cwd):
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    env.pop("NEWTON_SOCLE_SEED", None)
+    proc = subprocess.run([sys.executable, "-m", "newton_socle.cli"] + argv,
+                          capture_output=True, env=env, cwd=cwd)
+    return proc.returncode, proc.stdout
+
+
+def first_difference(a, b):
+    la, lb = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(la, lb)):
+        if x != y:
+            return "line %d: %r != %r" % (i + 1, x[:80], y[:80])
+    return "line %d: one output ends" % (min(len(la), len(lb)) + 1)
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    old, new = argv
+    differ = 0
+    with tempfile.TemporaryDirectory() as cwd, ThreadPoolExecutor(2) as pool:
+        for name, content in FILES.items():
+            with open(os.path.join(cwd, name), "w") as handle:
+                json.dump(content, handle)
+        for ident, args in invocations():
+            a, b = pool.map(lambda tree: run(tree, args, cwd), (old, new))
+            if a == b:
+                print("same  %s (exit %d)" % (ident, a[0]))
+                continue
+            differ += 1
+            note = "" if a[1] == b[1] else "; " + first_difference(a[1], b[1])
+            print("DIFF  %s (exit %d -> %d%s)" % (ident, a[0], b[0], note))
+    print("%d differ" % differ)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
