@@ -15,8 +15,8 @@ from . import combid, facering, fan as fanmod, grobner, localalg, residue
 from .errors import (InputError, RegularizationError, TruncationError,
                      VerificationError)
 from .linalg import rank, vec_sub
-from .polylattice import (INFINITY, SparsePoly, faces, newton_order,
-                          newton_polyhedron)
+from .polylattice import (INFINITY, SparsePoly, exact_int, faces,
+                          newton_order, newton_polyhedron)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -77,7 +77,7 @@ def read_polytope(spec):
         with open(spec) as handle:
             text = handle.read().strip()
     try:
-        pts = [tuple(int(x) for x in p) for p in json.loads(text)]
+        pts = [tuple(map(exact_int, p)) for p in json.loads(text)]
     except (TypeError, ValueError) as exc:
         raise InputError("malformed polytope (%s)" % exc) from None
     if not pts or len({len(p) for p in pts}) != 1:

@@ -12,9 +12,10 @@ import json
 
 from .errors import InputError, RegularizationError, VerificationError
 from .linalg import det, dot, primitive, rank, solve, vec_sub
-from .polylattice import (INFINITY, faces, incidence_closures, newton_order,
-                          newton_polyhedron, parallelepiped_points,
-                          polar_generators, polyhedron_hull)
+from .polylattice import (INFINITY, exact_int, faces, incidence_closures,
+                          newton_order, newton_polyhedron,
+                          parallelepiped_points, polar_generators,
+                          polyhedron_hull)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +207,10 @@ def fan_from_json(obj, validate=True):
     try:
         if isinstance(obj, str):
             obj = json.loads(obj)
-        rays = [tuple(int(x) for x in r) for r in obj["rays"]]
+        rays = [tuple(map(exact_int, r)) for r in obj["rays"]]
         cone_rays = [[rays[i] for i in c] for c in obj["cones"]]
+        if any(i < 0 for c in obj["cones"] for i in c):
+            raise IndexError("negative cone index")
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed fan JSON (%s: %s)"
                          % (type(exc).__name__, exc)) from None

@@ -49,17 +49,12 @@ class TruncatedLocalAlgebra:
         return {e: c for e, c in poly.terms.items() if sum(e) <= self.D}
 
 
-def _integral(terms, comb=None):
-    """``terms`` and ``comb`` (a dict or None) over their common denominator
-    d: integer dicts without zero entries, and d."""
-    d = lcm(*(v.denominator for v in terms.values()),
-            *(v.denominator for v in (comb or {}).values()))
-
-    def scaled(dct):
-        return {k: v.numerator * (d // v.denominator)
-                for k, v in dct.items() if v}
-
-    return scaled(terms), None if comb is None else scaled(comb), d
+def _integral(terms):
+    """``terms`` over the common denominator d of its coefficients: an
+    integer dict without zero entries, and d."""
+    d = lcm(*(v.denominator for v in terms.values()))
+    return {k: v.numerator * (d // v.denominator)
+            for k, v in terms.items() if v}, d
 
 
 def _sub_multiple(dst, b, src):
@@ -78,25 +73,19 @@ class _Echelon:
 
     Rows are primitive integer dicts with a positive pivot coefficient, and
     elimination is fraction-free: ``Fraction`` appears only where ``reduce``
-    hands its results back.  An input may come with its combination, a dict
-    {label: coefficient} naming what it stands for as a sum of labelled
-    originals.  Its row then keeps in ``combs`` the integer combination it
-    equals, made primitive together with the row, and ``reduce`` carries a
-    combination along with the terms it reduces."""
+    hands its results back."""
 
     def __init__(self, key):
         self.key = key
         self.rows = {}
-        self.combs = {}
 
-    def _eliminate(self, work, comb, lead_only):
+    def _eliminate(self, work, lead_only):
         """Cancel pivot monomials, largest first, from the integer dict
-        ``work`` in place.  Before each cancellation ``work`` and the integer
-        combination ``comb`` (or None) are multiplied by the least factor
-        that keeps them integral; the product of these factors is the scale.
-        Returns the terms split off as {monomial: (coefficient, scale then)}
-        and the final scale.  ``lead_only`` stops at the first monomial that
-        is not a pivot."""
+        ``work`` in place.  Before each cancellation ``work`` is multiplied
+        by the least factor that keeps it integral; the product of these
+        factors is the scale.  Returns the terms split off as
+        {monomial: (coefficient, scale then)}.  ``lead_only`` stops at the
+        first monomial that is not a pivot."""
         out = {}
         scale = 1
         while work:
@@ -116,55 +105,42 @@ class _Echelon:
                 scale *= a
                 for k in work:
                     work[k] *= a
-                if comb is not None:
-                    for k in comb:
-                        comb[k] *= a
             _sub_multiple(work, b, row)
-            if comb is not None:
-                _sub_multiple(comb, b, self.combs[m])
-        return out, scale
+        return out
 
-    def reduce(self, terms, comb=None):
+    def reduce(self, terms):
         """Normal form of ``terms``: what is left once every pivot monomial
-        is cancelled.  A given ``comb`` is updated in place to the
-        combination of what is left."""
-        work, icomb, d = _integral(terms, comb)
-        out, scale = self._eliminate(work, icomb, lead_only=False)
-        if comb is not None:
-            comb.clear()
-            comb.update((k, Fraction(v, scale * d)) for k, v in icomb.items())
+        is cancelled."""
+        work, d = _integral(terms)
+        out = self._eliminate(work, lead_only=False)
         return {m: Fraction(c, s * d) for m, (c, s) in out.items()}
 
-    def insert(self, terms, comb=None):
+    def insert(self, terms):
         """Add ``terms`` to the span; False when it is already in it.  Only
         the leading term is reduced and the new row's tail stays as it is:
-        pivots and normal forms depend only on the span, and reducing tails
-        would make tracked combinations several times denser."""
-        work, icomb, _ = _integral(terms, comb)
-        out, _ = self._eliminate(work, icomb, lead_only=True)
+        pivots and normal forms depend only on the span."""
+        work, _ = _integral(terms)
+        out = self._eliminate(work, lead_only=True)
         if not out:
             return False
         (pivot, (c, _)), = out.items()
         row = {pivot: c}
         row.update(work)
-        g = gcd(*row.values(), *(icomb or {}).values())
+        g = gcd(*row.values())
         if c < 0:
             g = -g
         self.rows[pivot] = {m: v // g for m, v in row.items()}
-        if icomb is not None:
-            self.combs[pivot] = {k: v // g for k, v in icomb.items()}
         return True
 
 
-def _shifted_span(gens, D, track=False):
+def _shifted_span(gens, D):
     """Echelon span of the shifts x^a * g_j truncated beyond degree D, each
-    generator's shifts inserted in ascending degrevlex order of a.  Each
-    generator is cleared of denominators once, by their lcm l_j, so with
-    ``track`` a shift enters with the combination {(j, a): l_j}."""
+    generator's shifts inserted in ascending degrevlex order of a and each
+    generator cleared of denominators once."""
     nvars = gens[0].nvars
     ech = _Echelon(degrevlex_key)
-    for j, g in enumerate(gens):
-        terms, _, l = _integral(g.terms)
+    for g in gens:
+        terms, _ = _integral(g.terms)
         graded = [(sum(e), e, c) for e, c in terms.items()]
         shifts = []
         for d in range(D - g.order() + 1):
@@ -173,8 +149,7 @@ def _shifted_span(gens, D, track=False):
         for a in shifts:
             room = D - sum(a)
             ech.insert({tuple(map(add, a, e)): c
-                        for deg, e, c in graded if deg <= room},
-                       {(j, a): l} if track else None)
+                        for deg, e, c in graded if deg <= room})
     return ech
 
 
@@ -226,7 +201,8 @@ def certified_ideal(gens, D=None, min_D=0, cap=None):
     With D given, that truncation must already certify.  Otherwise escalate
     from twice the largest generator degree until a certificate appears, then
     settle at m_power_bound + 4 (never below ``min_D``).  The escalation cap
-    shrinks with the variable count to keep hopeless inputs from grinding."""
+    shrinks with the variable count to keep hopeless inputs from grinding;
+    a ``min_D`` beyond the cap is still tried, once."""
     gens = tuple(gens)
     if not gens:
         raise InputError("no generators")
@@ -241,7 +217,7 @@ def certified_ideal(gens, D=None, min_D=0, cap=None):
             raise TruncationError("increase truncation: no certificate at D=%d" % D)
         return span
     d = max(4, 2 * max(g.total_degree() for g in gens), min_D)
-    while d <= cap:
+    while d <= max(cap, min_D):
         span = build_ideal(gens, d)
         if span.m_power_bound is not None:
             target = max(span.m_power_bound + 4, min_D)
@@ -249,6 +225,10 @@ def certified_ideal(gens, D=None, min_D=0, cap=None):
                 span = build_ideal(gens, target)
             return span
         d += 2
+    if min_D > cap:
+        raise TruncationError(
+            "no finite-colength certificate at D=%d: the required truncation "
+            "exceeds the cap %d" % (min_D, cap))
     raise TruncationError("no finite-colength certificate up to D=%d" % cap)
 
 

@@ -55,6 +55,13 @@ _TERM_RE = re.compile(r"^\s*(?:(\d+(?:/\d+)?)\s*\*?\s*)?((?:x\d+(?:\^\d+)?(?:\s*
 _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
+def exact_int(x):
+    """x as an int; ValueError when int() would change it (1.5, "1")."""
+    if int(x) != x:
+        raise ValueError("non-integral value %r" % (x,))
+    return int(x)
+
+
 class SparsePoly:
     """Finitely supported exponent -> rational coefficient map.
 
@@ -163,10 +170,7 @@ class SparsePoly:
                 obj = json.loads(obj)
             terms = {}
             for t in obj["terms"]:
-                e = tuple(t["e"])
-                for x in e:
-                    if int(x) != x:
-                        raise ValueError("non-integral exponent %r" % (x,))
+                e = tuple(map(exact_int, t["e"]))
                 terms[e] = Fraction(str(t["c"]))
             nvars = int(obj["nvars"])
             return cls(nvars, terms)

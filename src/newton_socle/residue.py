@@ -1,7 +1,7 @@
 """Grothendieck residues at the origin: coefficient extraction for monomial
-denominators, the general case through the transformation law with a
-truncated matrix solve, and the lattice-point Koszul and trace models on
-compact polytopes.
+denominators, the general case as the trace functional of the certified
+quotient read off the Bezoutian, and the lattice-point Koszul and trace
+models on compact polytopes.
 
 The normalization absorbs all transcendental factors, so a residue against
 monomial denominators x^(a_1), ..., x^(a_n) is the bare coefficient of
@@ -10,14 +10,15 @@ x^(a-1) and every value produced here is rational."""
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 import math
 import random
 
-from .errors import InputError, TruncationError, VerificationError
+from .errors import InputError, VerificationError
 from .facering import canonical_quotient, class_nonzero, face_cone, \
     face_derivatives, select_parameters
 from .linalg import rank, solve
-from .localalg import _shifted_span, certified_ideal, ideal_generators
+from .localalg import _integral, certified_ideal, ideal_generators
 from .polylattice import (SparsePoly, hull_vertices, lattice_points,
                           normalized_volume, polytope_lattice_points)
 
@@ -42,47 +43,61 @@ def monomial_residue(g, a):
     return g.coeff(tuple(x - 1 for x in a))
 
 
-def _poly_det(matrix, cap):
-    """Determinant of a small polynomial matrix, products truncated."""
-    n = len(matrix)
-    if n == 1:
+def _truncated_det(matrix, N):
+    """Determinant of a matrix of {(x exponent, y exponent): coefficient}
+    dicts, products cut below x- and y-degree N."""
+    if len(matrix) == 1:
         return matrix[0][0]
-    result = SparsePoly.zero(matrix[0][0].nvars)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j].mul_truncated(_poly_det(minor, cap), cap)
-        result = result + term if j % 2 == 0 else result - term
-    return result
+    total = {}
+    for j, entry in enumerate(matrix[0]):
+        minor = _truncated_det([row[:j] + row[j + 1:] for row in matrix[1:]],
+                               N)
+        sign = -1 if j % 2 else 1
+        for (a1, b1), c1 in entry.items():
+            for (a2, b2), c2 in minor.items():
+                a = tuple(map(add, a1, a2))
+                b = tuple(map(add, b1, b2))
+                if sum(a) < N and sum(b) < N:
+                    total[a, b] = total.get((a, b), 0) + sign * c1 * c2
+    return {k: v for k, v in total.items() if v}
 
 
-def _residue_at(g, system, power, cap):
-    """Transformation-law residue with x_i^power expressed through the system
-    inside the degree-cap truncation."""
-    n = system[0].nvars
-    span = _shifted_span(system, cap, track=True)
-    matrix = []
-    for i in range(n):
-        target = tuple(power if k == i else 0 for k in range(n))
-        comb = {}
-        if span.reduce({target: Fraction(1)}, comb):
-            raise TruncationError(
-                "x_%d^%d is not in the truncated span; raise truncation" % (i + 1, power))
-        # the normal form is zero, so the target equals -comb
-        row = [dict() for _ in system]
-        for (j, shift), v in comb.items():
-            row[j][shift] = -v
-        matrix.append([SparsePoly(n, d) for d in row])
-    transformed = g.mul_truncated(_poly_det(matrix, cap), cap)
-    return monomial_residue(transformed, (power,) * n)
+def _bezoutian(system, N):
+    """The Bezoutian det[theta_ij] of the system with each generator cleared
+    of denominators, below x- and y-degree N, and the product of the
+    denominators cleared.  Here theta_ij = (f_i(y_<j, x_>=j) -
+    f_i(y_<=j, x_>j)) / (x_j - y_j), which for a term c*z^e is
+    c * y^(e_<j) * x^(e_>j) * sum_k x_j^k * y_j^(e_j-1-k)."""
+    n = len(system)
+    matrix, scale = [], 1
+    for f in system:
+        terms, l = _integral(f.terms)
+        scale *= l
+        row = []
+        for j in range(n):
+            theta = {}
+            for e, c in terms.items():
+                for k in range(e[j]):
+                    a = (0,) * j + (k,) + e[j + 1:]
+                    b = e[:j] + (e[j] - 1 - k,) + (0,) * (n - 1 - j)
+                    if sum(a) < N and sum(b) < N:
+                        theta[a, b] = theta.get((a, b), 0) + c
+            row.append(theta)
+        matrix.append(row)
+    return _truncated_det(matrix, N), scale
 
 
-def grothendieck_residue(g, system, D=None, max_escalations=3):
-    """Residue of g dx against a system of finite colength.
+def grothendieck_residue(g, system, D=None):
+    """Residue of g dx against a system of finite colength, as the trace
+    functional tau of the certified quotient A (Scheja & Storch, J. reine
+    angew. Math. 278/279, 1975).
 
-    The power x_i^N with N the colength certificate is solved for inside the
-    truncation, the residue drops to the monomial case against x^N, and the
-    value must agree between the working truncation and two degrees higher
-    before it is reported."""
+    In A (x) A the Bezoutian is sum_k e_k(x) B_k(y) over the quotient basis
+    e_k, and the e_k and B_k are dual bases for the residue pairing, so
+    sum_k tau(e_k) B_k = 1 in A.  That linear system gives every tau(e_k),
+    and tau(g) = sum_k NF(g)_k tau(e_k).  Monomials of degree m_power_bound
+    lie in the ideal, so the Bezoutian is needed only below that degree in
+    x and in y.  ``D`` is a lower bound on the truncation of the span."""
     system = list(system)
     if not system:
         raise InputError("empty denominator system")
@@ -91,21 +106,27 @@ def grothendieck_residue(g, system, D=None, max_escalations=3):
         raise InputError("variable count mismatch")
     if len(system) != n:
         raise InputError("need exactly n denominators")
-    span = certified_ideal(system)
-    if span.m_power_bound is None:
-        raise TruncationError("colength not certified finite")
-    power = span.m_power_bound
-    # truncated solves commute with the exact one only with headroom of a
-    # full extra factor: matrix entries are accurate modulo m^(cap+1-N)
-    cap = max((n + 1) * power, D or 0, g.total_degree())
-    value = _residue_at(g, system, power, cap)
-    for _ in range(max_escalations):
-        check = _residue_at(g, system, power, cap + 2)
-        if check == value:
-            return ResidueResult(value, cap, True)
-        cap += 2
-        value = check
-    raise TruncationError("residue unstable under truncation escalation")
+    span = certified_ideal(system, min_D=D or 0)
+    basis = span.quotient_basis()
+    index = {m: i for i, m in enumerate(basis)}
+    delta, scale = _bezoutian(system, span.m_power_bound)
+    y_parts = {}
+    for (a, b), c in delta.items():
+        y_parts.setdefault(a, {})[b] = c
+    dual = [{} for _ in basis]
+    for a, part in y_parts.items():
+        for m, v in span.reduce({a: 1}).items():
+            B = dual[index[m]]
+            for b, c in part.items():
+                B[b] = B.get(b, 0) + v * c
+    normal_forms = [span.reduce(B) for B in dual]
+    tau = solve([[nf.get(m, 0) for nf in normal_forms] for m in basis],
+                [int(not any(m)) for m in basis])
+    if tau is None:
+        raise VerificationError("the Bezoutian gives no trace functional")
+    value = sum((tau[index[m]] * c for m, c in span.reduce(g).items()),
+                Fraction(0))
+    return ResidueResult(scale * value, span.algebra.D, True)
 
 
 def verify_residue_nonvanishing(f, face, h, r, D=None):

@@ -205,6 +205,9 @@ def test_parse_error_exit_code():
     (["koszul", "--polytope", "[[0,0],[1,1],[2,2]]"], {}),
     (["koszul", "--polytope", "[[0,0],[1,0,0],[0,1]]"], {}),
     (["koszul", "--polytope", "[[], []]"], {}),
+    (["koszul", "--polytope", "[[0,0],[2.7,0],[0,1]]"], {}),
+    (["fan", "--poly", "x1*x2", "--fan", "fan-fractional-ray.json"], {}),
+    (["fan", "--poly", "x1*x2", "--fan", "fan-negative-index.json"], {}),
     (["residue", "--g", "x1", "--system", "[1,"], {}),
     (["detlemma", "--rows", "2", "--cols", "3"], {"NEWTON_SOCLE_SEED": "abc"}),
     (["polyhedron", "--poly", "x1 + 2/0*x2"], {}),
@@ -218,6 +221,7 @@ def test_parse_error_exit_code():
 ], ids=["json-without-terms", "missing-fan-file", "fan-without-cones",
         "fan-ragged-rays",
         "flat-polytope", "ragged-polytope", "zero-dimensional-polytope",
+        "fractional-polytope", "fan-fractional-ray", "fan-negative-index",
         "truncated-system-json",
         "non-integer-env-seed", "zero-denominator", "directory-as-polynomial",
         "json-zero-denominator", "json-non-integer-exponent",
@@ -226,6 +230,10 @@ def test_bad_input_exits_2_without_traceback(argv, extra_env, tmp_path):
     (tmp_path / "fan-without-cones.json").write_text('{"rays": [[1, 0]]}')
     (tmp_path / "fan-ragged-rays.json").write_text(
         '{"rays": [[1, 0], [0, 1, 1]], "cones": [[0, 1]]}')
+    (tmp_path / "fan-fractional-ray.json").write_text(
+        '{"rays": [[1.5, 0], [0, 1]], "cones": [[0, 1]]}')
+    (tmp_path / "fan-negative-index.json").write_text(
+        '{"rays": [[1, 0], [0, 1]], "cones": [[-1, 0]]}')
     src = os.path.dirname(os.path.dirname(newton_socle.__file__))
     env = dict(os.environ, PYTHONPATH=src, **extra_env)
     proc = subprocess.run([sys.executable, "-m", "newton_socle.cli"] + argv,
@@ -336,6 +344,69 @@ def test_truncation_cap_exit_code():
     code, _ = run_json(["residue", "--g", "x1", "--system", "x1^2; x1*x2",
                         "--vars", "2"])
     assert code == 3
+
+
+def test_residue_truncation_beyond_the_cap_is_honoured():
+    # the 3-variable escalation cap is 20; a larger --trunc is still built
+    code, rep = run_json(["residue", "--g", "x1*x2*x3",
+                          "--system", "x1^2;x2^2;x3^2", "--trunc", "22"])
+    assert code == 0
+    assert rep["value"] == "1" and rep["truncation_used"] == 22
+
+
+def test_residue_truncation_beyond_the_cap_names_the_cap():
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_json(["residue", "--g", "x1", "--system", "x1^2; x1*x2",
+                            "--vars", "2", "--trunc", "42"])
+    assert code == 3
+    assert "the required truncation exceeds the cap 40" in err.getvalue()
+
+
+def test_residue_without_a_trace_functional_is_a_check_failure(monkeypatch):
+    monkeypatch.setattr(newton_socle.residue, "solve", lambda rows, rhs: None)
+    code, _ = run_json(["residue", "--g", "x1*x2^2",
+                        "--system", "2*x1^2; 3*x2^3", "--vars", "2"])
+    assert code == 1
+
+
+@st.composite
+def system_literals(draw):
+    """';'-joined systems in x1, x2 of one to three polynomials with p/q
+    coefficients: of finite or infinite colength, of the wrong length, or
+    with a constant or zero member."""
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.tuples(st.integers(-4, 4), st.integers(1, 3)),
+            max_size=2))
+        polys.append(" + ".join("%d/%d*x1^%d*x2^%d" % (p, q, a, b)
+                                for (a, b), (p, q) in terms.items()) or "0")
+    return "; ".join(polys)
+
+
+# systems in x1, x2 that vanish along a curve: no colength certificate exists
+INFINITE_COLENGTH = ["x1^2; x1*x2", "x1 - x2; x1^2 - x2^2",
+                     "1/2*x1^3; 3/4*x1*x2^2", "x2^2 + x1*x2; 2/3*x2"]
+
+
+@given(st.one_of(system_literals(), st.sampled_from(INFINITE_COLENGTH),
+                 st.lists(st.sampled_from(FRAGMENTS), max_size=8).map("".join),
+                 st.sampled_from(["[" + j + "]" for j in MALFORMED_JSON])))
+@settings(max_examples=60, deadline=None)
+def test_residue_system_fuzz_keeps_exit_code_contract(text):
+    assert _exit_code(["residue", "--g", "x1*x2", "--system", text,
+                       "--vars", "2"]) in (0, 1, 2, 3)
+
+
+@given(st.one_of(literals(),
+                 st.lists(st.sampled_from(FRAGMENTS), max_size=8).map("".join),
+                 st.sampled_from(MALFORMED_JSON)))
+@settings(max_examples=100, deadline=None)
+def test_nu_fuzz_keeps_exit_code_contract(text):
+    assert _exit_code(["nu", "--poly", "x1^2 + x2^3", "--g", text]) \
+        in (0, 1, 2, 3)
 
 
 def test_env_seed_override():

@@ -15,6 +15,7 @@ from newton_socle.linalg import rref
 from newton_socle.localalg import _Echelon
 
 from conftest import poly
+from residue_oracles import _Echelon as _TrackedEchelon
 
 
 def log_ideal(f_text, D=None):
@@ -176,7 +177,7 @@ def test_interior_membership_random_monomials(family_polyhedra):
 
 
 # ---------------------------------------------------------------------------
-# The fraction-free echelon against a Fraction rref oracle
+# The fraction-free echelon, plain and tracked, against a Fraction rref oracle
 # ---------------------------------------------------------------------------
 
 _COEFFS = st.builds(Fraction, st.integers(-6, 6).filter(bool),
@@ -210,7 +211,7 @@ def test_echelon_matches_rref_oracle(polys, target):
     expected = {m: c for m, c in expected.items() if c}
 
     plain = _Echelon(degrevlex_key)
-    tracked = _Echelon(degrevlex_key)
+    tracked = _TrackedEchelon(degrevlex_key)
     for i, p in enumerate(polys):
         plain.insert(p)
         tracked.insert(p, {i: Fraction(1)})

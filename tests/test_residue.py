@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newton_socle import (SparsePoly, compact_faces, grothendieck_residue,
                           ideal_generators, koszul_check,
@@ -14,6 +15,7 @@ from newton_socle.linalg import det
 from newton_socle.residue import random_section
 
 from conftest import poly
+from residue_oracles import transformation_law_residue
 
 TRIANGLE = [(0, 0), (2, 0), (0, 3)]
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -46,7 +48,7 @@ def test_monomial_residue_examples():
 
 
 # ---------------------------------------------------------------------------
-# The transformation law
+# The residue as the trace functional of the quotient
 # ---------------------------------------------------------------------------
 
 def test_residue_monomial_denominators():
@@ -137,6 +139,59 @@ def test_residue_scales_inversely_with_a_rational_generator():
         g, [system[0].scale(Fraction(3, 2))] + system[1:])
     assert scaled.value == base.value * Fraction(2, 3)
     assert base.stable and scaled.stable
+
+
+_COEFFS = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                    st.integers(1, 4))
+
+
+@st.composite
+def finite_colength_systems(draw):
+    """g and a system c_i*x_i^(a_i) + (other terms) in 2 or 3 variables with
+    p/q coefficients, and a permutation of the system.  Every other term has
+    weighted degree above 1 for the weights 1/a_i, so the pure powers lead
+    and the colength is finite (the system is semi-quasihomogeneous).  A
+    multiple of the second generator is added to the first, which keeps the
+    ideal and the residue, and g has a term x^(a-1), on which the residue of
+    the leading powers is nonzero.  Three-variable systems stay small (a is
+    a permutation of (1, 1, 2), one other term of degree at most 3): the
+    transformation-law oracle takes minutes on denser ones."""
+    n = draw(st.integers(2, 3))
+    if n == 2:
+        a, extra, top = draw(st.tuples(*[st.integers(1, 3)] * 2)), 3, 4
+    else:
+        a, extra, top = draw(st.permutations([1, 1, 2])), 1, 3
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    system = []
+    for i in range(n):
+        terms = {e: c for e, c in draw(st.dictionaries(
+            exps, _COEFFS, max_size=extra)).items()
+            if sum(e) <= top and sum(Fraction(x, y) for x, y in zip(e, a)) > 1}
+        terms[tuple(a[i] * (k == i) for k in range(n))] = draw(_COEFFS)
+        system.append(SparsePoly(n, terms))
+    system[0] = system[0] + system[1].scale(draw(_COEFFS))
+    g = SparsePoly(n, draw(st.dictionaries(exps, _COEFFS, max_size=3))) + \
+        SparsePoly.monomial(tuple(x - 1 for x in a), draw(_COEFFS))
+    return g, system, draw(st.permutations(range(n)))
+
+
+@given(finite_colength_systems())
+@settings(max_examples=25, deadline=None)
+def test_residue_matches_transformation_law_oracle(case):
+    g, system, _ = case
+    assert grothendieck_residue(g, system).value == \
+        transformation_law_residue(g, system).value
+
+
+@given(finite_colength_systems())
+@settings(max_examples=40, deadline=None)
+def test_permuted_system_multiplies_residue_by_the_sign(case):
+    g, system, perm = case
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                     for j in range(i + 1, len(perm)))
+    value = grothendieck_residue(g, system).value
+    assert grothendieck_residue(g, [system[i] for i in perm]).value == \
+        (-1) ** inversions * value
 
 
 def test_residue_infinite_colength_rejected():
