@@ -178,7 +178,7 @@ def cmd_nu(args):
 
 def cmd_nondeg(args):
     f = read_polynomial(args.poly, args.vars)
-    report = grobner.nondegeneracy_report(f, primes=args.primes, seed=args.seed)
+    report = grobner.nondegeneracy_report(f)
     return report, EXIT_OK if report["nondegenerate"] else EXIT_CHECK_FAILED
 
 
@@ -268,7 +268,7 @@ def cmd_verify_all(args):
     report = {"polynomial": str(f), "nvars": n, "seed": args.seed,
               "checks": {}}
 
-    nd = grobner.nondegeneracy_report(f, primes=args.primes, seed=args.seed)
+    nd = grobner.nondegeneracy_report(f)
     report["nondegeneracy"] = nd
     if not nd["nondegenerate"]:
         report["checks"]["nondegenerate"] = False
@@ -336,6 +336,10 @@ def cmd_verify_all(args):
     return report, EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
+PRIMES_HELP = ("accepted for older command lines and ignored: every face "
+               "is decided exactly over Q")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="newton-socle",
@@ -371,7 +375,7 @@ def build_parser():
 
     p = sub.add_parser("nondeg", help="nondegeneracy with per-face detail")
     common(p)
-    p.add_argument("--primes", type=int, default=3)
+    p.add_argument("--primes", type=int, default=3, help=PRIMES_HELP)
     p.set_defaults(func=cmd_nondeg)
 
     p = sub.add_parser("socle-order", help="Newton order of the socle")
@@ -431,7 +435,7 @@ def build_parser():
     p = sub.add_parser("verify-all", help="full verification pipeline")
     common(p)
     p.add_argument("--trunc", type=int, default=None)
-    p.add_argument("--primes", type=int, default=3)
+    p.add_argument("--primes", type=int, default=3, help=PRIMES_HELP)
     p.add_argument("--detlemma-trials", type=int, default=25)
     p.set_defaults(func=cmd_verify_all)
 

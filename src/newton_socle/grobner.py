@@ -2,15 +2,18 @@
 face-derivative systems have a common zero in the torus.
 
 Only the degree-reverse-lexicographic order is implemented; torus conditions
-go through a Rabinowitsch variable; the characteristic-zero question is
-settled by reduction modulo several random large primes (one-sided Monte
-Carlo, disagreements trigger a retry)."""
+go through a Rabinowitsch variable.  Nondegeneracy is decided exactly over
+Q, each compact face on its own torus in dim(face) + 1 variables (see
+:func:`nondegeneracy_report`).  The full-variable systems of
+:mod:`combid` are settled by reduction modulo several random large primes
+(one-sided Monte Carlo, disagreements trigger a retry)."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 import random
 
 from .errors import InputError, VerificationError
+from .linalg import hermite_basis, solve, vec_sub
 from .polylattice import SparsePoly, compact_faces, face_part, newton_polyhedron
 
 
@@ -253,7 +256,7 @@ def random_prime(rng, bits=31):
 
 def torus_has_zero(polys, p):
     """Whether the system has a common zero with all coordinates nonzero,
-    over the algebraic closure of F_p.
+    over the algebraic closure of F_p (of Q when ``p`` is None).
 
     Adjoins t*x1*...*xn - 1 and tests for the unit ideal; False is a proof of
     emptiness over the closure.  Raises _BadPrime when p divides an input
@@ -301,13 +304,49 @@ def _monomial_system(polys):
     return all(len(g.terms) <= 1 for g in polys)
 
 
+def face_torus_polynomial(face_poly):
+    """The F of f_sigma = x^m0 * y^a0 * F(y), y = x^B, for a face part
+    f_sigma with at least two terms.
+
+    m0 is the first support exponent, the rows of B are the Hermite basis of
+    the lattice spanned by the differences of the support exponents, and
+    F has d = rank B variables and exponents shifted to be >= 0 (a0 is the
+    shift), so F(0) != 0."""
+    m0 = next(iter(face_poly.terms))
+    diffs = {m: vec_sub(m, m0) for m in face_poly.terms}
+    columns = list(zip(*hermite_basis(list(diffs.values()))))
+    coords = {m: tuple(int(a) for a in solve(columns, v))
+              for m, v in diffs.items()}
+    low = [min(a) for a in zip(*coords.values())]
+    return SparsePoly(len(low), {vec_sub(coords[m], low): c
+                                 for m, c in face_poly.terms.items()})
+
+
 def nondegeneracy_report(f, primes=3, seed=0):
     """Per-face nondegeneracy data for f.
 
-    For every compact face of the Newton polyhedron, the face parts of the
-    operators x_i d/dx_i must have no common torus zero.  Monomial face
+    For every compact face sigma of the Newton polyhedron, the face parts
+    x_i d/dx_i f_sigma must have no common torus zero.  Monomial face
     systems are decided by the short-circuit (a nonzero monomial never
-    vanishes on the torus); the rest go through the Groebner path."""
+    vanishes on the torus).  Any other face is decided on its own torus
+    (Kouchnirenko, Invent. Math. 32, 1976): with f_sigma = x^m0 * y^a0 * F(y)
+    and y = x^B as in :func:`face_torus_polynomial`, the face system has a
+    torus zero exactly when {F, y_k dF/dy_k : k <= d} has one.  Two facts
+    make this hold:
+
+    * sigma is compact, so a positive covector is constant and nonzero on
+      it; it vanishes on the rows of B but not on m0, so the n x (d+1)
+      matrix (m0 | B^T) has full rank and, by the Euler relation
+      x_i d/dx_i f_sigma = m0_i f_sigma + sum_k B_ki x^m0 y_k dF~/dy_k
+      (F~ = y^a0 F), the face system vanishes iff f_sigma and every
+      y_k dF~/dy_k do;
+    * B has rank d, so x -> x^B maps the n-torus onto the d-torus, even when
+      its lattice is not saturated; a torus zero of the F-system lifts.
+
+    The F-system goes to Buchberger over Q in d+1 variables (``method``
+    "groebner-Q"), so the verdict is exact.  ``primes`` and ``seed`` are
+    accepted for callers of the earlier random-prime check and have no
+    effect."""
     if not isinstance(f.order(), int) or f.order() < 2:
         raise InputError("order too small: f must lie in the square of the maximal ideal")
     n = f.nvars
@@ -319,19 +358,17 @@ def nondegeneracy_report(f, primes=3, seed=0):
             report["faces"] = []
             return report
     poly = newton_polyhedron(f)
-    rng = random.Random(seed)
     for face in compact_faces(poly):
-        derivs = [face_part(f, face).x_ddx(i) for i in range(n)]
+        fs = face_part(f, face)
         entry = {"vertices": [list(v) for v in face.vertices()], "dim": face.dim}
-        if _monomial_system(derivs):
+        if _monomial_system([fs.x_ddx(i) for i in range(n)]):
             entry["method"] = "monomial"
             entry["torus_zero"] = False
         else:
-            entry["method"] = "groebner"
-            has_zero, detail = torus_has_zero_char0(
-                derivs, primes=primes, seed=rng.getrandbits(32))
-            entry["torus_zero"] = has_zero
-            entry["primes"] = detail["primes"]
+            F = face_torus_polynomial(fs)
+            entry["method"] = "groebner-Q"
+            entry["torus_zero"] = torus_has_zero(
+                [F] + [F.x_ddx(k) for k in range(F.nvars)], None)
         if entry["torus_zero"]:
             report["nondegenerate"] = False
         report["faces"].append(entry)

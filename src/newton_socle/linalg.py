@@ -192,6 +192,45 @@ def det(rows):
     return Fraction(sign * prev, scale)
 
 
+def hermite_basis(rows):
+    """Z-basis of the lattice spanned by the integer vectors ``rows``: the
+    nonzero rows of their row Hermite normal form (H. Cohen, "A Course in
+    Computational Algebraic Number Theory", 1993, §2.4).
+
+    Column by column, integer row operations (Euclid on the column) leave
+    one row with a positive pivot there and zeros below it; entries above a
+    pivot are reduced into ``[0, pivot)``.  The rows returned are in echelon
+    form, so they are independent and their number is the rank."""
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    r = 0
+    for c in range(ncols):
+        while True:
+            live = [i for i in range(r, len(mat)) if mat[i][c]]
+            if not live:
+                break
+            i = min(live, key=lambda i: abs(mat[i][c]))
+            mat[r], mat[i] = mat[i], mat[r]
+            if len(live) == 1:
+                break
+            prow = mat[r]
+            for k in range(r + 1, len(mat)):
+                q = mat[k][c] // prow[c]
+                if q:
+                    mat[k] = [x - q * y for x, y in zip(mat[k], prow)]
+        if not live:
+            continue
+        if mat[r][c] < 0:
+            mat[r] = [-x for x in mat[r]]
+        prow = mat[r]
+        for i in range(r):
+            q = mat[i][c] // prow[c]
+            if q:
+                mat[i] = [x - q * y for x, y in zip(mat[i], prow)]
+        r += 1
+    return [tuple(row) for row in mat[:r]]
+
+
 def in_row_span(rows, vec):
     """True iff ``vec`` lies in the row space of ``rows``."""
     if not rows:

@@ -202,12 +202,16 @@ def certified_ideal(gens, D=None, min_D=0, cap=None):
     from twice the largest generator degree until a certificate appears, then
     settle at m_power_bound + 4 (never below ``min_D``).  The escalation cap
     shrinks with the variable count to keep hopeless inputs from grinding;
-    a ``min_D`` beyond the cap is still tried, once."""
+    a ``min_D`` beyond the cap is still tried, once.  So is a start from the
+    generator degrees one step (2) beyond the cap in two variables, where
+    that build costs about what one at the cap does; any other start beyond
+    the cap is refused before building, naming the truncation it needs."""
     gens = tuple(gens)
     if not gens:
         raise InputError("no generators")
+    nvars = gens[0].nvars
     if cap is None:
-        cap = 40 if gens[0].nvars <= 2 else 20
+        cap = 40 if nvars <= 2 else 20
     if D is not None:
         if D < min_D:
             raise TruncationError(
@@ -216,8 +220,14 @@ def certified_ideal(gens, D=None, min_D=0, cap=None):
         if span.m_power_bound is None:
             raise TruncationError("increase truncation: no certificate at D=%d" % D)
         return span
-    d = max(4, 2 * max(g.total_degree() for g in gens), min_D)
-    while d <= max(cap, min_D):
+    start = max(4, 2 * max(g.total_degree() for g in gens))
+    if start > max(cap, min_D) and (nvars > 2 or start > cap + 2):
+        raise TruncationError(
+            "the escalation would start at D=%d, beyond the cap %d: give a "
+            "truncation of at least %d (--trunc) to try it" % (start, cap, start))
+    start = max(start, min_D)
+    d = start
+    while d <= max(cap, start):
         span = build_ideal(gens, d)
         if span.m_power_bound is not None:
             target = max(span.m_power_bound + 4, min_D)
@@ -225,11 +235,11 @@ def certified_ideal(gens, D=None, min_D=0, cap=None):
                 span = build_ideal(gens, target)
             return span
         d += 2
-    if min_D > cap:
+    if start > cap:
         raise TruncationError(
             "no finite-colength certificate at D=%d: the required truncation "
-            "exceeds the cap %d" % (min_D, cap))
-    raise TruncationError("no finite-colength certificate up to D=%d" % cap)
+            "exceeds the cap %d" % (start, cap))
+    raise TruncationError("no finite-colength certificate up to D=%d" % (d - 2))
 
 
 def member(h, span):

@@ -237,15 +237,19 @@ def test_criterion_09_nondegeneracy():
     t0 = time.time()
     ok = nondegenerate(poly("x1^2 + x2^3"))
     ok = ok and not nondegenerate(poly("x1^2 + 2*x1*x2 + x2^2"))
+    exact_faces = 0
     for text in FAMILY:
         f = poly(text)
         rep = nondegeneracy_report(f, primes=3, seed=5)
         ok = ok and rep["nondegenerate"]
         for entry in rep["faces"]:
-            if entry["method"] == "groebner":
-                ok = ok and len(entry["primes"][-1]) == 3
-    report(9, ok, "nondegeneracy verdicts with 3-prime agreement on the "
-           "family", time.time() - t0)
+            if entry["method"] != "monomial":
+                exact_faces += 1
+                ok = ok and entry["method"] == "groebner-Q"
+                ok = ok and entry["torus_zero"] is False
+    ok = ok and exact_faces > 0
+    report(9, ok, "nondegeneracy verdicts over Q on the family, every "
+           "non-monomial face on its own torus", time.time() - t0)
 
 
 def test_criterion_10_multiplication_map():

@@ -245,14 +245,16 @@ def test_bad_input_exits_2_without_traceback(argv, extra_env, tmp_path):
 
 
 @st.composite
-def literals(draw):
-    """A random support written as the CLI reads it, with signed integer
-    coefficients and ``-`` before a negative one."""
+def literals(draw, min_vars=2, max_vars=4):
+    """A random support written as the CLI reads it, with signed p/q
+    coefficients and ``-`` before a negative one.  The support may hold a
+    constant or linear term (order < 2) and may miss an axis."""
     terms = []
-    for e in draw(supports()).terms:
+    for e in draw(supports(min_vars, max_vars)).terms:
         c = draw(st.sampled_from([1, -1, 2, -3]))
-        factors = [str(abs(c))] + ["x%d^%d" % (i + 1, a)
-                                   for i, a in enumerate(e) if a]
+        q = draw(st.sampled_from([1, 1, 2, 3]))
+        factors = [str(abs(c)) + ("/%d" % q if q > 1 else "")] + [
+            "x%d^%d" % (i + 1, a) for i, a in enumerate(e) if a]
         terms.append(("- " if c < 0 else "+ ") + "*".join(factors))
     return " ".join(terms)
 
@@ -363,6 +365,29 @@ def test_residue_truncation_beyond_the_cap_names_the_cap():
     assert "the required truncation exceeds the cap 40" in err.getvalue()
 
 
+def test_residue_escalation_start_beyond_the_cap_is_tried():
+    # the escalation starts at 2 * 21 = 42, above the 2-variable cap 40
+    code, rep = run_json(["residue", "--g", "x1^20*x2^20",
+                          "--system", "x1^21; x2^21", "--vars", "2"])
+    assert code == 0 and rep["value"] == "1"
+
+
+def test_residue_escalation_start_far_beyond_the_cap_is_refused(monkeypatch):
+    # 2 * 11 = 22 is beyond the cap 20 for more than two variables; in four
+    # variables the span at D=22 is large, so nothing is built and the
+    # message names the truncation needed
+    def no_build(gens, D):
+        raise AssertionError("built a span at D=%d" % D)
+    monkeypatch.setattr(newton_socle.localalg, "build_ideal", no_build)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_json(["residue", "--g", "x1", "--vars", "4", "--system",
+                            "x1^11; x2^11; x3^11; x4^11"])
+    assert code == 3
+    assert "would start at D=22" in err.getvalue()
+    assert "--trunc" in err.getvalue()
+
+
 def test_residue_without_a_trace_functional_is_a_check_failure(monkeypatch):
     monkeypatch.setattr(newton_socle.residue, "solve", lambda rows, rhs: None)
     code, _ = run_json(["residue", "--g", "x1*x2^2",
@@ -407,6 +432,12 @@ def test_residue_system_fuzz_keeps_exit_code_contract(text):
 def test_nu_fuzz_keeps_exit_code_contract(text):
     assert _exit_code(["nu", "--poly", "x1^2 + x2^3", "--g", text]) \
         in (0, 1, 2, 3)
+
+
+@given(literals(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_nondeg_fuzz_keeps_exit_code_contract(text):
+    assert _exit_code(["nondeg", "--poly", text]) in (0, 1, 2)
 
 
 def test_env_seed_override():

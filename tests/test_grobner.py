@@ -1,12 +1,17 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from newton_socle import (buchberger, nondegenerate,
+from newton_socle import (SparsePoly, buchberger, compact_faces, face_part,
+                          newton_polyhedron, nondegenerate,
                           nondegeneracy_report, torus_has_zero,
                           torus_has_zero_char0)
 from newton_socle.errors import InputError
-from newton_socle.grobner import random_prime
+from newton_socle.grobner import face_torus_polynomial, random_prime
+from newton_socle.linalg import det, hermite_basis, rank, solve
 
 from conftest import poly
 
@@ -116,3 +121,108 @@ def test_random_prime_is_prime():
         p = random_prime(rng)
         assert p > 2 ** 30
         assert all(p % q for q in (2, 3, 5, 7, 11, 13))
+
+
+def _minor_gcd(rows, r):
+    """gcd of the r x r minors of an integer matrix, the r-th determinantal
+    divisor, which unimodular row operations keep."""
+    g = 0
+    for rs in combinations(rows, r):
+        for cs in combinations(range(len(rows[0])), r):
+            g = gcd(g, int(det([[row[c] for c in cs] for row in rs])))
+    return g
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+    min_size=1, max_size=5)))
+@settings(max_examples=100, deadline=None)
+def test_hermite_basis_spans_the_same_lattice(rows):
+    basis = hermite_basis(rows)
+    r = rank(rows)
+    assert len(basis) == r
+    if not r:
+        return
+    # every row is an integer combination of the basis ...
+    columns = list(zip(*basis))
+    for row in rows:
+        coords = solve(columns, row)
+        assert coords is not None
+        assert all(a.denominator == 1 for a in coords)
+    # ... and both have the same r-th determinantal divisor, so that
+    # inclusion of lattices of rank r has index 1
+    assert _minor_gcd(rows, r) == _minor_gcd(basis, r)
+
+
+@st.composite
+def face_polys(draw):
+    """f in 2-3 variables of order >= 2 with a term on every axis and p/q
+    coefficients.  Half of them are h^2 plus terms of higher degree, with h
+    a sum of pure powers x_i^k: the face of h^2 then has torus zeros and,
+    for k = 2, a lattice of index 2."""
+    n = draw(st.integers(2, 3))
+    hi = 4 if n == 2 else 3
+    coeff = st.builds(lambda p, q: "%d/%d" % (p, q),
+                      st.integers(-3, 3).filter(bool), st.integers(1, 2))
+    low = 2
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 2))
+        h = SparsePoly(n, {tuple(k * int(i == j) for j in range(n)): draw(coeff)
+                           for i in draw(st.sets(st.integers(0, n - 1),
+                                                 min_size=2))})
+        f = h * h
+        low = 2 * k + 1
+    else:
+        f = SparsePoly.zero(n)
+    point = st.tuples(*[st.integers(0, hi)] * n).filter(
+        lambda e: sum(e) >= low)
+    f = f + SparsePoly(n, draw(st.dictionaries(point, coeff, max_size=3)))
+    for i in range(n):
+        if f.restrict_to_axis(i).is_zero():
+            e = tuple(draw(st.integers(low, low + 2)) * int(i == j)
+                      for j in range(n))
+            f = f + SparsePoly(n, {e: draw(coeff)})
+    return f
+
+
+@given(face_polys())
+@settings(max_examples=60, deadline=None)
+def test_face_torus_verdicts_match_the_full_variable_systems(f):
+    report = nondegeneracy_report(f, seed=3)
+    faces = compact_faces(newton_polyhedron(f))
+    assert len(report["faces"]) == len(faces)
+    for entry, face in zip(report["faces"], faces):
+        fs = face_part(f, face)
+        derivs = [fs.x_ddx(i) for i in range(f.nvars)]
+        expected, _ = torus_has_zero_char0(derivs, primes=3, seed=7)
+        assert entry["torus_zero"] == expected
+    assert report["nondegenerate"] == (
+        not any(e["torus_zero"] for e in report["faces"]))
+
+
+@pytest.mark.parametrize("text", [
+    # the repeated-root edge (x1 + x3)^2 (2 x1 + 3 x3) with a pure x2^3
+    "2*x1^3 + 7*x1^2*x3 + 8*x1*x3^2 + 3*x3^3 + x2^3",
+    # (x1^2 + x2^2)^2: the edge lattice has index 2
+    "x1^4 + 2*x1^2*x2^2 + x2^4",
+    # a^3 + b^3 + c^3 - 3abc at a, b, c = x1^2, x2^2, x3^2: index-2 2-face
+    "x1^6+x2^6+x3^6 - 3*x1^2*x2^2*x3^2",
+])
+def test_degenerate_faces_are_found_over_q(text):
+    report = nondegeneracy_report(poly(text))
+    assert not report["nondegenerate"]
+    assert any(e["torus_zero"] and e["method"] == "groebner-Q"
+               for e in report["faces"])
+
+
+def test_index_two_edge_reduces_to_one_variable():
+    # f_sigma = x2^4 * F(x1^2 / x2^2): F = (1 + y)^2 has the torus zero
+    # y = -1, while F = 1 + y + y^2 has simple roots only
+    square = poly("x1^4 + 2*x1^2*x2^2 + x2^4")
+    assert face_torus_polynomial(square) == poly("1 + 2*x1 + x1^2")
+    good = poly("x1^4 + x1^2*x2^2 + x2^4")
+    assert face_torus_polynomial(good) == poly("1 + x1 + x1^2")
+    report = nondegeneracy_report(good)
+    assert report["nondegenerate"]
+    assert [e["method"] for e in report["faces"]] == \
+        ["monomial", "monomial", "groebner-Q"]
