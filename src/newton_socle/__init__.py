@@ -2,8 +2,8 @@
 dual fans, graded face rings, socle degrees, Newton orders and Grothendieck
 residues, with mechanical verification pipelines."""
 
-from .errors import (InputError, RegularizationError, TruncationError,
-                     VerificationError)
+from .errors import (CapError, InputError, RegularizationError,
+                     TruncationError, VerificationError)
 from .polylattice import (INFINITY, FaceDescriptor, NewtonPolyhedron,
                           SparsePoly, compact_faces, face_part, faces,
                           newton_order, newton_polyhedron, normalized_volume,

@@ -2,7 +2,7 @@
 deterministic JSON (or plain-text) reports.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 malformed
-input, 3 a truncation or subdivision cap was hit.
+input, 3 a truncation, subdivision or size cap was hit.
 """
 
 import argparse
@@ -12,8 +12,8 @@ import sys
 from fractions import Fraction
 
 from . import combid, facering, fan as fanmod, grobner, localalg, residue
-from .errors import (InputError, RegularizationError, TruncationError,
-                     VerificationError)
+from .errors import (CapError, InputError, RegularizationError,
+                     TruncationError, VerificationError)
 from .linalg import rank, vec_sub
 from .polylattice import (INFINITY, SparsePoly, exact_int, faces,
                           newton_order, newton_polyhedron)
@@ -263,6 +263,7 @@ def cmd_koszul(args):
 
 
 def cmd_verify_all(args):
+    combid.validate_trials(3, 5, args.detlemma_trials)
     f = read_polynomial(args.poly, args.vars)
     n = f.nvars
     report = {"polynomial": str(f), "nvars": n, "seed": args.seed,
@@ -458,7 +459,7 @@ def main(argv=None):
     except InputError as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
-    except (TruncationError, RegularizationError) as exc:
+    except (TruncationError, RegularizationError, CapError) as exc:
         sys.stderr.write("resource limit: %s\n" % exc)
         return EXIT_RESOURCE
     except VerificationError as exc:

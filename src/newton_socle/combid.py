@@ -2,21 +2,45 @@
 computation: the signed-permutation sum of chain coefficients equals a minor,
 and for full index sets it collapses to the determinant with a ones column.
 
-Coefficients c_j^J making a unit combination on the affine slice E_J are
-produced two ways, by a direct linear solve on the slice and by the Cramer
-chain from the underlying linear system, and cross-checked."""
+The identities run on one integer matrix M = s·A, where s is the lcm of the
+denominators of A; ``Fraction`` is built only in what the public functions
+return.  The coefficients c_l^I making a unit combination on the affine
+slice E_I = {x : A_I x = 1} come two ways, cross-checked on every subset by
+integer cross-products:
 
-from dataclasses import dataclass
+* by Cramer's rule on integer determinants,
+  c_l^I = det[m_l; M_I cols 0..k-2] / (s·det[1...1; M_I cols 0..k-2]),
+  both expanded along their first row, so one set of cofactors serves every
+  l (none when the denominator vanishes);
+* by a parametrization of the slice: one fraction-free elimination of
+  [M_I | s] gives a point of E_I and a kernel basis together, and a second
+  solves for c the square system saying that the combination is 1 at the
+  point and 0 on every direction (none when it is singular).
+
+The signed sum over orderings of the chain products is one pass over
+subsets by size, T(∅) = 1 and
+T(P) = c^P_{|P|-1} · Σ_{i∈P} (-1)^{#{p∈P : p>i}} · T(P∖{i}),
+grouping the orderings of P by their last element: 2^r·r products instead
+of Σ_k C(r,k)·k!·k.  Minors are integer Bareiss determinants of M."""
+
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
+from math import gcd, lcm
 import random
 
-from .errors import InputError, VerificationError
+from .errors import CapError, InputError, VerificationError
 from .fan import dual_fan, face_normal_cone, interior_rays, multiplicity, \
     regularize
 from .grobner import torus_has_zero_char0
-from .linalg import det, dot, kernel_basis, rank, solve
+from .linalg import _bareiss, _row_reduce, det, dot, kernel_basis, rank, \
+    solve
 from .polylattice import face_part, faces, support_function
+
+# The largest row count random trials accept.  A trial visits all 2^rows row
+# subsets: one trial takes about 2 s at 12 rows and 4-6 s at 13 (two x86-64
+# cores, Python 3.11).
+MAX_TRIAL_ROWS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -25,14 +49,28 @@ from .polylattice import face_part, faces, support_function
 
 @dataclass(frozen=True)
 class MinorTable:
-    """An (r+1) x n rational matrix with independent rows and its minors."""
+    """An (r+1) x n rational matrix with independent rows and its minors.
+
+    ``scaled`` is the integer matrix ``scale`` times ``matrix``, with
+    ``scale`` the lcm of all denominators."""
 
     matrix: tuple
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = [tuple(map(Fraction, r)) for r in self.matrix]
-        object.__setattr__(self, "matrix", tuple(rows))
-        if rank(list(rows)) != len(rows):
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x)
+                           for x in r) for r in self.matrix)
+        if not rows or len({len(r) for r in rows}) != 1:
+            raise InputError("a minor table needs rows of one length")
+        s = lcm(*(x.denominator for r in rows for x in r))
+        scaled = tuple(tuple(x.numerator * (s // x.denominator) for x in r)
+                       for r in rows)
+        object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "scale", s)
+        object.__setattr__(self, "scaled", scaled)
+        if len(_row_reduce([list(r) for r in scaled], len(rows[0]))) \
+                != len(rows):
             raise InputError("rows are linearly dependent")
 
     @property
@@ -43,23 +81,66 @@ class MinorTable:
     def ncols(self):
         return len(self.matrix[0])
 
+    def _int_minor(self, rows, cols):
+        """The minor of ``scaled`` on sorted ``rows`` and ``cols``."""
+        return _bareiss([[self.scaled[i][j] for j in cols] for i in rows])
+
     def minor(self, row_set, col_set):
         rows = sorted(row_set)
         cols = sorted(col_set)
         if len(rows) != len(cols):
             raise InputError("minor needs equal index counts")
-        if not rows:
-            return Fraction(1)
-        return det([tuple(self.matrix[i][j] for j in cols) for i in rows])
+        return Fraction(self._int_minor(rows, cols), self.scale ** len(rows))
 
 
-def _sign_of_sequence(seq):
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+def _cramer_coefficients(table, rows):
+    """``(nums, den)`` with c_l^I = nums[l - k + 1] / den for l = k-1..n-1,
+    or None when the Cramer system is singular.  ``rows`` is sorted."""
+    k = len(rows)
+    M = table.scaled
+    # det[u; R] = sum_t u_t C_t, with C the signed maximal minors of R
+    R = [[M[j][l] for j in rows] for l in range(k - 1)]
+    cof = [(-1) ** t * _bareiss([r[:t] + r[t + 1:] for r in R])
+           for t in range(k)]
+    den = sum(cof)
+    if not den:
+        return None
+    nums = [sum(M[j][l] * c for j, c in zip(rows, cof))
+            for l in range(k - 1, table.ncols)]
+    return nums, table.scale * den
+
+
+def _slice_coefficients(table, rows):
+    """``(nums, dens)`` with c_l^I = nums[l - k + 1] / dens[l - k + 1] from a
+    parametrization of the slice E_I, or None when I is empty or the
+    combination is not unique.  ``rows`` is sorted."""
+    k = len(rows)
+    if not k:
+        return None
+    n = table.ncols
+    s = table.scale
+    mat = [list(table.scaled[j]) + [s] for j in rows]
+    pivots = _row_reduce(mat, n + 1)
+    # rows i of the reduced [M_I | s] read d_i x_{p_i} + sum_f e_if x_f = r_i;
+    # scaled by L = lcm(d_i), the point (free x = 0) and the kernel vector of
+    # each free column f are integer
+    L = lcm(*(row[p] for row, p in zip(mat, pivots)))
+    point = [0] * n
+    for row, p in zip(mat, pivots):
+        point[p] = row[n] * (L // row[p])
+    system = [point[k - 1:] + [L]]
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[f] = L
+        for row, p in zip(mat, pivots):
+            v[p] = -row[f] * (L // row[p])
+        system.append(v[k - 1:] + [0])
+    m = n - k + 1
+    if _row_reduce(system, m + 1) != list(range(m)):
+        return None
+    nums = [row[m] for row in system]
+    dens = [row[i] for i, row in enumerate(system)]
+    return nums, dens
 
 
 def chain_coefficients_cramer(table, index_set):
@@ -67,17 +148,11 @@ def chain_coefficients_cramer(table, index_set):
     cut out by the rows in I, via the Cramer system sum(b_j) = 1,
     sum(b_j a_jl) = 0 for l < k.  None when that system is singular."""
     rows = sorted(index_set)
-    k = len(rows)
-    sys_rows = [tuple(Fraction(1) for _ in rows)]
-    for l in range(k - 1):
-        sys_rows.append(tuple(table.matrix[j][l] for j in rows))
-    if rank(sys_rows) < k:
+    got = _cramer_coefficients(table, rows)
+    if got is None:
         return None
-    b = solve(sys_rows, [Fraction(1)] + [Fraction(0)] * (k - 1))
-    if b is None:
-        return None
-    return {l: sum(b[t] * table.matrix[j][l] for t, j in enumerate(rows))
-            for l in range(k - 1, table.ncols)}
+    nums, den = got
+    return {l: Fraction(x, den) for l, x in enumerate(nums, len(rows) - 1)}
 
 
 def chain_coefficients_direct(table, index_set):
@@ -85,22 +160,48 @@ def chain_coefficients_direct(table, index_set):
     coordinate covectors k..n restricted to the slice E_I equals 1.  None when
     the restricted system is singular."""
     rows = sorted(index_set)
-    k = len(rows)
-    n = table.ncols
-    a_rows = [table.matrix[j] for j in rows]
-    x0 = solve(a_rows, [Fraction(1)] * k)
-    if x0 is None:
+    got = _slice_coefficients(table, rows)
+    if got is None:
         return None
-    directions = kernel_basis(a_rows, ncols=n)
-    sys_rows = [tuple(x0[l] for l in range(k - 1, n))]
-    sys_rows += [tuple(v[l] for l in range(k - 1, n)) for v in directions]
-    rhs = [Fraction(1)] + [Fraction(0)] * len(directions)
-    if rank(sys_rows) < n - k + 1:
-        return None
-    c = solve(sys_rows, rhs)
-    if c is None:
-        return None
-    return {l: c[l - (k - 1)] for l in range(k - 1, n)}
+    return {l: Fraction(x, d)
+            for l, (x, d) in enumerate(zip(*got), len(rows) - 1)}
+
+
+def _mask(subset):
+    return sum(1 << i for i in subset)
+
+
+def _signed_chain_sums(coeff, subsets):
+    """T(P) for every P in ``subsets`` (sorted tuples, listed by size), from
+    ``coeff[mask(P)]`` = c^P_{|P|-1} as a pair ``(num, den)`` or None.  Each
+    T(P) is a reduced pair ``(num, den)`` with ``den > 0``, or None when any
+    coefficient below P is None."""
+    sums = {0: (1, 1)}
+    for subset in subsets:
+        mask = _mask(subset)
+        c = coeff[mask]
+        num, den = 0, 1
+        last = len(subset) - 1
+        for pos, i in enumerate(subset):
+            below = sums[mask ^ (1 << i)]
+            if c is None or below is None:
+                c = None
+                break
+            u, w = below
+            m = lcm(den, w)
+            # #{p in P : p > i} = last - pos, as P is sorted
+            num = num * (m // den) + (-u if (last - pos) % 2 else u) * (m // w)
+            den = m
+        if c is None:
+            sums[mask] = None
+            continue
+        num *= c[0]
+        den *= c[1]
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        sums[mask] = (num // g, den // g)
+    return sums
 
 
 def check_minor_identity(table, k_max=None):
@@ -112,38 +213,39 @@ def check_minor_identity(table, k_max=None):
     r1 = table.nrows
     if k_max is None:
         k_max = r1
-    coeffs = {}
+    subsets = [subset for size in range(1, min(k_max, r1) + 1)
+               for subset in combinations(range(r1), size)]
+    coeff = {}
     skipped = []
-    for size in range(1, min(k_max, r1) + 1):
-        for subset in combinations(range(r1), size):
-            cc = chain_coefficients_cramer(table, subset)
-            cd = chain_coefficients_direct(table, subset)
-            if cc is not None and cd is not None and cc != cd:
-                raise VerificationError(
-                    "coefficient routes disagree on %r" % (subset,))
-            coeffs[frozenset(subset)] = cc if cc is not None else cd
-            if coeffs[frozenset(subset)] is None:
-                skipped.append(subset)
+    for subset in subsets:
+        cc = _cramer_coefficients(table, subset)
+        cd = _slice_coefficients(table, subset)
+        if cc is not None and cd is not None and any(
+                x * q != cc[1] * p for x, p, q in zip(cc[0], *cd)):
+            raise VerificationError(
+                "coefficient routes disagree on %r" % (subset,))
+        if cc is not None:
+            c = cc[0][0], cc[1]
+        elif cd is not None:
+            c = cd[0][0], cd[1][0]
+        else:
+            c = None
+            skipped.append(subset)
+        coeff[_mask(subset)] = c
+    sums = _signed_chain_sums(coeff, subsets)
     checked = 0
     failures = []
-    for size in range(1, min(k_max, r1) + 1):
-        for subset in combinations(range(r1), size):
-            needed = [frozenset(s) for sz in range(1, size + 1)
-                      for s in combinations(subset, sz)]
-            if any(coeffs[s] is None for s in needed):
-                continue
-            total = Fraction(0)
-            for perm in permutations(subset):
-                product = Fraction(1)
-                for j in range(size):
-                    prefix = frozenset(perm[:j + 1])
-                    product *= coeffs[prefix][j]
-                total += _sign_of_sequence(perm) * product
-            expected = table.minor(subset, range(size))
-            checked += 1
-            if total != expected:
-                failures.append({"rows": list(subset),
-                                 "sum": str(total), "minor": str(expected)})
+    for subset in subsets:
+        total = sums[_mask(subset)]
+        if total is None:
+            continue
+        k = len(subset)
+        checked += 1
+        if total[0] * table.scale ** k != \
+                table._int_minor(subset, range(k)) * total[1]:
+            failures.append({"rows": list(subset),
+                             "sum": str(Fraction(*total)),
+                             "minor": str(table.minor(subset, range(k)))})
     return {"ok": not failures, "checked": checked,
             "skipped": [list(s) for s in skipped], "failures": failures}
 
@@ -154,44 +256,56 @@ def check_ones_column_identity(table):
     with unit row sums both equal the plain determinant (the ones-column
     form)."""
     r1 = table.nrows
-    subset = tuple(range(r1))
-    coeffs = {}
-    for size in range(1, r1):
-        for s in combinations(subset, size):
-            coeffs[frozenset(s)] = chain_coefficients_cramer(table, s)
-    total = Fraction(0)
-    for perm in permutations(subset):
-        product = Fraction(1)
-        usable = True
-        for j in range(r1 - 1):
-            prefix = frozenset(perm[:j + 1])
-            if coeffs[prefix] is None:
-                usable = False
-                break
-            product *= coeffs[prefix][j]
-        if not usable:
+    full = tuple(range(r1))
+    subsets = [subset for size in range(1, r1)
+               for subset in combinations(full, size)]
+    coeff = {}
+    for subset in subsets:
+        cc = _cramer_coefficients(table, subset)
+        if cc is None:
             return {"ok": False, "note": "singular chain system",
                     "skipped": True}
-        total += _sign_of_sequence(perm) * product
-    minor_sum = Fraction(0)
-    for pos, i in enumerate(subset, start=1):
-        rest = [j for j in subset if j != i]
-        minor_sum += (-1) ** (r1 + pos) * table.minor(rest, range(r1 - 1))
+        coeff[_mask(subset)] = cc[0][0], cc[1]
+    sums = _signed_chain_sums(coeff, subsets)
+    top = _mask(full)
+    total = sum(Fraction(*sums[top ^ (1 << i)]) * (-1) ** (r1 - 1 - i)
+                for i in full)
+    minor_sum = Fraction(
+        sum((-1) ** (r1 + 1 + i)
+            * table._int_minor(full[:i] + full[i + 1:], range(r1 - 1))
+            for i in full),
+        table.scale ** (r1 - 1))
     out = {"ok": total == minor_sum, "sum": str(total),
            "minor_sum": str(minor_sum), "skipped": False}
-    if table.ncols == r1 and all(sum(row) == 1 for row in table.matrix):
-        ones_det = det([row[:r1 - 1] + (Fraction(1),)
-                        for row in table.matrix])
-        plain_det = det(list(table.matrix))
+    s = table.scale
+    if table.ncols == r1 and all(sum(row) == s for row in table.scaled):
+        ones_det = Fraction(_bareiss([list(row[:r1 - 1]) + [s]
+                                      for row in table.scaled]), s ** r1)
+        plain_det = Fraction(table._int_minor(full, full), s ** r1)
         out["ones_column_det"] = str(ones_det)
         out["det"] = str(plain_det)
         out["ok"] = out["ok"] and total == ones_det == plain_det
     return out
 
 
+def validate_trials(rows, cols, trials):
+    """Reject a shape no trial can use (InputError) and a row count above
+    ``MAX_TRIAL_ROWS`` (CapError), before any work."""
+    if not 1 <= rows <= cols:
+        raise InputError("trials need 1 <= rows <= cols, got rows=%d, "
+                         "cols=%d" % (rows, cols))
+    if trials < 0:
+        raise InputError("the trial count must be >= 0, got %d" % trials)
+    if rows > MAX_TRIAL_ROWS:
+        raise CapError("rows=%d is above the cap of %d rows: each trial "
+                       "visits all 2^rows row subsets"
+                       % (rows, MAX_TRIAL_ROWS))
+
+
 def random_minor_identity_trials(rows, cols, trials, seed):
     """Seeded random matrices fed through the minor identity; returns the
     first counterexample if any (expected none)."""
+    validate_trials(rows, cols, trials)
     rng = random.Random(seed)
     ran = 0
     skipped = 0

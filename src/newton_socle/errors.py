@@ -15,6 +15,11 @@ class TruncationError(RuntimeError):
     witness, or instability between truncation levels at the escalation cap)."""
 
 
+class CapError(RuntimeError):
+    """An input is above a fixed size cap, past which the work grows
+    exponentially; raised before any of that work starts."""
+
+
 class RegularizationError(RuntimeError):
     """Fan regularization hit its iteration cap.  The partial fan is attached
     so the caller can inspect how far subdivision got."""

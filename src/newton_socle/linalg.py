@@ -8,8 +8,8 @@ the lcm of its denominators and divided by the gcd of its entries (this
 keeps its span).  :func:`_row_reduce` is the one Gauss–Jordan routine behind
 ``rref``, ``rank``, ``solve``, ``kernel_basis`` and ``in_row_span``: it
 cancels each pivot by integer cross-multiplication and divides every row it
-changes by its gcd, so the rows stay primitive.  ``det`` is Bareiss's
-fraction-free elimination on the same integer rows (E. H. Bareiss,
+changes by its gcd, so the rows stay primitive.  :func:`_bareiss`, behind
+``det``, is Bareiss's fraction-free elimination on integer rows (E. H. Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22 (1968)).  ``Fraction`` is built only in what
 ``rref``, ``solve``, ``kernel_basis`` and ``det`` return.
@@ -47,9 +47,10 @@ def primitive(v):
 
 
 def _row_reduce(mat, ncols):
-    """Fraction-free Gauss–Jordan elimination of primitive integer rows.
+    """Fraction-free Gauss–Jordan elimination of integer rows.
 
-    ``mat`` is a list of integer lists, changed in place.  Pivots are chosen
+    ``mat`` is a list of integer lists, changed in place; primitive rows keep
+    the entries small, but any integer rows will do.  Pivots are chosen
     left to right (first nonzero column, first row from the top that has it),
     and each is cancelled from every other row ``row`` by ``row <- (p/g) row
     - (a/g) pivot_row`` with ``g = gcd(a, p)``, after which the row is
@@ -157,20 +158,14 @@ def solve(rows, rhs):
     return tuple(x)
 
 
-def det(rows):
-    """Exact determinant by Bareiss's fraction-free elimination.
+def _bareiss(mat):
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination; ``mat`` is a list of int lists, changed in place.
 
-    Each row is scaled to integers by the lcm of its denominators; after step
-    ``k`` every entry left is a ``(k+1)``-minor of the scaled matrix, so the
-    division by the previous pivot is exact and the last pivot is its
-    determinant."""
-    n = len(rows)
-    scale = 1
-    mat = []
-    for r in rows:
-        d, w = _integer_row(r[:n])
-        scale *= d
-        mat.append(w)
+    After step ``k`` every entry left is a ``(k+1)``-minor of the matrix, so
+    the division by the previous pivot is exact and the last pivot is the
+    determinant (up to the sign of the row swaps)."""
+    n = len(mat)
     sign = 1
     prev = 1
     for k in range(n):
@@ -179,7 +174,7 @@ def det(rows):
                 if mat[i][k]:
                     break
             else:
-                return Fraction(0)
+                return 0
             mat[k], mat[i] = mat[i], mat[k]
             sign = -sign
         prow = mat[k]
@@ -189,7 +184,20 @@ def det(rows):
             for j in range(k + 1, n):
                 row[j] = (p * row[j] - a * prow[j]) // prev
         prev = p
-    return Fraction(sign * prev, scale)
+    return sign * prev
+
+
+def det(rows):
+    """Exact determinant: each row is scaled to integers by the lcm of its
+    denominators and the integer matrix goes through :func:`_bareiss`."""
+    n = len(rows)
+    scale = 1
+    mat = []
+    for r in rows:
+        d, w = _integer_row(r[:n])
+        scale *= d
+        mat.append(w)
+    return Fraction(_bareiss(mat), scale)
 
 
 def hermite_basis(rows):

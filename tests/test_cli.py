@@ -218,6 +218,12 @@ def test_parse_error_exit_code():
      {}),
     (["polyhedron", "--poly", '{"nvars": 1, "terms": [{"e": [1.5], "c": "1"}]}'],
      {}),
+    (["detlemma", "--rows", "0", "--cols", "3"], {}),
+    (["detlemma", "--rows", "-1", "--cols", "3"], {}),
+    (["detlemma", "--rows", "3", "--cols", "2"], {}),
+    (["detlemma", "--rows", "1", "--cols", "0"], {}),
+    (["detlemma", "--rows", "2", "--cols", "3", "--trials", "-1"], {}),
+    (["verify-all", "--poly", "x1^2 + x2^3", "--detlemma-trials", "-3"], {}),
 ], ids=["json-without-terms", "missing-fan-file", "fan-without-cones",
         "fan-ragged-rays",
         "flat-polytope", "ragged-polytope", "zero-dimensional-polytope",
@@ -225,7 +231,10 @@ def test_parse_error_exit_code():
         "truncated-system-json",
         "non-integer-env-seed", "zero-denominator", "directory-as-polynomial",
         "json-zero-denominator", "json-non-integer-exponent",
-        "json-fractional-exponent"])
+        "json-fractional-exponent", "detlemma-zero-rows",
+        "detlemma-negative-rows", "detlemma-more-rows-than-cols",
+        "detlemma-zero-cols", "detlemma-negative-trials",
+        "verify-all-negative-detlemma-trials"])
 def test_bad_input_exits_2_without_traceback(argv, extra_env, tmp_path):
     (tmp_path / "fan-without-cones.json").write_text('{"rays": [[1, 0]]}')
     (tmp_path / "fan-ragged-rays.json").write_text(
@@ -386,6 +395,21 @@ def test_residue_escalation_start_far_beyond_the_cap_is_refused(monkeypatch):
     assert code == 3
     assert "would start at D=22" in err.getvalue()
     assert "--trunc" in err.getvalue()
+
+
+def test_detlemma_above_the_row_cap_is_refused(monkeypatch):
+    # one trial visits all 2^rows row subsets, so nothing may run
+    def never(*_):
+        raise AssertionError("a chain coefficient was computed")
+    for name in ("_cramer_coefficients", "_slice_coefficients"):
+        monkeypatch.setattr(newton_socle.combid, name, never)
+    cap = newton_socle.combid.MAX_TRIAL_ROWS
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_json(["detlemma", "--rows", str(cap + 1), "--cols",
+                            str(cap + 1), "--trials", "1"])
+    assert code == 3
+    assert "cap of %d rows" % cap in err.getvalue()
 
 
 def test_residue_without_a_trace_functional_is_a_check_failure(monkeypatch):

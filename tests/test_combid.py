@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from newton_socle import combid
 from newton_socle import (MinorTable, check_minor_identity,
                           check_ones_column_identity,
                           check_resolution_assumptions, choose_weights,
@@ -11,9 +14,11 @@ from newton_socle import (MinorTable, check_minor_identity,
                           solve_c_system)
 from newton_socle.combid import (chain_coefficients_cramer,
                                  chain_coefficients_direct)
-from newton_socle.errors import InputError
+from newton_socle.errors import InputError, VerificationError
 from newton_socle.linalg import det, dot
 
+import combid_oracles as oracle
+import linalg_oracles
 from conftest import poly
 
 
@@ -109,6 +114,94 @@ def test_singular_subsets_are_skipped():
     rep = check_minor_identity(A)
     assert rep["ok"]
     assert [0, 1] in rep["skipped"]
+
+
+ENTRIES = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def tables(draw):
+    """A ``MinorTable`` of p/q entries with 1-5 rows and at least as many
+    columns.  Half the draws give every row the same first entry, so chain
+    systems of two or more rows are singular; half of the square draws are
+    scaled to unit row sums (the ones-column case)."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(nrows, 7))
+    rows = [draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    if draw(st.booleans()):
+        for row in rows[1:]:
+            row[0] = rows[0][0]
+    sums = [sum(row) for row in rows]
+    if nrows == ncols and all(sums) and draw(st.booleans()):
+        rows = [[x / s for x in row] for row, s in zip(rows, sums)]
+    try:
+        return MinorTable(tuple(map(tuple, rows)))
+    except InputError:
+        return None
+
+
+@given(tables())
+@settings(max_examples=200, deadline=None)
+def test_det_lemma_matches_fraction_oracles(A):
+    if A is None:
+        return
+    for size in range(A.nrows + 1):
+        for subset in combinations(range(A.nrows), size):
+            assert repr(chain_coefficients_cramer(A, subset)) == \
+                repr(oracle.chain_coefficients_cramer(A, subset))
+            assert repr(chain_coefficients_direct(A, subset)) == \
+                repr(oracle.chain_coefficients_direct(A, subset))
+    assert repr(check_minor_identity(A)) == \
+        repr(oracle.check_minor_identity(A))
+    assert repr(check_minor_identity(A, k_max=2)) == \
+        repr(oracle.check_minor_identity(A, k_max=2))
+    assert repr(check_ones_column_identity(A)) == \
+        repr(oracle.check_ones_column_identity(A))
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda r: st.lists(st.lists(ENTRIES, min_size=r + 1, max_size=r + 1),
+                       min_size=r, max_size=r)))
+@settings(max_examples=200, deadline=None)
+def test_minor_table_matches_fraction_elimination(rows):
+    """Independence and every minor agree with the ``Fraction`` routines."""
+    independent = linalg_oracles.rank(rows) == len(rows)
+    try:
+        A = table(rows)
+    except InputError:
+        assert not independent
+        return
+    assert independent
+    cols = range(len(rows[0]))
+    for size in range(len(rows) + 1):
+        for rs in combinations(range(len(rows)), size):
+            for cs in combinations(cols, size):
+                want = linalg_oracles.det([[rows[i][j] for j in cs]
+                                           for i in rs])
+                assert repr(A.minor(rs, cs)) == repr(Fraction(want))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (4, 4)])
+def test_trial_reports_match_fraction_oracles(shape):
+    for seed in range(6):
+        assert repr(random_minor_identity_trials(*shape, 15, seed)) == \
+            repr(oracle.random_minor_identity_trials(*shape, 15, seed))
+
+
+def test_disagreeing_routes_are_caught(monkeypatch):
+    real = combid._slice_coefficients
+
+    def off_by_one(A, rows):
+        got = real(A, rows)
+        if got is None or len(rows) < 2:
+            return got
+        nums, dens = got
+        return [nums[0] + dens[0]] + nums[1:], dens
+
+    monkeypatch.setattr(combid, "_slice_coefficients", off_by_one)
+    with pytest.raises(VerificationError):
+        check_minor_identity(table([[2, 1, 3, -1], [1, -2, 1, 4]]))
 
 
 # ---------------------------------------------------------------------------

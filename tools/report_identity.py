@@ -69,6 +69,23 @@ def invocations():
                                        "[1,"]))
     out.append(("detlemma", ["detlemma", "--rows", "3", "--cols", "5",
                              "--trials", "50", "--seed", "1"]))
+    # square tables also run the ones-column identity
+    out.append(("detlemma 4x4", ["detlemma", "--rows", "4", "--cols", "4",
+                                 "--trials", "40", "--seed", "10"]))
+    out.append(("detlemma 1x1", ["detlemma", "--rows", "1", "--cols", "1"]))
+    out.append(("detlemma 5x7", ["detlemma", "--rows", "5", "--cols", "7",
+                                 "--trials", "20"]))
+    for ident, rows, cols, trials in (("zero rows", 0, 3, 1),
+                                      ("negative rows", -1, 3, 1),
+                                      ("rows above cols", 3, 2, 1),
+                                      ("zero cols", 1, 0, 1),
+                                      ("negative trials", 2, 3, -1)):
+        out.append(("detlemma " + ident,
+                    ["detlemma", "--rows", str(rows), "--cols", str(cols),
+                     "--trials", str(trials)]))
+    out.append(("verify-all negative detlemma trials",
+                ["verify-all", "--poly", "x1^2 + x2^3",
+                 "--detlemma-trials", "-3"]))
     out.append(("fan --fan 2d", ["fan", "--poly", "x1*x2", "--fan",
                                  "fan-2d.json", "--regular"]))
     out.append(("fan --fan non-face", ["fan", "--poly", "x1^2+x2^3+x3^4",
