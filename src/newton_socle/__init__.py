@@ -17,7 +17,7 @@ from .facering import (CanonicalQuotient, FaceCone, GradedPiece, GradingForm,
                        face_derivatives, graded_piece, grading_form,
                        poincare_series, select_parameters)
 from .grobner import (GB, buchberger, nondegeneracy_report, nondegenerate,
-                      torus_has_zero, torus_has_zero_char0)
+                      torus_has_zero)
 from .localalg import (IdealSpan, TruncatedLocalAlgebra, build_ideal,
                        certified_ideal, coset_newton_order, ideal_generators,
                        jacobian_multiplication_check, member, socle,

@@ -204,8 +204,7 @@ def cmd_kbar(args):
                          % len(admissible))
     face = admissible[args.face]
     fc = facering.face_cone(face)
-    params = facering.select_parameters(facering.face_derivatives(f, face), fc,
-                                        verify=False)
+    params = facering.select_parameters(facering.face_derivatives(f, face), fc)
     quotient = facering.canonical_quotient(fc, params)
     report = quotient.to_json()
     report["face"] = _face_entry(face, args.face)
@@ -250,6 +249,8 @@ def cmd_detlemma(args):
 
 
 def cmd_koszul(args):
+    if args.trials < 0:
+        raise InputError("the trial count must be >= 0, got %d" % args.trials)
     pts = read_polytope(args.polytope)
     report = {"polytope": [list(p) for p in pts], "trials": []}
     ok = True
@@ -292,7 +293,7 @@ def cmd_verify_all(args):
         entry = {"face": _face_entry(face, idx)}
         fc = facering.face_cone(face)
         params = facering.select_parameters(
-            facering.face_derivatives(f, face), fc, verify=False)
+            facering.face_derivatives(f, face), fc)
         quotient = facering.canonical_quotient(fc, params)
         entry["kbar"] = quotient.to_json()
         entry["socle_degree_matches"] = \

@@ -32,7 +32,7 @@ import random
 from .errors import CapError, InputError, VerificationError
 from .fan import dual_fan, face_normal_cone, interior_rays, multiplicity, \
     regularize
-from .grobner import torus_has_zero_char0
+from .grobner import torus_has_zero
 from .linalg import _bareiss, _row_reduce, det, dot, kernel_basis, rank, \
     solve
 from .polylattice import face_part, faces, support_function
@@ -41,6 +41,9 @@ from .polylattice import face_part, faces, support_function
 # subsets: one trial takes about 2 s at 12 rows and 4-6 s at 13 (two x86-64
 # cores, Python 3.11).
 MAX_TRIAL_ROWS = 12
+
+# Weight draws :func:`choose_weights` makes before it gives up.
+WEIGHT_ATTEMPTS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +442,10 @@ def _is_unit(r):
     return sum(1 for x in r if x != 0) == 1 and max(r) == 1
 
 
-def choose_weights(poly, face, seed=0, fan=None, f=None, max_attempts=100):
+def choose_weights(poly, face, seed=0, fan=None, f=None):
     """Random rational weights adapted to the face, resampled until the
     spanning, normalization, vertex-nonvanishing and slice-basis conditions
-    all hold."""
+    all hold, for at most ``WEIGHT_ATTEMPTS`` draws."""
     n = poly.nvars
     normal = face_normal_cone(poly, face)
     r = normal.dim - 1
@@ -452,7 +455,7 @@ def choose_weights(poly, face, seed=0, fan=None, f=None, max_attempts=100):
     rng = random.Random(seed)
     basis_v = [tuple(map(Fraction, ray)) for ray in normal.rays]
     last_failure = "no attempt run"
-    for _ in range(max_attempts):
+    for _ in range(WEIGHT_ATTEMPTS):
         weights = []
         ok = True
         for _ in range(r + 1):
@@ -503,7 +506,7 @@ def choose_weights(poly, face, seed=0, fan=None, f=None, max_attempts=100):
         return WeightSystem(tuple(weights), face, normal, r, fan,
                             tuple(admissible))
     raise InputError("weight sampling failed after %d attempts: %s"
-                     % (max_attempts, last_failure))
+                     % (WEIGHT_ATTEMPTS, last_failure))
 
 
 def solve_c_system(ws, ray_subset):
@@ -531,10 +534,11 @@ def solve_c_system(ws, ray_subset):
     return CSystem(tuple(ray_subset), tuple(x0), tuple(dirs), coefficients)
 
 
-def check_resolution_assumptions(fan, f, ws, primes=3, seed=0):
+def check_resolution_assumptions(fan, f, ws):
     """The computable parts of the resolution hypotheses for the derived
     system g_j: equal ray multiplicities, no common torus zero of the tail
-    face systems on each stratum, and solvable slice systems."""
+    face systems on each stratum (decided exactly over Q by
+    :func:`grobner.torus_has_zero`), and solvable slice systems."""
     n = f.nvars
     poly = ws.face.polyhedron
     gs = ws.derived_polynomials(f)
@@ -547,7 +551,6 @@ def check_resolution_assumptions(fan, f, ws, primes=3, seed=0):
                 report["multiplicities_ok"] = False
                 report.setdefault("multiplicity_failures", []).append(
                     {"ray": list(rd.generator), "weight": j + 1})
-    rng = random.Random(seed)
     all_faces = faces(poly)
     for cone in fan.cones:
         if not any(all(x > 0 for x in r) for r in cone.rays):
@@ -569,8 +572,7 @@ def check_resolution_assumptions(fan, f, ws, primes=3, seed=0):
                                      "error": "no carrier face"})
             continue
         systems = [face_part(g, carrier) for g in gs[k - 1:]]
-        has_zero, detail = torus_has_zero_char0(
-            systems, primes=primes, seed=rng.getrandbits(32))
+        has_zero = torus_has_zero(systems)
         entry = {"cone": [list(r) for r in cone.rays], "dim": k,
                  "torus_zero": has_zero}
         if has_zero:

@@ -203,14 +203,15 @@ def _image_matrix(sigma, grading, params, scaled_degree, param_degrees,
     return rows, piece, index
 
 
-def canonical_quotient(fc, params, grading=None, margin=1):
+def canonical_quotient(fc, params, grading=None):
     """Graded dimensions of the quotient of the interior-monomial module by
     the parameter ideal, computed degree by degree as corank of the
     multiplication map.
 
     The dimensions are checked against the Poincare-series prediction
-    P(K) * prod(1 - t^deg) through the expected socle degree plus ``margin``;
-    any mismatch, or a nonzero dimension past the expected socle, raises.
+    P(K) * prod(1 - t^deg) through one degree unit past the expected socle
+    degree; any mismatch, or a nonzero dimension past the expected socle,
+    raises.
     Accepts a FaceCone (grading derived) or a bare Cone with a grading."""
     if isinstance(fc, FaceCone):
         sigma = fc.sigma
@@ -226,7 +227,7 @@ def canonical_quotient(fc, params, grading=None, margin=1):
     d = grading.denominator
     param_degrees = [_parameter_degree(p, grading) for p in params]
     expected_scaled = sum(param_degrees)
-    top_scaled = expected_scaled + max(1, margin) * d
+    top_scaled = expected_scaled + d
 
     pieces = {}
     k_dims = {}
@@ -271,10 +272,11 @@ def canonical_quotient(fc, params, grading=None, margin=1):
                              Fraction(expected_scaled, d), tuple(basis))
 
 
-def select_parameters(derivs, fc, verify=True):
+def select_parameters(derivs, fc):
     """Lexicographically first subset of the face derivatives spanning their
-    linear span, which must have the full dimension n - r; verified to be a
-    system of parameters through the quotient dimension count."""
+    linear span, which must have the full dimension n - r.  That they form a
+    system of parameters is checked by :func:`canonical_quotient`, which
+    every caller builds from them next."""
     target = fc.sigma.dim
     support = sorted({e for p in derivs for e in p.support()})
     index = {e: i for i, e in enumerate(support)}
@@ -293,8 +295,6 @@ def select_parameters(derivs, fc, verify=True):
             break
     if len(chosen) < target:
         raise InputError("degenerate face data")
-    if verify:
-        canonical_quotient(fc, chosen)
     return chosen
 
 

@@ -17,6 +17,9 @@ from .polylattice import (INFINITY, exact_int, faces, incidence_closures,
                           parallelepiped_points, polar_generators,
                           polyhedron_hull)
 
+# Stellar subdivisions _regularize_3d makes before RegularizationError.
+STELLAR_STEPS = 400
+
 
 # ---------------------------------------------------------------------------
 # Cones
@@ -420,7 +423,7 @@ def _coeffs_in_cone(point, rays):
     return solve(rows, point)
 
 
-def _regularize_3d(fan, max_iterations=400):
+def _regularize_3d(fan):
     n = 3
     # star-triangulate non-simplicial maximal cones without new rays
     triangles = []
@@ -436,7 +439,7 @@ def _regularize_3d(fan, max_iterations=400):
                 triangles.append(tuple(sorted((apex,) + f.rays)))
     triangles = sorted(set(triangles))
 
-    for _ in range(max_iterations):
+    for _ in range(STELLAR_STEPS):
         worst = None
         worst_det = 1
         for t in triangles:

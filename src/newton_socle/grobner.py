@@ -1,18 +1,17 @@
-"""Minimal Buchberger engine over Q and prime fields, used to decide whether
-face-derivative systems have a common zero in the torus.
+"""Minimal Buchberger engine over Q, used to decide whether face-derivative
+systems have a common zero in the torus.
 
 Only the degree-reverse-lexicographic order is implemented; torus conditions
-go through a Rabinowitsch variable.  Nondegeneracy is decided exactly over
-Q, each compact face on its own torus in dim(face) + 1 variables (see
-:func:`nondegeneracy_report`).  The full-variable systems of
-:mod:`combid` are settled by reduction modulo several random large primes
-(one-sided Monte Carlo, disagreements trigger a retry)."""
+go through a Rabinowitsch variable, and every answer is exact.
+Nondegeneracy decides each compact face on its own torus in dim(face) + 1
+variables (see :func:`nondegeneracy_report`); the stratum systems of
+:func:`combid.check_resolution_assumptions` go through
+:func:`torus_has_zero` in all n variables."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-import random
 
-from .errors import InputError, VerificationError
+from .errors import InputError
 from .linalg import hermite_basis, solve, vec_sub
 from .polylattice import SparsePoly, compact_faces, face_part, newton_polyhedron
 
@@ -25,61 +24,16 @@ def leading_monomial(poly_dict):
     return max(poly_dict, key=degrevlex_key)
 
 
-class _BadPrime(Exception):
-    pass
+def _to_dict(poly):
+    return {e: Fraction(c) for e, c in poly.terms.items() if c != 0}
 
 
-# -- coefficient fields ------------------------------------------------------
-
-class _FieldQ:
-    p = None
-
-    @staticmethod
-    def convert(c):
-        return Fraction(c)
-
-    @staticmethod
-    def inv(c):
-        return 1 / c
-
-
-class _FieldFp:
-    def __init__(self, p):
-        self.p = p
-
-    def convert(self, c):
-        c = Fraction(c)
-        if c.denominator % self.p == 0:
-            raise _BadPrime(self.p)
-        return c.numerator * pow(c.denominator, self.p - 2, self.p) % self.p
-
-    def inv(self, c):
-        return pow(c, self.p - 2, self.p)
-
-
-def _field(p):
-    return _FieldQ() if p is None else _FieldFp(p)
-
-
-def _to_dict(poly, fld):
-    out = {}
-    for e, c in poly.terms.items():
-        v = fld.convert(c)
-        if fld.p is not None:
-            v %= fld.p
-        if v != 0:
-            out[e] = v
-    return out
-
-
-def _sub_scaled(f, g, c, mono, fld):
-    """f - c * x^mono * g in the field."""
+def _sub_scaled(f, g, c, mono):
+    """f - c * x^mono * g."""
     out = dict(f)
     for e, v in g.items():
         key = tuple(a + b for a, b in zip(e, mono))
         w = out.get(key, 0) - c * v
-        if fld.p is not None:
-            w %= fld.p
         if w == 0:
             out.pop(key, None)
         else:
@@ -91,7 +45,7 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def normal_form(f, basis, fld):
+def normal_form(f, basis):
     """Full reduction of f modulo the basis (leading-term division)."""
     rem = {}
     work = dict(f)
@@ -102,10 +56,7 @@ def normal_form(f, basis, fld):
             lg = leading_monomial(g)
             if _divides(lg, m):
                 quot = tuple(a - b for a, b in zip(m, lg))
-                factor = c * fld.inv(g[lg])
-                if fld.p is not None:
-                    factor %= fld.p
-                work = _sub_scaled(work, g, factor, quot, fld)
+                work = _sub_scaled(work, g, c / g[lg], quot)
                 break
         else:
             rem[m] = c
@@ -115,21 +66,19 @@ def normal_form(f, basis, fld):
 
 @dataclass(frozen=True)
 class GB:
-    """A reduced Groebner basis in degrevlex order over Q (p=None) or F_p."""
+    """A reduced Groebner basis in degrevlex order over Q."""
 
     generators: tuple
     basis: tuple          # tuples of (exponent, coefficient) pairs, sorted
-    p: object
     nvars: int
 
     def _polys(self):
         return [dict(g) for g in self.basis]
 
     def reduce(self, h):
-        fld = _field(self.p)
         if isinstance(h, SparsePoly):
-            h = _to_dict(h, fld)
-        return normal_form(h, self._polys(), fld)
+            h = _to_dict(h)
+        return normal_form(h, self._polys())
 
     def contains(self, h):
         return not self.reduce(h)
@@ -138,7 +87,7 @@ class GB:
         return any(len(g) == 1 and not any(g[0][0]) for g in self.basis)
 
 
-def buchberger(gens, p=None):
+def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Standard Buchberger loop with the product (coprime lead) criterion and
@@ -148,8 +97,7 @@ def buchberger(gens, p=None):
     nvars = gens[0].nvars
     if any(g.nvars != nvars for g in gens):
         raise InputError("coefficient ring mismatch: differing nvars")
-    fld = _field(p)
-    basis = [d for d in (_to_dict(g, fld) for g in gens) if d]
+    basis = [d for d in (_to_dict(g) for g in gens) if d]
     if not basis:
         raise InputError("all generators are zero")
 
@@ -159,11 +107,10 @@ def buchberger(gens, p=None):
     def spoly(f, g):
         lf, lg = leading_monomial(f), leading_monomial(g)
         l = lcm(lf, lg)
-        cf = fld.inv(f[lf])
-        cg = fld.inv(g[lg])
-        sf = _sub_scaled({}, f, -cf if p is None else (-cf) % p,
-                         tuple(a - b for a, b in zip(l, lf)), fld)
-        return _sub_scaled(sf, g, cg, tuple(a - b for a, b in zip(l, lg)), fld)
+        sf = _sub_scaled({}, f, -1 / f[lf],
+                         tuple(a - b for a, b in zip(l, lf)))
+        return _sub_scaled(sf, g, 1 / g[lg],
+                           tuple(a - b for a, b in zip(l, lg)))
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
     done = set()
@@ -187,7 +134,7 @@ def buchberger(gens, p=None):
                     break
         if chain:
             continue
-        r = normal_form(spoly(basis[i], basis[j]), basis, fld)
+        r = normal_form(spoly(basis[i], basis[j]), basis)
         if r:
             new_idx = len(basis)
             basis.append(r)
@@ -205,62 +152,24 @@ def buchberger(gens, p=None):
     reduced = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1:]
-        r = normal_form(g, others, fld)
+        r = normal_form(g, others)
         if not r:
             continue
-        lead = leading_monomial(r)
-        c = fld.inv(r[lead])
-        monic = {}
-        for e, v in r.items():
-            w = c * v
-            if p is not None:
-                w %= p
-            monic[e] = w
-        reduced.append(monic)
+        lead = r[leading_monomial(r)]
+        reduced.append({e: v / lead for e, v in r.items()})
     reduced.sort(key=lambda g: degrevlex_key(leading_monomial(g)))
     frozen = tuple(tuple(sorted(g.items())) for g in reduced)
-    return GB(tuple(gens), frozen, p, nvars)
+    return GB(tuple(gens), frozen, nvars)
 
 
 # -- torus zeros and nondegeneracy -------------------------------------------
 
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime(rng, bits=31):
-    while True:
-        cand = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _is_probable_prime(cand):
-            return cand
-
-
-def torus_has_zero(polys, p):
-    """Whether the system has a common zero with all coordinates nonzero,
-    over the algebraic closure of F_p (of Q when ``p`` is None).
+def torus_has_zero(polys):
+    """Whether the system has a common zero with all coordinates nonzero
+    over the algebraic closure of Q.
 
     Adjoins t*x1*...*xn - 1 and tests for the unit ideal; False is a proof of
-    emptiness over the closure.  Raises _BadPrime when p divides an input
-    denominator (callers retry with a fresh prime)."""
+    emptiness over the closure."""
     polys = [g for g in polys if not g.is_zero()]
     if not polys:
         return True
@@ -268,36 +177,8 @@ def torus_has_zero(polys, p):
     extended = [SparsePoly(n + 1, {e + (0,): c for e, c in g.terms.items()})
                 for g in polys]
     rabinowitsch = SparsePoly(n + 1, {(1,) * (n + 1): 1, (0,) * (n + 1): -1})
-    gb = buchberger(extended + [rabinowitsch], p)
+    gb = buchberger(extended + [rabinowitsch])
     return not gb.is_unit_ideal()
-
-
-def torus_has_zero_char0(polys, primes=3, seed=0, max_rounds=3):
-    """Monte Carlo answer over the complex numbers via random-prime reduction.
-
-    Runs ``primes`` independent primes; on disagreement retries with fresh
-    primes and reports the retries.  Returns (answer, detail)."""
-    rng = random.Random(seed)
-    detail = {"primes": [], "retries": 0}
-    for round_no in range(max_rounds):
-        answers = []
-        used = []
-        k = 0
-        while k < primes:
-            p = random_prime(rng)
-            try:
-                answers.append(torus_has_zero(polys, p))
-            except _BadPrime:
-                continue
-            used.append(p)
-            k += 1
-        detail["primes"].append(used)
-        if all(a == answers[0] for a in answers):
-            detail["answers"] = answers
-            return answers[0], detail
-        detail["retries"] += 1
-    raise VerificationError(
-        "random primes kept disagreeing on a torus-zero question: %r" % detail)
 
 
 def _monomial_system(polys):
@@ -322,7 +203,7 @@ def face_torus_polynomial(face_poly):
                                  for m, c in face_poly.terms.items()})
 
 
-def nondegeneracy_report(f, primes=3, seed=0):
+def nondegeneracy_report(f):
     """Per-face nondegeneracy data for f.
 
     For every compact face sigma of the Newton polyhedron, the face parts
@@ -344,9 +225,7 @@ def nondegeneracy_report(f, primes=3, seed=0):
       its lattice is not saturated; a torus zero of the F-system lifts.
 
     The F-system goes to Buchberger over Q in d+1 variables (``method``
-    "groebner-Q"), so the verdict is exact.  ``primes`` and ``seed`` are
-    accepted for callers of the earlier random-prime check and have no
-    effect."""
+    "groebner-Q"), so the verdict is exact."""
     if not isinstance(f.order(), int) or f.order() < 2:
         raise InputError("order too small: f must lie in the square of the maximal ideal")
     n = f.nvars
@@ -368,13 +247,13 @@ def nondegeneracy_report(f, primes=3, seed=0):
             F = face_torus_polynomial(fs)
             entry["method"] = "groebner-Q"
             entry["torus_zero"] = torus_has_zero(
-                [F] + [F.x_ddx(k) for k in range(F.nvars)], None)
+                [F] + [F.x_ddx(k) for k in range(F.nvars)])
         if entry["torus_zero"]:
             report["nondegenerate"] = False
         report["faces"].append(entry)
     return report
 
 
-def nondegenerate(f, primes=3, seed=0):
+def nondegenerate(f):
     """Kouchnirenko nondegeneracy plus the coordinate-axis condition."""
-    return nondegeneracy_report(f, primes=primes, seed=seed)["nondegenerate"]
+    return nondegeneracy_report(f)["nondegenerate"]

@@ -19,6 +19,9 @@ from .linalg import kernel_basis, rank
 from .polylattice import (INFINITY, SparsePoly, newton_order,
                           newton_polyhedron)
 
+# Random Jacobian-span elements jacobian_multiplication_check maps across.
+JACOBIAN_SAMPLES = 5
+
 
 def monomials_of_degree(nvars, degree):
     """All exponent tuples with the given total degree."""
@@ -195,23 +198,23 @@ def build_ideal(gens, D):
     return IdealSpan(alg, gens, ech, bound)
 
 
-def certified_ideal(gens, D=None, min_D=0, cap=None):
+def certified_ideal(gens, D=None, min_D=0):
     """Build an ideal span whose finite colength is certified.
 
     With D given, that truncation must already certify.  Otherwise escalate
     from twice the largest generator degree until a certificate appears, then
     settle at m_power_bound + 4 (never below ``min_D``).  The escalation cap
-    shrinks with the variable count to keep hopeless inputs from grinding;
-    a ``min_D`` beyond the cap is still tried, once.  So is a start from the
-    generator degrees one step (2) beyond the cap in two variables, where
-    that build costs about what one at the cap does; any other start beyond
-    the cap is refused before building, naming the truncation it needs."""
+    (40 in up to two variables, else 20) shrinks with the variable count to
+    keep hopeless inputs from grinding; a ``min_D`` beyond the cap is still
+    tried, once.  So is a start from the generator degrees one step (2)
+    beyond the cap in two variables, where that build costs about what one
+    at the cap does; any other start beyond the cap is refused before
+    building, naming the truncation it needs."""
     gens = tuple(gens)
     if not gens:
         raise InputError("no generators")
     nvars = gens[0].nvars
-    if cap is None:
-        cap = 40 if nvars <= 2 else 20
+    cap = 40 if nvars <= 2 else 20
     if D is not None:
         if D < min_D:
             raise TruncationError(
@@ -380,9 +383,10 @@ def socle_newton_order(f, D=None):
     return report
 
 
-def jacobian_multiplication_check(f, samples=5, D=None, seed=0):
+def jacobian_multiplication_check(f, D=None, seed=0):
     """Multiplication by x1...xn from the Jacobian quotient to the quotient by
-    (x_i f_xi): well-definedness and injectivity on a truncated basis."""
+    (x_i f_xi): well-definedness and injectivity on a truncated basis, plus
+    ``JACOBIAN_SAMPLES`` random elements of the Jacobian span."""
     n = f.nvars
     log_gens, jac_gens = ideal_generators(f)
     span_i = certified_ideal(log_gens, D=D)
@@ -408,7 +412,7 @@ def jacobian_multiplication_check(f, samples=5, D=None, seed=0):
     rng = random.Random(seed)
     sample_ok = True
     pivot_rows = list(span_j.echelon.rows.values())
-    for _ in range(samples):
+    for _ in range(JACOBIAN_SAMPLES):
         if not pivot_rows:
             break
         picks = rng.sample(pivot_rows, min(3, len(pivot_rows)))

@@ -22,6 +22,9 @@ from .localalg import _integral, certified_ideal, ideal_generators
 from .polylattice import (SparsePoly, hull_vertices, lattice_points,
                           normalized_volume, polytope_lattice_points)
 
+# Random section tuples :func:`koszul_check` draws before it reports failure.
+KOSZUL_ATTEMPTS = 5
+
 
 @dataclass(frozen=True)
 class ResidueResult:
@@ -146,7 +149,7 @@ def verify_residue_nonvanishing(f, face, h, r, D=None):
     fcone = face_cone(face)
     if fcone.r != r:
         raise InputError("face has r = %d, got %d" % (fcone.r, r))
-    params = select_parameters(face_derivatives(f, face), fcone, verify=False)
+    params = select_parameters(face_derivatives(f, face), fcone)
     quotient = canonical_quotient(fcone, params)
     if not class_nonzero(g, quotient):
         raise InputError("class of x1...xn*h vanishes in the quotient module")
@@ -233,15 +236,15 @@ def random_section(polytope_points, rng, nvars):
     return SparsePoly(nvars, terms)
 
 
-def koszul_check(polytope_points, seed=0, attempts=5):
-    """Sample generic tuples until the Koszul quotient has dimension one;
-    reports the attempts used (resampling is the documented genericity
-    fallback)."""
+def koszul_check(polytope_points, seed=0):
+    """Sample generic tuples, at most ``KOSZUL_ATTEMPTS`` times, until the
+    Koszul quotient has dimension one; reports the attempts used (resampling
+    is the documented genericity fallback)."""
     pts = [tuple(p) for p in polytope_points]
     n = len(pts[0])
     rng = random.Random(seed)
     history = []
-    for attempt in range(1, attempts + 1):
+    for attempt in range(1, KOSZUL_ATTEMPTS + 1):
         gs = [random_section(pts, rng, n) for _ in range(n + 1)]
         try:
             dim = koszul_top_dimension(pts, gs)
@@ -252,7 +255,7 @@ def koszul_check(polytope_points, seed=0, attempts=5):
             return {"ok": True, "dimension": 1, "attempts": attempt,
                     "history": history}
     return {"ok": False, "dimension": history[-1] if history else None,
-            "attempts": attempts, "history": history,
+            "attempts": KOSZUL_ATTEMPTS, "history": history,
             "note": "sections not generic enough"}
 
 

@@ -240,7 +240,7 @@ def test_criterion_09_nondegeneracy():
     exact_faces = 0
     for text in FAMILY:
         f = poly(text)
-        rep = nondegeneracy_report(f, primes=3, seed=5)
+        rep = nondegeneracy_report(f)
         ok = ok and rep["nondegenerate"]
         for entry in rep["faces"]:
             if entry["method"] != "monomial":

@@ -224,6 +224,7 @@ def test_parse_error_exit_code():
     (["detlemma", "--rows", "1", "--cols", "0"], {}),
     (["detlemma", "--rows", "2", "--cols", "3", "--trials", "-1"], {}),
     (["verify-all", "--poly", "x1^2 + x2^3", "--detlemma-trials", "-3"], {}),
+    (["koszul", "--polytope", "triangle", "--trials", "-1"], {}),
 ], ids=["json-without-terms", "missing-fan-file", "fan-without-cones",
         "fan-ragged-rays",
         "flat-polytope", "ragged-polytope", "zero-dimensional-polytope",
@@ -234,7 +235,7 @@ def test_parse_error_exit_code():
         "json-fractional-exponent", "detlemma-zero-rows",
         "detlemma-negative-rows", "detlemma-more-rows-than-cols",
         "detlemma-zero-cols", "detlemma-negative-trials",
-        "verify-all-negative-detlemma-trials"])
+        "verify-all-negative-detlemma-trials", "koszul-negative-trials"])
 def test_bad_input_exits_2_without_traceback(argv, extra_env, tmp_path):
     (tmp_path / "fan-without-cones.json").write_text('{"rays": [[1, 0]]}')
     (tmp_path / "fan-ragged-rays.json").write_text(

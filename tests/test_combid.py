@@ -279,13 +279,15 @@ def test_solve_c_point_slice():
 
 
 def test_resolution_assumptions_cusp():
-    f = poly("x1^2 + x2^3")
-    D, edge = _edge("x1^2 + x2^3")
-    ws = choose_weights(D, edge, seed=1, f=f)
-    rep = check_resolution_assumptions(ws.fan, f, ws)
-    assert rep["ok"] and rep["multiplicities_ok"]
-    assert all(not s["torus_zero"] for s in rep["strata"])
-    assert all(s["solvable"] for s in rep["slices"])
+    # the denominators reach the stratum systems over Q
+    for text in ("x1^2 + x2^3", "2/3*x1^2 + 3/5*x2^3"):
+        f = poly(text)
+        D, edge = _edge(text)
+        ws = choose_weights(D, edge, seed=1, f=f)
+        rep = check_resolution_assumptions(ws.fan, f, ws)
+        assert rep["ok"] and rep["multiplicities_ok"], text
+        assert all(not s["torus_zero"] for s in rep["strata"]), text
+        assert all(s["solvable"] for s in rep["slices"]), text
 
 
 def test_resolution_assumptions_catch_bad_weights():
@@ -303,11 +305,12 @@ def test_resolution_assumptions_catch_bad_weights():
 
 
 def test_resolution_assumptions_degenerate_polynomial():
-    f = poly("x1^2 + 2*x1*x2 + x2^2")
-    D = newton_polyhedron(f)
-    edge = [fc for fc in compact_faces(D)
-            if fc.dim == 1 and not fc.in_coordinate_hyperplane][0]
-    ws = choose_weights(D, edge, seed=6, f=f)
-    rep = check_resolution_assumptions(ws.fan, f, ws)
-    assert any(s["torus_zero"] for s in rep["strata"])
-    assert not rep["ok"]
+    # (x1 + x2)^2, also halved: the edge stratum has the torus zero x1 = -x2
+    for text in ("x1^2 + 2*x1*x2 + x2^2", "1/2*x1^2 + x1*x2 + 1/2*x2^2"):
+        f = poly(text)
+        D, edge = _edge(text)
+        ws = choose_weights(D, edge, seed=6, f=f)
+        rep = check_resolution_assumptions(ws.fan, f, ws)
+        assert any(s["torus_zero"] for s in rep["strata"]), text
+        assert not rep["ok"], text
+

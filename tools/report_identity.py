@@ -86,6 +86,20 @@ def invocations():
     out.append(("verify-all negative detlemma trials",
                 ["verify-all", "--poly", "x1^2 + x2^3",
                  "--detlemma-trials", "-3"]))
+    out.append(("socle-order", ["socle-order", "--poly", "x1^2 + x2^3"]))
+    out.append(("kbar --face 0", ["kbar", "--poly", "x1^2 + x2^3",
+                                  "--face", "0"]))
+    out.append(("verify-thm1", ["verify-thm1", "--poly", "x1^2 + x2^3",
+                                "--h", "x1^2*x2^2"]))
+    out.append(("verify-thm2", ["verify-thm2", "--poly", "x1^2 + x2^3",
+                                "--h", "x1*x2^2", "--face", "0", "--r", "0"]))
+    # --primes is accepted for older command lines and ignored
+    out.append(("nondeg --primes 5", ["nondeg", "--poly",
+                                      "x1^2 + x1*x2 + x2^3", "--primes", "5"]))
+    out.append(("verify-all --trunc 12", ["verify-all", "--poly",
+                                          "x1^2 + x2^3", "--trunc", "12"]))
+    out.append(("koszul negative trials", ["koszul", "--polytope", "triangle",
+                                           "--trials", "-1"]))
     out.append(("fan --fan 2d", ["fan", "--poly", "x1*x2", "--fan",
                                  "fan-2d.json", "--regular"]))
     out.append(("fan --fan non-face", ["fan", "--poly", "x1^2+x2^3+x3^4",
