@@ -156,6 +156,9 @@ def cmd_fan(args):
     poly = newton_polyhedron(f)
     if args.fan:
         fan = read_fan(args.fan)
+        if fan.nvars != f.nvars:
+            raise InputError("fan has dimension %d but the polynomial has "
+                             "%d variables" % (fan.nvars, f.nvars))
     else:
         fan = fanmod.dual_fan(poly)
     report = {"dual_fan": fan.to_json()}

@@ -1,7 +1,9 @@
 """Cone and fan combinatorics on the positive orthant: dual cones, face
 lattices, the coarsest fan on which the support function is linear, exact
 regular subdivision (continued fractions in 2D, stellar subdivision in 3D),
-ray multiplicities and pole components.
+ray multiplicities and pole components.  :func:`cone_from_rays` reads a
+pointed cone's rays off the facet incidences of its generators; only a cone
+with lineality takes a second double description, the polar's polar.
 """
 
 from dataclasses import dataclass
@@ -48,12 +50,18 @@ class Cone:
                 and all(dot(e, point) == 0 for e in self.equations))
 
     def is_pointed(self):
-        return not any(tuple(-x for x in r) in set(self.rays) for r in self.rays) \
-            or self.dim == 0
+        rays = set(self.rays)
+        return not any(tuple(-x for x in r) in rays for r in rays)
 
 
 def cone_from_rays(rays):
-    """Canonical cone spanned by the given vectors."""
+    """Canonical cone spanned by the given vectors.
+
+    One double description of the generators gives equations and facet
+    normals.  If these have rank n the cone is pointed and its rays are the
+    primitive generators whose tight normals plus the equations have rank
+    n - 1; else they are the extreme rays and lineality pairs of the polar's
+    polar."""
     if not rays:
         raise InputError("cone needs an ambient dimension; give at least the zero vector")
     n = len(rays[0])
@@ -61,12 +69,15 @@ def cone_from_rays(rays):
     if not gens:
         return zero_cone(n)
     lin_n, normals = polar_generators(gens, dim=n)
-    equations = tuple(sorted(lin_n))
-    lin_c, extreme = polar_generators(list(normals), list(equations), dim=n)
-    allrays = _generators(lin_c, extreme)
-    d = rank(gens)
+    equations = sorted(lin_n)
+    if rank(normals + equations) == n:
+        allrays = [g for g in set(gens)
+                   if rank([l for l in normals if dot(l, g) == 0]
+                           + equations) == n - 1]
+    else:
+        allrays = _generators(*polar_generators(normals, equations, dim=n))
     return Cone(tuple(sorted(set(allrays))), tuple(sorted(normals)),
-                equations, d)
+                tuple(equations), n - len(equations))
 
 
 def _generators(lineality, extreme):
@@ -182,9 +193,6 @@ class Fan:
                            and all(c.contains(r) for r in d.rays))
         return out
 
-    def contains_cone(self, cone):
-        return cone in set(self.cones)
-
     def to_json(self):
         ray_index = {r: i for i, r in enumerate(self.rays)}
         cones = sorted(sorted(ray_index[r] for r in c.rays)
@@ -286,13 +294,13 @@ def validate_fan(fan):
                 "intersection of %r and %r is not a common face"
                 % (c1.rays, c2.rays))
     # support equals the orthant: every (n-1)-face of a maximal cone either
-    # lies in the orthant boundary or is shared by exactly two maximal cones
+    # lies in the orthant boundary or is shared by exactly two maximal cones;
+    # by (a) its (n-1)-faces are the (n-1)-cones whose rays it holds
     facet_count = {}
-    for c in maxs:
-        for f in cone_faces(c, n):
-            if f.dim != n - 1:
-                continue
-            facet_count[f.rays] = facet_count.get(f.rays, 0) + 1
+    for c, rs in tops:
+        for f, f_rays in zip(fan.cones, ray_sets):
+            if c.dim == n and f.dim == n - 1 and f_rays <= rs:
+                facet_count[f.rays] = facet_count.get(f.rays, 0) + 1
     for rays_key, count in facet_count.items():
         on_boundary = any(all(r[i] == 0 for r in rays_key) for i in range(n))
         expected = 1 if on_boundary else 2
@@ -321,10 +329,10 @@ def face_normal_cone(poly, face):
     ineqs += [vec_sub(w, v0) for w in poly.vertices]
     eqs = [vec_sub(v, v0) for v in verts[1:]]
     eqs += [tuple(int(i == k) for k in range(n)) for i in face.recession_axes]
-    lin, rays = polar_generators(ineqs, eqs, dim=n)
-    if lin:
+    cone = _polar_cone(ineqs, eqs, n)
+    if not cone.is_pointed():
         raise VerificationError("normal cone unexpectedly has lineality")
-    return cone_from_rays(rays) if rays else zero_cone(n)
+    return cone
 
 
 def dual_fan(poly):
@@ -349,10 +357,8 @@ def dual_fan(poly):
         if any(x == 0 for x in r) and r not in units:
             raise InputError("coordinate-axis condition violated")
     # the construction visits every face, so all cones must already be present
-    got = set(fan.cones)
-    for c in cones:
-        if c not in got:
-            raise VerificationError("normal cone missing from assembled fan")
+    if not set(cones) <= set(fan.cones):
+        raise VerificationError("normal cone missing from assembled fan")
     return fan
 
 

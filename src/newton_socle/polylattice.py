@@ -241,10 +241,6 @@ class SparsePoly:
             result = result.mul_truncated(self, max_total_degree)
         return result
 
-    def truncate(self, max_total_degree):
-        return SparsePoly(self.nvars, {e: c for e, c in self.terms.items()
-                                       if sum(e) <= max_total_degree})
-
     def x_ddx(self, i):
         """The operator x_i * d/dx_i (keeps the support inside the original)."""
         return SparsePoly(self.nvars,
@@ -354,20 +350,14 @@ def _dd_extreme_rays(rows, dim):
     return sorted(rays)
 
 
-def polar_generators(ineqs, equations=(), dim=None):
-    """Generators of C = {x : r.x >= 0 for r in ineqs, e.x = 0 for e in equations}.
+def polar_generators(ineqs, equations=(), *, dim):
+    """Generators of C = {x : r.x >= 0 for r in ineqs, e.x = 0 for e in equations}
+    in the ambient space of dimension ``dim``.
 
     Returns ``(lineality_basis, extreme_rays)``: a basis of the largest linear
     subspace of C plus the extreme rays of a pointed complement.  Both lists
     hold primitive integer vectors in the ambient space.
     """
-    if dim is None:
-        if ineqs:
-            dim = len(ineqs[0])
-        elif equations:
-            dim = len(equations[0])
-        else:
-            raise ValueError("ambient dimension unknown")
     # an integer basis of the subspace; coordinates are taken against it
     sub = [primitive(w) for w in kernel_basis(list(equations), ncols=dim)] \
         if equations else [tuple(int(i == j) for j in range(dim))

@@ -1,19 +1,41 @@
-"""Brute-force face enumerators, kept as test oracles.
+"""Brute-force face enumerators and a reference cone constructor, kept as
+test oracles.
 
-Both try every subset of facets, by size and then lexicographically, and
-keep the first subset that reaches each face.  Their cost is 2^facets, so
-they serve only small inputs; ``polylattice.faces`` and ``fan.cone_faces``
-must return the same lists in the same order.  ``brute_meets_in_faces``
-checks the fan axiom on every pair of cones, where ``fan.validate_fan``
-intersects only the maximal ones.
+Both enumerators try every subset of facets, by size and then
+lexicographically, and keep the first subset that reaches each face.  Their
+cost is 2^facets, so they serve only small inputs; ``polylattice.faces`` and
+``fan.cone_faces`` must return the same lists in the same order.
+``brute_meets_in_faces`` checks the fan axiom on every pair of cones, where
+``fan.validate_fan`` intersects only the maximal ones.  ``double_polar_cone``
+builds a cone by two double descriptions, generators to inequalities and
+back, where ``fan.cone_from_rays`` reads a pointed cone's rays off the facet
+incidences of its generators; ``brute_cone_faces`` builds its faces with it.
 """
 
 from itertools import combinations
 
-from newton_socle.fan import (_cone_ambient, _intersect_cones, cone_from_rays,
-                              zero_cone)
-from newton_socle.linalg import dot, rank, vec_sub
-from newton_socle.polylattice import FaceDescriptor
+from newton_socle.fan import (Cone, _cone_ambient, _generators,
+                              _intersect_cones, zero_cone)
+from newton_socle.errors import InputError
+from newton_socle.linalg import dot, primitive, rank, vec_sub
+from newton_socle.polylattice import FaceDescriptor, polar_generators
+
+
+def double_polar_cone(rays):
+    """Canonical cone spanned by the given vectors."""
+    if not rays:
+        raise InputError("cone needs an ambient dimension; give at least the zero vector")
+    n = len(rays[0])
+    gens = [primitive(r) for r in rays if any(x != 0 for x in r)]
+    if not gens:
+        return zero_cone(n)
+    lin_n, normals = polar_generators(gens, dim=n)
+    equations = tuple(sorted(lin_n))
+    lin_c, extreme = polar_generators(list(normals), list(equations), dim=n)
+    allrays = _generators(lin_c, extreme)
+    d = rank(gens)
+    return Cone(tuple(sorted(set(allrays))), tuple(sorted(normals)),
+                equations, d)
 
 
 def brute_faces(poly):
@@ -66,7 +88,8 @@ def brute_cone_faces(cone, nvars=None):
             key = frozenset(tight_rays)
             if key in seen:
                 continue
-            seen[key] = cone_from_rays(tight_rays) if tight_rays else zero_cone(n)
+            seen[key] = (double_polar_cone(tight_rays) if tight_rays
+                         else zero_cone(n))
     return sorted(seen.values(), key=lambda c: (c.dim, c.rays))
 
 

@@ -208,6 +208,8 @@ def test_parse_error_exit_code():
     (["koszul", "--polytope", "[[0,0],[2.7,0],[0,1]]"], {}),
     (["fan", "--poly", "x1*x2", "--fan", "fan-fractional-ray.json"], {}),
     (["fan", "--poly", "x1*x2", "--fan", "fan-negative-index.json"], {}),
+    (["fan", "--poly", "x1^2 + x2^3", "--fan", "fan-3d.json", "--regular"],
+     {}),
     (["residue", "--g", "x1", "--system", "[1,"], {}),
     (["detlemma", "--rows", "2", "--cols", "3"], {"NEWTON_SOCLE_SEED": "abc"}),
     (["polyhedron", "--poly", "x1 + 2/0*x2"], {}),
@@ -229,6 +231,7 @@ def test_parse_error_exit_code():
         "fan-ragged-rays",
         "flat-polytope", "ragged-polytope", "zero-dimensional-polytope",
         "fractional-polytope", "fan-fractional-ray", "fan-negative-index",
+        "fan-dimension-mismatch",
         "truncated-system-json",
         "non-integer-env-seed", "zero-denominator", "directory-as-polynomial",
         "json-zero-denominator", "json-non-integer-exponent",
@@ -244,6 +247,9 @@ def test_bad_input_exits_2_without_traceback(argv, extra_env, tmp_path):
         '{"rays": [[1.5, 0], [0, 1]], "cones": [[0, 1]]}')
     (tmp_path / "fan-negative-index.json").write_text(
         '{"rays": [[1, 0], [0, 1]], "cones": [[-1, 0]]}')
+    (tmp_path / "fan-3d.json").write_text(
+        '{"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], '
+        '"cones": [[0, 1, 3], [1, 2, 3], [0, 2, 3]]}')
     src = os.path.dirname(os.path.dirname(newton_socle.__file__))
     env = dict(os.environ, PYTHONPATH=src, **extra_env)
     proc = subprocess.run([sys.executable, "-m", "newton_socle.cli"] + argv,

@@ -16,7 +16,8 @@ from newton_socle.linalg import dot
 from newton_socle.polylattice import faces
 
 from conftest import poly, supports
-from face_oracles import brute_cone_faces, brute_meets_in_faces
+from face_oracles import (brute_cone_faces, brute_meets_in_faces,
+                          double_polar_cone)
 
 
 ORTHANT_2 = cone_from_rays([(1, 0), (0, 1)])
@@ -99,6 +100,36 @@ def test_cone_faces_match_brute_force_oracle_with_lineality(vectors):
     assert cone_faces(c, 3) == brute_cone_faces(c, 3)
 
 
+@st.composite
+def generator_lists(draw):
+    """Generators in 1-4 dimensions, mixed-sign half the time (lineality,
+    the zero cone, the whole space), padded with duplicates, positive
+    multiples and sums of drawn generators, which are never extreme unless
+    parallel to one."""
+    n = draw(st.integers(1, 4))
+    low = draw(st.sampled_from([0, -2]))
+    vec = st.tuples(*[st.integers(low, 3)] * n)
+    gens = draw(st.lists(vec, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["duplicate", "multiple", "sum"]))
+        a = draw(st.sampled_from(gens))
+        if kind == "duplicate":
+            gens.append(a)
+        elif kind == "multiple":
+            k = draw(st.integers(2, 4))
+            gens.append(tuple(k * x for x in a))
+        else:
+            b = draw(st.sampled_from(gens))
+            gens.append(tuple(x + y for x, y in zip(a, b)))
+    return draw(st.permutations(gens))
+
+
+@given(generator_lists())
+@settings(max_examples=300, deadline=None)
+def test_cone_from_rays_matches_double_polar_oracle(gens):
+    assert cone_from_rays(gens) == double_polar_cone(gens)
+
+
 RAY_POOL_3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
               (0, 1, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1)]
 
@@ -130,6 +161,16 @@ def test_validate_fan_rejects_a_cone_inside_another_but_not_a_face():
         fan_from_cones(3, [quad, top, diagonal])
     # without the diagonal the two cones make a fan of the orthant
     assert len(fan_from_cones(3, [quad, top]).maximal_cones()) == 2
+
+
+def test_fan_validation_rejects_each_dropped_cone_in_3d():
+    reg = regularize(dual_fan(newton_polyhedron(poly("x1^2 + x2^3 + x3^4"))))
+    maxs = reg.maximal_cones()
+    assert len(maxs) == 13
+    for i in range(len(maxs)):
+        with pytest.raises(VerificationError,
+                           match="support is not the orthant"):
+            fan_from_cones(3, maxs[:i] + maxs[i + 1:])
 
 
 def test_fan_incidence_matches_face_relation():

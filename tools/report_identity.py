@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, os.pardir))
 
-from perfbench.workloads import CURVES, SURFACES  # noqa: E402
+from perfbench.workloads import CURVES, SURFACES, k_support  # noqa: E402
 
 # tests/conftest.py::FAMILY
 FAMILY = [
@@ -45,6 +45,8 @@ FILES = {
     "fan-non-face.json": {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
                                    [1, 0, 1], [0, 1, 1]],
                           "cones": [[0, 1, 3, 4], [2, 3, 4], [0, 4]]},
+    "fan-3d.json": {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+                    "cones": [[0, 1, 3], [1, 2, 3], [0, 2, 3]]},
 }
 
 
@@ -104,6 +106,15 @@ def invocations():
                                  "fan-2d.json", "--regular"]))
     out.append(("fan --fan non-face", ["fan", "--poly", "x1^2+x2^3+x3^4",
                                        "--fan", "fan-non-face.json"]))
+    # a 3-coordinate fan for a 2-variable polynomial
+    out.append(("fan --fan dimension mismatch",
+                ["fan", "--poly", "x1^2+x2^3", "--fan", "fan-3d.json",
+                 "--regular"]))
+    # the geometry workload's face lattice and dual fan runs
+    k10, k14 = k_support(10), k_support(14)
+    out.append(("polyhedron K=14", ["polyhedron", "--poly", k14]))
+    out.append(("fan K=10", ["fan", "--poly", k10]))
+    out.append(("fan --regular K=10", ["fan", "--poly", k10, "--regular"]))
     out.append(("fractional exponent",
                 ["polyhedron", "--poly",
                  '{"nvars": 1, "terms": [{"e": [1.5], "c": "1"}]}']))
