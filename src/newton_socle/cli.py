@@ -11,7 +11,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import combid, facering, fan as fanmod, grobner, localalg, residue
+from . import combid, fan as fanmod, grobner, localalg, residue
+from .context import RunContext
 from .errors import (CapError, InputError, RegularizationError,
                      TruncationError, VerificationError)
 from .linalg import rank, vec_sub
@@ -40,23 +41,22 @@ def _rat(x):
         else str(f.numerator)
 
 
-def read_polynomial(spec, nvars=None):
-    """A polynomial from a file path (text or JSON) or a literal expression."""
-    text = spec
+def _read_text(spec):
+    """The contents of the file ``spec`` names, or ``spec`` itself."""
     if os.path.exists(spec) and not os.path.isdir(spec):
         with open(spec) as handle:
-            text = handle.read().strip()
+            return handle.read().strip()
+    return spec
+
+
+def _parse_polynomial(text, nvars=None):
     if text.startswith("{"):
         return SparsePoly.from_json(text)
     return SparsePoly.parse(text, nvars=nvars)
 
 
-def read_system(spec, nvars=None):
-    """A list of polynomials from a JSON array file or ';'-joined literals."""
-    text = spec
-    if os.path.exists(spec) and not os.path.isdir(spec):
-        with open(spec) as handle:
-            text = handle.read().strip()
+def _parse_system(text, nvars=None):
+    """A list of polynomials from a JSON array or ';'-joined literals."""
     if text.startswith("["):
         try:
             objs = json.loads(text)
@@ -67,15 +67,17 @@ def read_system(spec, nvars=None):
             for part in text.split(";") if part.strip()]
 
 
+def read_polynomial(spec, nvars=None):
+    """A polynomial from a file path (text or JSON) or a literal expression."""
+    return _parse_polynomial(_read_text(spec), nvars)
+
+
 def read_polytope(spec):
     """Lattice points spanning a full-dimensional polytope: a preset name, a
     JSON file or a JSON literal."""
     if spec in _POLYTOPE_PRESETS:
         return _POLYTOPE_PRESETS[spec]
-    text = spec
-    if os.path.exists(spec) and not os.path.isdir(spec):
-        with open(spec) as handle:
-            text = handle.read().strip()
+    text = _read_text(spec)
     try:
         pts = [tuple(map(exact_int, p)) for p in json.loads(text)]
     except (TypeError, ValueError) as exc:
@@ -193,31 +195,24 @@ def cmd_socle_order(args):
     return report, EXIT_OK if report["match"] else EXIT_CHECK_FAILED
 
 
-def _admissible_faces(poly):
-    return [face for face in faces(poly)
-            if face.compact and not face.in_coordinate_hyperplane]
-
-
 def cmd_kbar(args):
     f = read_polynomial(args.poly, args.vars)
-    poly = newton_polyhedron(f)
-    admissible = _admissible_faces(poly)
-    if not 0 <= args.face < len(admissible):
-        raise InputError("face index out of range (have %d admissible faces)"
-                         % len(admissible))
-    face = admissible[args.face]
-    fc = facering.face_cone(face)
-    params = facering.select_parameters(facering.face_derivatives(f, face), fc)
-    quotient = facering.canonical_quotient(fc, params)
+    fc, quotient = RunContext(f).face_quotient(args.face)
     report = quotient.to_json()
-    report["face"] = _face_entry(face, args.face)
+    report["face"] = _face_entry(fc.delta, args.face)
     report["r"] = fc.r
     return report, EXIT_OK
 
 
 def cmd_residue(args):
-    g = read_polynomial(args.g, args.vars)
-    system = read_system(args.system, g.nvars)
+    g_text, system_text = _read_text(args.g), _read_text(args.system)
+    nvars = args.vars
+    if nvars is None:
+        # the largest variable count among g and the system entries
+        nvars = max(p.nvars for p in [_parse_polynomial(g_text)]
+                    + _parse_system(system_text))
+    g = _parse_polynomial(g_text, nvars)
+    system = _parse_system(system_text, nvars)
     result = residue.grothendieck_residue(g, system, D=args.trunc)
     return result.to_json(), EXIT_OK
 
@@ -232,12 +227,7 @@ def cmd_verify_thm1(args):
 def cmd_verify_thm2(args):
     f = read_polynomial(args.poly, args.vars)
     h = read_polynomial(args.h, f.nvars)
-    poly = newton_polyhedron(f)
-    admissible = _admissible_faces(poly)
-    if not 0 <= args.face < len(admissible):
-        raise InputError("face index out of range (have %d admissible faces)"
-                         % len(admissible))
-    face = admissible[args.face]
+    face = RunContext(f).admissible_face(args.face)
     result = residue.verify_residue_nonvanishing(f, face, h, args.r,
                                                  D=args.trunc)
     report = result.to_json()
@@ -269,11 +259,12 @@ def cmd_koszul(args):
 def cmd_verify_all(args):
     combid.validate_trials(3, 5, args.detlemma_trials)
     f = read_polynomial(args.poly, args.vars)
+    run = RunContext(f, trunc=args.trunc)
     n = f.nvars
     report = {"polynomial": str(f), "nvars": n, "seed": args.seed,
               "checks": {}}
 
-    nd = grobner.nondegeneracy_report(f)
+    nd = run.nondegeneracy()
     report["nondegeneracy"] = nd
     if not nd["nondegenerate"]:
         report["checks"]["nondegenerate"] = False
@@ -281,9 +272,8 @@ def cmd_verify_all(args):
         return report, EXIT_CHECK_FAILED
     report["checks"]["nondegenerate"] = True
 
-    poly = newton_polyhedron(f)
-    report["polyhedron"] = poly.to_json()
-    fan = fanmod.dual_fan(poly)
+    report["polyhedron"] = run.polyhedron.to_json()
+    fan = run.dual_fan()
     report["fan"] = fan.to_json()
     if n <= 3:
         reg = fanmod.regularize(fan)
@@ -292,12 +282,9 @@ def cmd_verify_all(args):
 
     ok = True
     face_reports = []
-    for idx, face in enumerate(_admissible_faces(poly)):
+    for idx, face in enumerate(run.admissible_faces):
         entry = {"face": _face_entry(face, idx)}
-        fc = facering.face_cone(face)
-        params = facering.select_parameters(
-            facering.face_derivatives(f, face), fc)
-        quotient = facering.canonical_quotient(fc, params)
+        fc, quotient = run.face_quotient(idx)
         entry["kbar"] = quotient.to_json()
         entry["socle_degree_matches"] = \
             quotient.socle_degree == fc.sigma.dim == n - fc.r
@@ -306,8 +293,7 @@ def cmd_verify_all(args):
             exps = b.support()[0]
             h = SparsePoly.monomial(tuple(e - 1 for e in exps),
                                     b.coeff(exps))
-            res = residue.verify_residue_nonvanishing(f, face, h, fc.r,
-                                                      D=args.trunc)
+            res = run.residue(idx, h)
             residues.append({"h": str(h), "r": fc.r,
                              "value": _rat(res.value), "stable": res.stable})
         entry["residues"] = residues
@@ -318,7 +304,7 @@ def cmd_verify_all(args):
     report["faces"] = face_reports
     report["checks"]["face_quotients_and_residues"] = ok
 
-    so = localalg.socle_newton_order(f, D=args.trunc)
+    so = run.socle_order()
     report["socle_order"] = {
         "socle_basis": so["socle_basis"],
         "nu_socle": _rat(so["nu_socle"]),
@@ -327,8 +313,7 @@ def cmd_verify_all(args):
     }
     report["checks"]["socle_newton_order"] = so["match"]
 
-    jm = localalg.jacobian_multiplication_check(f, D=args.trunc,
-                                                seed=args.seed)
+    jm = run.jacobian_multiplication(args.seed)
     report["jacobian_multiplication"] = jm
     report["checks"]["jacobian_multiplication"] = jm["ok"]
 
@@ -459,6 +444,9 @@ def main(argv=None):
                              "integer, got %r\n" % env_seed)
             return EXIT_INPUT
     try:
+        if getattr(args, "trunc", None) is not None and args.trunc < 1:
+            raise InputError("the truncation must be >= 1, got %d"
+                             % args.trunc)
         report, code = args.func(args)
     except InputError as exc:
         sys.stderr.write("input error: %s\n" % exc)

@@ -343,9 +343,15 @@ def dual_fan(poly):
     cones of the orthant belong to the fan); a subdivided boundary means the
     complement of the polyhedron in the orthant is unbounded in a way the
     downstream resolution cannot use, and is rejected."""
+    return dual_fan_of_faces(poly, faces(poly))
+
+
+def dual_fan_of_faces(poly, poly_faces):
+    """The fan of :func:`dual_fan`, from ``poly_faces``, the list
+    :func:`polylattice.faces` gives for ``poly``."""
     n = poly.nvars
     cones = []
-    for face in faces(poly):
+    for face in poly_faces:
         c = face_normal_cone(poly, face)
         if c.dim != n - face.dim:
             raise VerificationError("normal cone dimension mismatch")

@@ -226,6 +226,14 @@ def nondegeneracy_report(f):
 
     The F-system goes to Buchberger over Q in d+1 variables (``method``
     "groebner-Q"), so the verdict is exact."""
+    return nondegeneracy_report_of_faces(
+        f, lambda: compact_faces(newton_polyhedron(f)))
+
+
+def nondegeneracy_report_of_faces(f, compact):
+    """The report of :func:`nondegeneracy_report`; ``compact()`` gives the
+    compact faces of the Newton polyhedron of f and is called only once the
+    order and axis checks have passed."""
     if not isinstance(f.order(), int) or f.order() < 2:
         raise InputError("order too small: f must lie in the square of the maximal ideal")
     n = f.nvars
@@ -236,8 +244,7 @@ def nondegeneracy_report(f):
             report["nondegenerate"] = False
             report["faces"] = []
             return report
-    poly = newton_polyhedron(f)
-    for face in compact_faces(poly):
+    for face in compact():
         fs = face_part(f, face)
         entry = {"vertices": [list(v) for v in face.vertices()], "dim": face.dim}
         if _monomial_system([fs.x_ddx(i) for i in range(n)]):

@@ -348,18 +348,29 @@ def socle_newton_order(f, D=None):
     predicted value n - nu(x1...xn) checked exactly.
 
     Returns a report dict; the order itself is under ``nu_socle``."""
-    n = f.nvars
     poly = newton_polyhedron(f)
+    min_D = socle_truncation_floor(poly)
+    log_gens, _ = ideal_generators(f)
+    return socle_order_report(poly, certified_ideal(log_gens, D=D, min_D=min_D))
+
+
+def socle_truncation_floor(poly):
+    """The least truncation beyond which every monomial has Newton order
+    above n, so that :func:`socle_order_report` may read orders off it."""
     pos = poly.positive_facets()
     if not pos:
         raise InputError("polynomial has order zero")
     slack = min(Fraction(min(fc.normal), fc.offset) for fc in pos)
     if slack == 0:
         raise InputError("coordinate-axis condition violated")
-    # every monomial beyond the truncation must have order above n
-    min_D = int(n / slack) + 1
-    log_gens, _ = ideal_generators(f)
-    span = certified_ideal(log_gens, D=D, min_D=min_D)
+    return int(poly.nvars / slack) + 1
+
+
+def socle_order_report(poly, span):
+    """The report of :func:`socle_newton_order` from the Newton polyhedron
+    and a certified span of (x_i f_xi) at least as deep as
+    :func:`socle_truncation_floor`."""
+    n = poly.nvars
     reps = socle(span)
     if not reps:
         raise VerificationError("socle of the quotient is zero")
@@ -387,10 +398,18 @@ def jacobian_multiplication_check(f, D=None, seed=0):
     """Multiplication by x1...xn from the Jacobian quotient to the quotient by
     (x_i f_xi): well-definedness and injectivity on a truncated basis, plus
     ``JACOBIAN_SAMPLES`` random elements of the Jacobian span."""
-    n = f.nvars
     log_gens, jac_gens = ideal_generators(f)
     span_i = certified_ideal(log_gens, D=D)
     span_j = certified_ideal(jac_gens, D=span_i.algebra.D)
+    return jacobian_multiplication_report(span_i, span_j, seed)
+
+
+def jacobian_multiplication_report(span_i, span_j, seed=0):
+    """The report of :func:`jacobian_multiplication_check` from the certified
+    spans of (x_i f_xi) and of (f_xi), the second at the first's
+    truncation."""
+    n = span_i.algebra.nvars
+    jac_gens = span_j.generators
     x_all = SparsePoly.monomial((1,) * n)
     well_defined = all(member(x_all * g, span_i) for g in jac_gens)
 

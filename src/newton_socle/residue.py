@@ -92,15 +92,8 @@ def _bezoutian(system, N):
 
 def grothendieck_residue(g, system, D=None):
     """Residue of g dx against a system of finite colength, as the trace
-    functional tau of the certified quotient A (Scheja & Storch, J. reine
-    angew. Math. 278/279, 1975).
-
-    In A (x) A the Bezoutian is sum_k e_k(x) B_k(y) over the quotient basis
-    e_k, and the e_k and B_k are dual bases for the residue pairing, so
-    sum_k tau(e_k) B_k = 1 in A.  That linear system gives every tau(e_k),
-    and tau(g) = sum_k NF(g)_k tau(e_k).  Monomials of degree m_power_bound
-    lie in the ideal, so the Bezoutian is needed only below that degree in
-    x and in y.  ``D`` is a lower bound on the truncation of the span."""
+    functional of its certified quotient (see :func:`trace_functional`).
+    ``D`` is a lower bound on the truncation of the span."""
     system = list(system)
     if not system:
         raise InputError("empty denominator system")
@@ -110,6 +103,39 @@ def grothendieck_residue(g, system, D=None):
     if len(system) != n:
         raise InputError("need exactly n denominators")
     span = certified_ideal(system, min_D=D or 0)
+    return trace_functional(system, span).residue(g)
+
+
+class TraceFunctional:
+    """The trace functional tau of a certified quotient, by its values on the
+    quotient basis; ``scale`` is the product of the denominators the
+    Bezoutian cleared."""
+
+    __slots__ = ("span", "values", "scale")
+
+    def __init__(self, span, values, scale):
+        self.span = span
+        self.values = values
+        self.scale = scale
+
+    def residue(self, g):
+        """Residue of g dx: tau of the normal form of g."""
+        value = sum((self.values[m] * c
+                     for m, c in self.span.reduce(g).items()), Fraction(0))
+        return ResidueResult(self.scale * value, self.span.algebra.D, True)
+
+
+def trace_functional(system, span):
+    """The trace functional tau of the quotient A by ``system``, whose
+    certified span is ``span`` (Scheja & Storch, J. reine angew. Math.
+    278/279, 1975).
+
+    In A (x) A the Bezoutian is sum_k e_k(x) B_k(y) over the quotient basis
+    e_k, and the e_k and B_k are dual bases for the residue pairing, so
+    sum_k tau(e_k) B_k = 1 in A.  That linear system gives every tau(e_k),
+    and tau(g) = sum_k NF(g)_k tau(e_k).  Monomials of degree m_power_bound
+    lie in the ideal, so the Bezoutian is needed only below that degree in
+    x and in y."""
     basis = span.quotient_basis()
     index = {m: i for i, m in enumerate(basis)}
     delta, scale = _bezoutian(system, span.m_power_bound)
@@ -127,15 +153,28 @@ def grothendieck_residue(g, system, D=None):
                 [int(not any(m)) for m in basis])
     if tau is None:
         raise VerificationError("the Bezoutian gives no trace functional")
-    value = sum((tau[index[m]] * c for m, c in span.reduce(g).items()),
-                Fraction(0))
-    return ResidueResult(scale * value, span.algebra.D, True)
+    return TraceFunctional(span, dict(zip(basis, tau)), scale)
 
 
 def verify_residue_nonvanishing(f, face, h, r, D=None):
     """The residue of f^r h dx against (x_i f_xi) for h with x1...xn*h
     supported in the relative interior of the (n-r)-dilated face and with a
     nonzero class in the quotient module; the value is checked nonzero."""
+    g = interior_class(f, face, h, r)
+    fcone = face_cone(face)
+    if fcone.r != r:
+        raise InputError("face has r = %d, got %d" % (fcone.r, r))
+    params = select_parameters(face_derivatives(f, face), fcone)
+    quotient = canonical_quotient(fcone, params)
+    log_gens, _ = ideal_generators(f)
+    return nonvanishing_residue(
+        f, h, r, g, quotient,
+        lambda p: grothendieck_residue(p, list(log_gens), D=D))
+
+
+def interior_class(f, face, h, r):
+    """x1...xn*h, checked nonzero and supported in the relative interior of
+    the (n-r)-dilated face."""
     n = f.nvars
     x_all = SparsePoly.monomial((1,) * n)
     g = x_all * h
@@ -146,16 +185,16 @@ def verify_residue_nonvanishing(f, face, h, r, D=None):
             raise InputError(
                 "support of x1...xn*h not in the relative interior of the "
                 "(n-r)-dilated face at %r" % (m,))
-    fcone = face_cone(face)
-    if fcone.r != r:
-        raise InputError("face has r = %d, got %d" % (fcone.r, r))
-    params = select_parameters(face_derivatives(f, face), fcone)
-    quotient = canonical_quotient(fcone, params)
+    return g
+
+
+def nonvanishing_residue(f, h, r, g, quotient, log_residue):
+    """The residue of f^r h dx by ``log_residue`` (the residue map of
+    (x_i f_xi)), once g = x1...xn*h is checked to have a nonzero class in
+    the face ``quotient``; a zero value raises."""
     if not class_nonzero(g, quotient):
         raise InputError("class of x1...xn*h vanishes in the quotient module")
-    log_gens, _ = ideal_generators(f)
-    fr_h = f.power(r) * h
-    result = grothendieck_residue(fr_h, list(log_gens), D=D)
+    result = log_residue(f.power(r) * h)
     if result.value == 0:
         raise VerificationError(
             "residue vanished for a nonzero class: f=%s, h=%s, r=%d"

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -142,6 +143,15 @@ def test_residue_command():
                           "--system", "2*x1^2; 3*x2^3", "--vars", "2"])
     assert code == 0
     assert rep["value"] == "1/6" and rep["stable"]
+
+
+def test_residue_infers_the_variable_count_from_g_and_the_system():
+    # g names only x1; the system names x2 as well
+    code, rep = run_json(["residue", "--g", "x1", "--system", "x1^2; x2"])
+    assert code == 0
+    assert rep["value"] == "1"
+    assert run_json(["residue", "--g", "x1", "--system", "x1^2; x2",
+                     "--vars", "2"]) == (code, rep)
 
 
 def test_verify_thm1_command():
@@ -386,6 +396,76 @@ def test_residue_escalation_start_beyond_the_cap_is_tried():
     code, rep = run_json(["residue", "--g", "x1^20*x2^20",
                           "--system", "x1^21; x2^21", "--vars", "2"])
     assert code == 0 and rep["value"] == "1"
+
+
+TRUNC_COMMANDS = {
+    "socle-order": ["socle-order", "--poly", "x1^2 + x2^3"],
+    "residue": ["residue", "--g", "x1*x2^2", "--system", "2*x1^2; 3*x2^3"],
+    "verify-thm1": ["verify-thm1", "--poly", "x1^2 + x2^3",
+                    "--h", "x1^2*x2^2"],
+    "verify-thm2": ["verify-thm2", "--poly", "x1^2 + x2^3", "--h", "x1*x2^2",
+                    "--face", "0", "--r", "0"],
+    "verify-all": ["verify-all", "--poly", "x1^2 + x2^3"],
+}
+
+
+@pytest.mark.parametrize("trunc", ["0", "-3"])
+@pytest.mark.parametrize("command", sorted(TRUNC_COMMANDS))
+def test_non_positive_truncation_is_an_input_error(command, trunc):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, rep = run_json(TRUNC_COMMANDS[command] + ["--trunc", trunc])
+    assert code == 2 and rep is None
+    assert err.getvalue().startswith("input error:")
+
+
+def test_truncation_below_the_socle_floor_still_hits_the_cap():
+    # the residues settle on their own escalated span; the socle stage needs
+    # D >= 7 and was given D = 3
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_json(["verify-all", "--poly", "x1^2 + x2^3",
+                            "--trunc", "3"])
+    assert code == 3
+    assert "below the required minimum 7" in err.getvalue()
+
+
+def count_calls(monkeypatch, module, name, calls):
+    """Replace ``module.name`` in every newton_socle module that bound it by
+    a wrapper appending each call's bound arguments to ``calls``."""
+    original = getattr(module, name)
+    signature = inspect.signature(original)
+
+    def wrapper(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").split(".")[0] != "newton_socle":
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, wrapper)
+
+
+@pytest.mark.parametrize("poly", ["x1^4 + x1^2*x2^2 + x2^5",
+                                  "x1^2+x2^3+x3^4"])
+def test_verify_all_computes_each_invariant_once(monkeypatch, poly):
+    calls = {"polyhedron": [], "quotient": [], "span": []}
+    count_calls(monkeypatch, newton_socle.polylattice, "newton_polyhedron",
+                calls["polyhedron"])
+    count_calls(monkeypatch, newton_socle.facering, "canonical_quotient",
+                calls["quotient"])
+    count_calls(monkeypatch, newton_socle.localalg, "certified_ideal",
+                calls["span"])
+    code, rep = run_json(["verify-all", "--poly", poly])
+    assert code == 0
+    assert len(calls["polyhedron"]) == 1
+    assert len(calls["quotient"]) == len(rep["faces"])
+    requests = [(tuple(a["gens"]), a["D"], a["min_D"]) for a in calls["span"]]
+    assert len(set(requests)) == len(requests)
 
 
 def test_residue_escalation_start_far_beyond_the_cap_is_refused(monkeypatch):

@@ -100,6 +100,17 @@ def invocations():
                                       "x1^2 + x1*x2 + x2^3", "--primes", "5"]))
     out.append(("verify-all --trunc 12", ["verify-all", "--poly",
                                           "x1^2 + x2^3", "--trunc", "12"]))
+    # with --trunc the residues escalate from it while the Jacobian check
+    # builds at exactly it; at 3 the socle stage is below its floor (exit 3)
+    out.append(("verify-all --trunc 7", ["verify-all", "--poly",
+                                         "x1^2 + x2^3", "--trunc", "7"]))
+    out.append(("verify-all --trunc 3", ["verify-all", "--poly",
+                                         "x1^2 + x2^3", "--trunc", "3"]))
+    # several residues per face, and four variables without a regular fan
+    for f in ("x1^2+x2^3+x3^5", "x1^3+x2^4+x3^5+x1*x2*x3",
+              "x1^3+x2^3+x3^3+x4^3"):
+        out.append(("verify-all " + f,
+                    ["verify-all", "--poly", f, "--seed", "1"]))
     out.append(("koszul negative trials", ["koszul", "--polytope", "triangle",
                                            "--trials", "-1"]))
     out.append(("fan --fan 2d", ["fan", "--poly", "x1*x2", "--fan",
