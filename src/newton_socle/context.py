@@ -87,16 +87,24 @@ class RunContext:
         return residue.nonvanishing_residue(
             self.f, h, fc.r, g, quotient, lambda p: self.log_trace.residue(p))
 
+    @cached_property
+    def exact_log_span(self):
+        """The log span at exactly ``trunc``, which the socle stage and the
+        Jacobian check share."""
+        return localalg.certified_ideal(self.generators[0], D=self.trunc)
+
     def socle_order(self):
         """The report of :func:`localalg.socle_newton_order`.  Without
         ``trunc`` the escalation it would run settles on the log span
         whenever that span reaches its floor, so the span is reused then."""
         floor = localalg.socle_truncation_floor(self.polyhedron)
-        if self.trunc is None and self.log_span.algebra.D >= floor:
+        if self.trunc is not None:
+            localalg.check_truncation_floor(self.trunc, floor)
+            span = self.exact_log_span
+        elif self.log_span.algebra.D >= floor:
             span = self.log_span
         else:
-            span = localalg.certified_ideal(self.generators[0], D=self.trunc,
-                                            min_D=floor)
+            span = localalg.certified_ideal(self.generators[0], min_D=floor)
         return localalg.socle_order_report(self.polyhedron, span)
 
     @cached_property
@@ -104,10 +112,9 @@ class RunContext:
         """The spans of :func:`localalg.jacobian_multiplication_check`: the
         log span at exactly ``trunc`` (without it, the residues' span), and
         the Jacobian span at the same truncation."""
-        log_gens, jac_gens = self.generators
-        span_i = (self.log_span if self.trunc is None else
-                  localalg.certified_ideal(log_gens, D=self.trunc))
-        return span_i, localalg.certified_ideal(jac_gens, D=span_i.algebra.D)
+        span_i = self.log_span if self.trunc is None else self.exact_log_span
+        return span_i, localalg.certified_ideal(self.generators[1],
+                                                D=span_i.algebra.D)
 
     def jacobian_multiplication(self, seed):
         return localalg.jacobian_multiplication_report(*self.jacobian_spans,

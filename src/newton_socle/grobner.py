@@ -3,11 +3,17 @@ systems have a common zero in the torus.
 
 Only the degree-reverse-lexicographic order is implemented; torus conditions
 go through a Rabinowitsch variable, and every answer is exact.
+:func:`buchberger` applies the product and chain criteria, takes pairs by
+Buchberger's normal selection strategy, computes each leading monomial
+once, and stops as soon as an S-polynomial reduces to a nonzero constant:
+the reduced basis is then {1}, the basis of the unit ideal, which is what
+every nondegenerate face's torus system reaches.
 Nondegeneracy decides each compact face on its own torus in dim(face) + 1
 variables (see :func:`nondegeneracy_report`); the stratum systems of
 :func:`combid.check_resolution_assumptions` go through
 :func:`torus_has_zero` in all n variables."""
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,13 +53,18 @@ def _divides(a, b):
 
 def normal_form(f, basis):
     """Full reduction of f modulo the basis (leading-term division)."""
+    return _reduce(f, basis, [leading_monomial(g) for g in basis])
+
+
+def _reduce(f, basis, leads):
+    """:func:`normal_form`, with ``leads[i]`` the leading monomial of
+    ``basis[i]``."""
     rem = {}
     work = dict(f)
     while work:
         m = leading_monomial(work)
         c = work[m]
-        for g in basis:
-            lg = leading_monomial(g)
+        for g, lg in zip(basis, leads):
             if _divides(lg, m):
                 quot = tuple(a - b for a, b in zip(m, lg))
                 work = _sub_scaled(work, g, c / g[lg], quot)
@@ -90,8 +101,17 @@ class GB:
 def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Standard Buchberger loop with the product (coprime lead) criterion and
-    the chain criterion, followed by minimalization and inter-reduction."""
+    Buchberger's loop with the normal selection strategy: the pending pair
+    whose lcm of leading monomials is least in degrevlex goes first, ties by
+    index (Buchberger, "Groebner bases: an algorithmic method in polynomial
+    ideal theory", 1985).  Pairs are skipped by the product (coprime lead)
+    and chain criteria; the chain test reads only the set of treated pairs,
+    so it holds in any selection order.  Each element's leading monomial is
+    computed once, when it enters the basis.  An S-polynomial that reduces
+    to a nonzero constant puts 1 in the ideal, whose reduced basis is {1}
+    (Becker & Weispfenning, Groebner Bases, GTM 141, 1993), and that basis
+    is returned at once.  Otherwise the loop ends with minimalization and
+    inter-reduction."""
     if not gens:
         raise InputError("empty generator list")
     nvars = gens[0].nvars
@@ -100,66 +120,60 @@ def buchberger(gens):
     basis = [d for d in (_to_dict(g) for g in gens) if d]
     if not basis:
         raise InputError("all generators are zero")
+    leads = [leading_monomial(g) for g in basis]
 
-    def lcm(a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
+    pairs = []
 
-    def spoly(f, g):
-        lf, lg = leading_monomial(f), leading_monomial(g)
-        l = lcm(lf, lg)
+    def add_pairs(i):
+        for j in range(i):
+            l = tuple(max(x, y) for x, y in zip(leads[i], leads[j]))
+            heapq.heappush(pairs, (degrevlex_key(l), i, j, l))
+
+    def spoly(i, j, l):
+        f, g, lf, lg = basis[i], basis[j], leads[i], leads[j]
         sf = _sub_scaled({}, f, -1 / f[lf],
                          tuple(a - b for a, b in zip(l, lf)))
         return _sub_scaled(sf, g, 1 / g[lg],
                            tuple(a - b for a, b in zip(l, lg)))
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    for i in range(len(basis)):
+        add_pairs(i)
     done = set()
     while pairs:
-        i, j = min(pairs)
-        pairs.discard((i, j))
+        _, i, j, l = heapq.heappop(pairs)
         done.add((i, j))
-        li, lj = leading_monomial(basis[i]), leading_monomial(basis[j])
-        l = lcm(li, lj)
-        if all(a + b == m for a, b, m in zip(li, lj, l)):
+        if all(a + b == m for a, b, m in zip(leads[i], leads[j], l)):
             continue  # coprime leading terms
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(leading_monomial(basis[k]), l):
-                pik = (max(i, k), min(i, k))
-                pjk = (max(j, k), min(j, k))
-                if pik in done and pjk in done:
-                    chain = True
-                    break
-        if chain:
-            continue
-        r = normal_form(spoly(basis[i], basis[j]), basis)
+        if any(k != i and k != j and _divides(leads[k], l)
+               and (max(i, k), min(i, k)) in done
+               and (max(j, k), min(j, k)) in done
+               for k in range(len(basis))):
+            continue  # chain criterion
+        r = _reduce(spoly(i, j, l), basis, leads)
         if r:
-            new_idx = len(basis)
+            lead = leading_monomial(r)
+            if not any(lead):
+                return GB(tuple(gens), (((lead, Fraction(1)),),), nvars)
             basis.append(r)
-            pairs.update((new_idx, k) for k in range(new_idx))
+            leads.append(lead)
+            add_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose lead is divisible by another lead
-    leads = [leading_monomial(g) for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        if any(j != i and _divides(leads[j], leads[i])
-               and (leads[j] != leads[i] or j < i) for j in range(len(basis))):
-            continue
-        keep.append(g)
-    # inter-reduce and normalize to monic
+    keep = [i for i in range(len(basis))
+            if not any(j != i and _divides(leads[j], leads[i])
+                       and (leads[j] != leads[i] or j < i)
+                       for j in range(len(basis)))]
+    keep.sort(key=lambda i: degrevlex_key(leads[i]))
+    # inter-reduce and normalize to monic; no other lead divides an element's
+    # lead, so its lead and lead coefficient survive the reduction
     reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = normal_form(g, others)
-        if not r:
-            continue
-        lead = r[leading_monomial(r)]
-        reduced.append({e: v / lead for e, v in r.items()})
-    reduced.sort(key=lambda g: degrevlex_key(leading_monomial(g)))
-    frozen = tuple(tuple(sorted(g.items())) for g in reduced)
-    return GB(tuple(gens), frozen, nvars)
+    for i in keep:
+        others = [k for k in keep if k != i]
+        r = _reduce(basis[i], [basis[k] for k in others],
+                    [leads[k] for k in others])
+        c = r[leads[i]]
+        reduced.append(tuple(sorted((e, v / c) for e, v in r.items())))
+    return GB(tuple(gens), tuple(reduced), nvars)
 
 
 # -- torus zeros and nondegeneracy -------------------------------------------

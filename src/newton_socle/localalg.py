@@ -198,6 +198,13 @@ def build_ideal(gens, D):
     return IdealSpan(alg, gens, ech, bound)
 
 
+def check_truncation_floor(D, min_D):
+    """Refuse a given truncation D below the floor ``min_D``."""
+    if D < min_D:
+        raise TruncationError(
+            "truncation D=%d below the required minimum %d" % (D, min_D))
+
+
 def certified_ideal(gens, D=None, min_D=0):
     """Build an ideal span whose finite colength is certified.
 
@@ -216,9 +223,7 @@ def certified_ideal(gens, D=None, min_D=0):
     nvars = gens[0].nvars
     cap = 40 if nvars <= 2 else 20
     if D is not None:
-        if D < min_D:
-            raise TruncationError(
-                "truncation D=%d below the required minimum %d" % (D, min_D))
+        check_truncation_floor(D, min_D)
         span = build_ideal(gens, D)
         if span.m_power_bound is None:
             raise TruncationError("increase truncation: no certificate at D=%d" % D)

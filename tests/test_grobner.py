@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import sys
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -8,11 +12,16 @@ from hypothesis import given, settings, strategies as st
 from newton_socle import (SparsePoly, buchberger, compact_faces, face_part,
                           newton_polyhedron, nondegenerate,
                           nondegeneracy_report, torus_has_zero)
+from newton_socle import grobner
 from newton_socle.errors import InputError
 from newton_socle.grobner import face_torus_polynomial
 from newton_socle.linalg import det, hermite_basis, rank, solve
 
+import grobner_oracles as oracle
 from conftest import poly
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
+from perfbench.workloads import k_support  # noqa: E402
 
 
 def test_buchberger_already_a_basis():
@@ -42,6 +51,60 @@ def test_buchberger_permutation_invariance():
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert buchberger(shuffled).basis == reference
+
+
+@st.composite
+def systems(draw, max_terms=4):
+    """1-4 generators in 1-3 variables, each of 1-``max_terms`` terms with
+    exponents at most 2 and integer or p/q coefficients."""
+    n = draw(st.integers(1, 3))
+    coeff = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                      st.integers(1, 3))
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+    terms = st.dictionaries(mono, coeff, min_size=1, max_size=max_terms)
+    return [SparsePoly(n, t) for t in draw(st.lists(terms, min_size=1,
+                                                    max_size=4))]
+
+
+@given(systems())
+@settings(max_examples=100, deadline=None)
+def test_buchberger_matches_the_oracle(gens):
+    assert buchberger(gens).basis == oracle.buchberger(gens).basis
+
+
+# The Rabinowitsch system has one variable more; with four 4-term
+# generators in 3 variables the oracle's run can take seconds.
+@given(systems(max_terms=3))
+@settings(max_examples=60, deadline=None)
+def test_torus_has_zero_matches_the_oracle(gens):
+    assert torus_has_zero(gens) == oracle.torus_has_zero(gens)
+
+
+def test_buchberger_stops_at_the_unit_ideal():
+    # x2 * x1 - (x1*x2 - 1) = 1: the constant appears only in the S-pair
+    gens = [poly("x1*x2 - 1"), poly("x1", nvars=2)]
+    gb = buchberger(gens)
+    assert gb.basis == ((((0, 0), Fraction(1)),),)
+    assert gb.generators == tuple(gens)
+    assert gb.basis == oracle.buchberger(gens).basis
+
+
+def test_degenerate_k10_faces_run_to_a_full_basis(monkeypatch):
+    f = SparsePoly.from_json(json.loads(k_support(10)))
+    real, runs = grobner.buchberger, []
+
+    def recording(gens):
+        runs.append(real(gens))
+        return runs[-1]
+
+    monkeypatch.setattr(grobner, "buchberger", recording)
+    report = nondegeneracy_report(f)
+    zero = [e for e in report["faces"] if e["torus_zero"]]
+    assert zero and all(e["method"] == "groebner-Q" for e in zero)
+    assert not report["nondegenerate"]
+    assert sum(not gb.is_unit_ideal() for gb in runs) == len(zero)
+    for gb in runs:
+        assert gb.basis == oracle.buchberger(list(gb.generators)).basis
 
 
 def test_buchberger_rejects_mismatched_rings():

@@ -22,7 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, os.pardir))
 
-from perfbench.workloads import CURVES, SURFACES, k_support  # noqa: E402
+from perfbench.workloads import (CURVES, SURFACES, k_support,  # noqa: E402
+                                 load_expected)
 
 # tests/conftest.py::FAMILY
 FAMILY = [
@@ -126,6 +127,11 @@ def invocations():
     out.append(("polyhedron K=14", ["polyhedron", "--poly", k14]))
     out.append(("fan K=10", ["fan", "--poly", k10]))
     out.append(("fan --regular K=10", ["fan", "--poly", k10, "--regular"]))
+    # and its Buchberger runs: the degenerate K=10 faces and every pool cubic
+    out.append(("nondeg K=10", ["nondeg", "--poly", k10, "--seed", "1"]))
+    for i, cubic in enumerate(load_expected("geometry")["cubic_pool"]):
+        out.append(("nondeg cubic %d" % i,
+                    ["nondeg", "--poly", cubic, "--seed", "1"]))
     out.append(("fractional exponent",
                 ["polyhedron", "--poly",
                  '{"nvars": 1, "terms": [{"e": [1.5], "c": "1"}]}']))
