@@ -313,7 +313,7 @@ def cmd_verify_all(args):
     }
     report["checks"]["socle_newton_order"] = so["match"]
 
-    jm = run.jacobian_multiplication(args.seed)
+    jm = run.jacobian_multiplication()
     report["jacobian_multiplication"] = jm
     report["checks"]["jacobian_multiplication"] = jm["ok"]
 

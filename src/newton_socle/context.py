@@ -116,6 +116,5 @@ class RunContext:
         return span_i, localalg.certified_ideal(self.generators[1],
                                                 D=span_i.algebra.D)
 
-    def jacobian_multiplication(self, seed):
-        return localalg.jacobian_multiplication_report(*self.jacobian_spans,
-                                                       seed=seed)
+    def jacobian_multiplication(self):
+        return localalg.jacobian_multiplication_report(*self.jacobian_spans)

@@ -10,10 +10,11 @@ exact lattice-point scans of bounded cone sections.
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+from operator import add, neg
 
 from .errors import InputError, VerificationError
 from .fan import Cone, cone_from_rays
-from .linalg import dot, in_row_span, rank, rref, solve
+from .linalg import Echelon, _integral, dot, solve
 from .polylattice import (FaceDescriptor, SparsePoly, face_part,
                           lattice_points, parallelepiped_points)
 
@@ -181,26 +182,24 @@ def _interior_piece(sigma, grading, scaled_degree, pieces):
     return pieces[scaled_degree]
 
 
-def _image_matrix(sigma, grading, params, scaled_degree, param_degrees,
-                  pieces=None):
-    """Rows spanning the image of multiplication by the parameters inside the
-    interior-monomial piece of the given scaled degree; returns (rows, piece,
-    index of piece monomials).  ``pieces`` carries the interior pieces
-    already enumerated, by scaled degree, from one call to the next."""
+def _image_span(sigma, grading, params, scaled_degree, param_degrees,
+                pieces=None):
+    """Echelon span of the image of multiplication by the parameters inside
+    the interior-monomial piece of the given scaled degree; returns
+    (echelon, piece).  Its columns are positions in the piece and the key is
+    the negated position, so the pivots are the leftmost monomials, as in
+    ``rref``.  ``pieces`` carries the interior pieces already enumerated, by
+    scaled degree, from one call to the next."""
     if pieces is None:
         pieces = {}
     piece = _interior_piece(sigma, grading, scaled_degree, pieces)
     index = {m: i for i, m in enumerate(piece)}
-    rows = []
+    ech = Echelon(neg)
     for p, pd in zip(params, param_degrees):
-        below = _interior_piece(sigma, grading, scaled_degree - pd, pieces)
-        for m in below:
-            row = [Fraction(0)] * len(piece)
-            for e, c in p.terms.items():
-                key = tuple(a + b for a, b in zip(e, m))
-                row[index[key]] += c
-            rows.append(tuple(row))
-    return rows, piece, index
+        terms = _integral(p.terms)[0].items()
+        for m in _interior_piece(sigma, grading, scaled_degree - pd, pieces):
+            ech.insert({index[tuple(map(add, e, m))]: c for e, c in terms})
+    return ech, piece
 
 
 def canonical_quotient(fc, params, grading=None):
@@ -232,16 +231,14 @@ def canonical_quotient(fc, params, grading=None):
     pieces = {}
     k_dims = {}
     q_dims = {}
-    socle_rows = None
-    socle_piece = None
     for k in range(0, top_scaled + 1):
         k_dims[k] = len(_interior_piece(sigma, grading, k, pieces))
     for k in range(0, top_scaled + 1):
-        rows, piece, _ = _image_matrix(sigma, grading, params, k,
-                                       param_degrees, pieces)
-        q_dims[k] = len(piece) - rank(rows)
+        ech, piece = _image_span(sigma, grading, params, k, param_degrees,
+                                 pieces)
+        q_dims[k] = len(piece) - len(ech.rows)
         if k == expected_scaled:
-            socle_rows, socle_piece = rows, piece
+            socle_ech, socle_piece = ech, piece
 
     # Poincare prediction: coefficients of P(K) * prod(1 - t^pd)
     predicted = dict(k_dims)
@@ -263,10 +260,8 @@ def canonical_quotient(fc, params, grading=None):
     if not nonzero or max(nonzero) != expected_scaled:
         raise InputError("not a system of parameters: socle degree mismatch")
 
-    reduced, pivots = rref(socle_rows)
-    pivset = set(pivots)
     basis = [SparsePoly.monomial(m) for i, m in enumerate(socle_piece)
-             if i not in pivset]
+             if i not in socle_ech.rows]
     graded_dims = {Fraction(k, d): v for k, v in q_dims.items() if v > 0}
     return CanonicalQuotient(sigma, grading, params, graded_dims,
                              Fraction(expected_scaled, d), tuple(basis))
@@ -278,18 +273,10 @@ def select_parameters(derivs, fc):
     system of parameters is checked by :func:`canonical_quotient`, which
     every caller builds from them next."""
     target = fc.sigma.dim
-    support = sorted({e for p in derivs for e in p.support()})
-    index = {e: i for i, e in enumerate(support)}
+    ech = Echelon(lambda m: m)
     chosen = []
-    rows = []
     for p in derivs:
-        if p.is_zero():
-            continue
-        row = [Fraction(0)] * len(support)
-        for e, c in p.terms.items():
-            row[index[e]] = c
-        if rank(rows + [tuple(row)]) > len(rows):
-            rows.append(tuple(row))
+        if ech.insert(p.terms):
             chosen.append(p)
         if len(chosen) == target:
             break
@@ -387,7 +374,7 @@ def poincare_series(sigma, grading, truncation):
 
 def class_nonzero(g, quotient):
     """Whether g represents a nonzero class in the quotient module at its own
-    degree (exact rank test against the parameter image)."""
+    degree: its normal form against the parameter image is nonzero."""
     if g.is_zero():
         return False
     sigma = quotient.sigma
@@ -400,9 +387,7 @@ def class_nonzero(g, quotient):
         if not sigma.relative_interior_contains(e):
             raise InputError("g is not supported in the interior of the cone")
     param_degrees = [_parameter_degree(p, grading) for p in quotient.parameters]
-    rows, piece, index = _image_matrix(sigma, grading, quotient.parameters,
-                                       k, param_degrees)
-    vec = [Fraction(0)] * len(piece)
-    for e, c in g.terms.items():
-        vec[index[e]] = c
-    return not in_row_span(rows, tuple(vec))
+    ech, piece = _image_span(sigma, grading, quotient.parameters, k,
+                             param_degrees)
+    index = {m: i for i, m in enumerate(piece)}
+    return bool(ech.reduce({index[e]: c for e, c in g.terms.items()}))

@@ -6,13 +6,19 @@ with exact arithmetic is the right tool, but it never runs on ``Fraction``
 entries.  Each row is turned once into a primitive integer row: scaled by
 the lcm of its denominators and divided by the gcd of its entries (this
 keeps its span).  :func:`_row_reduce` is the one Gauss–Jordan routine behind
-``rref``, ``rank``, ``solve``, ``kernel_basis`` and ``in_row_span``: it
-cancels each pivot by integer cross-multiplication and divides every row it
-changes by its gcd, so the rows stay primitive.  :func:`_bareiss`, behind
-``det``, is Bareiss's fraction-free elimination on integer rows (E. H. Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22 (1968)).  ``Fraction`` is built only in what
-``rref``, ``solve``, ``kernel_basis`` and ``det`` return.
+``rref``, ``rank``, ``solve`` and ``kernel_basis``: it cancels each pivot by
+integer cross-multiplication and divides every row it changes by its gcd, so
+the rows stay primitive.  :func:`_bareiss`, behind ``det``, is Bareiss's
+fraction-free elimination on integer rows (E. H. Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math. Comp.
+22 (1968)).  ``Fraction`` is built only in what ``rref``, ``solve``,
+``kernel_basis`` and ``det`` return.
+
+Spans of sparse vectors (dicts from a column, often a monomial, to its entry)
+go through :class:`Echelon` instead: the same primitive integer rows, kept
+sparse and pivoting on the largest column under a given key.  Ideal spans,
+face-ring quotients, parameter choice, the Jacobian injectivity check and
+the Koszul rank all use it.
 """
 
 from fractions import Fraction
@@ -200,6 +206,91 @@ def det(rows):
     return Fraction(_bareiss(mat), scale)
 
 
+def _integral(terms):
+    """``terms`` over the common denominator d of its coefficients: an
+    integer dict without zero entries, and d."""
+    d = lcm(*(v.denominator for v in terms.values()))
+    return {k: v.numerator * (d // v.denominator)
+            for k, v in terms.items() if v}, d
+
+
+def _sub_multiple(dst, b, src):
+    """dst -= b * src over integer dicts, dropping the entries that vanish."""
+    for k, v in src.items():
+        w = dst.get(k, 0) - b * v
+        if w:
+            dst[k] = w
+        else:
+            del dst[k]
+
+
+class Echelon:
+    """Sparse row-echelon span of dicts {column: entry}, pivoting on the
+    maximal column under ``key``.
+
+    Rows are primitive integer dicts with a positive pivot entry, and
+    elimination is fraction-free: ``Fraction`` appears only where ``reduce``
+    hands its results back.  ``len(rows)`` is the rank, and the pivot set
+    (the keys of ``rows``) depends only on the span."""
+
+    def __init__(self, key):
+        self.key = key
+        self.rows = {}
+
+    def _eliminate(self, work, lead_only):
+        """Cancel pivot columns, largest first, from the integer dict
+        ``work`` in place.  Before each cancellation ``work`` is multiplied
+        by the least factor that keeps it integral; the product of these
+        factors is the scale.  Returns the entries split off as
+        {column: (entry, scale then)}.  ``lead_only`` stops at the first
+        column that is not a pivot."""
+        out = {}
+        scale = 1
+        while work:
+            m = max(work, key=self.key)
+            c = work[m]
+            row = self.rows.get(m)
+            if row is None:
+                out[m] = (c, scale)
+                del work[m]
+                if lead_only:
+                    break
+                continue
+            p = row[m]
+            g = gcd(c, p)
+            a, b = p // g, c // g
+            if a != 1:
+                scale *= a
+                for k in work:
+                    work[k] *= a
+            _sub_multiple(work, b, row)
+        return out
+
+    def reduce(self, terms):
+        """Normal form of ``terms``: what is left once every pivot column is
+        cancelled; empty exactly when ``terms`` lies in the span."""
+        work, d = _integral(terms)
+        out = self._eliminate(work, lead_only=False)
+        return {m: Fraction(c, s * d) for m, (c, s) in out.items()}
+
+    def insert(self, terms):
+        """Add ``terms`` to the span; False when it is already in it.  Only
+        the leading entry is reduced and the new row's tail stays as it is:
+        pivots and normal forms depend only on the span."""
+        work, _ = _integral(terms)
+        out = self._eliminate(work, lead_only=True)
+        if not out:
+            return False
+        (pivot, (c, _)), = out.items()
+        row = {pivot: c}
+        row.update(work)
+        g = gcd(*row.values())
+        if c < 0:
+            g = -g
+        self.rows[pivot] = {m: v // g for m, v in row.items()}
+        return True
+
+
 def hermite_basis(rows):
     """Z-basis of the lattice spanned by the integer vectors ``rows``: the
     nonzero rows of their row Hermite normal form (H. Cohen, "A Course in
@@ -238,9 +329,3 @@ def hermite_basis(rows):
         r += 1
     return [tuple(row) for row in mat[:r]]
 
-
-def in_row_span(rows, vec):
-    """True iff ``vec`` lies in the row space of ``rows``."""
-    if not rows:
-        return all(x == 0 for x in vec)
-    return rank(list(rows)) == rank(list(rows) + [tuple(vec)])

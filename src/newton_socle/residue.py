@@ -17,8 +17,8 @@ import random
 from .errors import InputError, VerificationError
 from .facering import canonical_quotient, class_nonzero, face_cone, \
     face_derivatives, select_parameters
-from .linalg import rank, solve
-from .localalg import _integral, certified_ideal, ideal_generators
+from .linalg import Echelon, _integral, rank, solve
+from .localalg import certified_ideal, ideal_generators
 from .polylattice import (SparsePoly, hull_vertices, lattice_points,
                           normalized_volume, polytope_lattice_points)
 
@@ -248,16 +248,10 @@ def koszul_top_dimension(polytope_points, gs):
             raise InputError("section does not have the full Newton polytope")
     big = lattice_space(pts, n + 1, interior=True).points
     small = lattice_space(pts, n, interior=True).points
-    index = {m: i for i, m in enumerate(big)}
-    rows = []
-    for g in gs:
-        for m in small:
-            row = [Fraction(0)] * len(big)
-            for e, c in g.terms.items():
-                key = tuple(a + b for a, b in zip(e, m))
-                row[index[key]] += c
-            rows.append(tuple(row))
-    return len(big) - rank(rows)
+    image = Echelon(lambda m: m)
+    return len(big) - sum(
+        image.insert({tuple(map(add, e, m)): c for e, c in g.terms.items()})
+        for g in gs for m in small)
 
 
 def random_section(polytope_points, rng, nvars):

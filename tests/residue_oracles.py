@@ -15,8 +15,8 @@ from operator import add
 
 from newton_socle.errors import InputError, TruncationError
 from newton_socle.grobner import degrevlex_key
-from newton_socle.localalg import (_sub_multiple, certified_ideal,
-                                   monomials_of_degree)
+from newton_socle.linalg import _sub_multiple
+from newton_socle.localalg import certified_ideal, monomials_of_degree
 from newton_socle.polylattice import SparsePoly
 from newton_socle.residue import ResidueResult, monomial_residue
 

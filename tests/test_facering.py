@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from newton_socle import (SparsePoly, canonical_quotient, class_nonzero,
                           compact_faces, cone_from_rays, face_cone,
@@ -9,10 +10,11 @@ from newton_socle import (SparsePoly, canonical_quotient, class_nonzero,
                           poincare_series, select_parameters)
 from newton_socle.errors import InputError
 from newton_socle.facering import graded_monomials, grading_from_covector
-from newton_socle.linalg import dot, solve
+from newton_socle.linalg import det, dot, solve
 from newton_socle.polylattice import parallelepiped_points
 
 from conftest import poly
+from facering_oracles import dense_quotient
 
 
 def edge_face(f_text):
@@ -176,16 +178,13 @@ def test_quotient_simplicial_monomial_is_parallelepiped():
 def _collect_basis(sigma, grading, params):
     """All monomial classes of the quotient: non-pivot monomials degree by
     degree (matches the socle-basis construction at every degree)."""
-    from newton_socle.facering import _image_matrix, _parameter_degree
-    from newton_socle.linalg import rref
+    from newton_socle.facering import _image_span, _parameter_degree
     degs = [_parameter_degree(p, grading) for p in params]
     out = []
     for k in range(0, sum(degs) + 1):
-        rows, piece, _ = _image_matrix(sigma, grading, params, k, degs)
-        _, pivots = rref(rows)
-        pivset = set(pivots)
+        ech, piece = _image_span(sigma, grading, params, k, degs)
         out.extend(SparsePoly.monomial(m) for i, m in enumerate(piece)
-                   if i not in pivset)
+                   if i not in ech.rows)
     return out
 
 
@@ -195,6 +194,44 @@ def test_quotient_rejects_non_parameters():
     # two proportional parameters cannot have finite colength
     with pytest.raises(InputError):
         canonical_quotient(fc, [poly("x1^2", nvars=2), poly("2*x1^2", nvars=2)])
+
+
+@st.composite
+def simplicial_systems(draw):
+    """A simplicial 2-D or 3-D cone in the orthant, graded by the sum of the
+    coordinates, with one parameter per ray: the ray's monomial, or that
+    plus a multiple of another cone monomial of the same degree."""
+    n = draw(st.sampled_from([2, 3]))
+    entry = st.integers(0, 3 if n == 2 else 2)
+    rays = draw(st.lists(st.tuples(*[entry] * n), min_size=n, max_size=n))
+    assume(det(rays) != 0)
+    sigma = cone_from_rays(rays)
+    grading = grading_from_covector((1,) * n, sigma)
+    params = []
+    for v in rays:
+        p = SparsePoly.monomial(v)
+        others = [w for w in graded_monomials(sigma, grading,
+                                              grading.scaled(v), False)
+                  if w != v]
+        if others and draw(st.booleans()):
+            c = draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2)]))
+            p = p + SparsePoly.monomial(draw(st.sampled_from(others)), c)
+        params.append(p)
+    return sigma, grading, params
+
+
+@given(simplicial_systems())
+@settings(max_examples=60, deadline=None)
+def test_quotient_matches_the_dense_route(system):
+    sigma, grading, params = system
+    want = dense_quotient(sigma, grading, params)
+    if want is None:
+        with pytest.raises(InputError):
+            canonical_quotient(sigma, params, grading=grading)
+        return
+    q = canonical_quotient(sigma, params, grading=grading)
+    assert (q.graded_dims, q.socle_basis) == want
+    assert all(class_nonzero(b, q) for b in q.socle_basis)
 
 
 # ---------------------------------------------------------------------------

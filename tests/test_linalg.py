@@ -1,10 +1,12 @@
-"""The integer Gauss–Jordan kernel of ``linalg`` against the ``Fraction``
-elimination it replaced (``linalg_oracles``).
+"""The integer Gauss–Jordan kernel of ``linalg``, and its sparse
+``Echelon``, against the ``Fraction`` elimination they replaced
+(``linalg_oracles``).
 
 Results are compared by ``repr``, so a ``Fraction`` returned where an
 ``int`` was (or the reverse) counts as a difference."""
 
 from fractions import Fraction
+from operator import neg
 
 from hypothesis import given, settings, strategies as st
 
@@ -44,11 +46,31 @@ def same(got, want):
     assert repr(got) == repr(want)
 
 
+def sparse(vec):
+    """``vec`` as a {column: entry} dict."""
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def echelon(rows):
+    """The sparse echelon span of ``rows``, pivoting on the leftmost
+    column."""
+    ech = linalg.Echelon(neg)
+    for r in rows:
+        ech.insert(sparse(r))
+    return ech
+
+
+def in_row_span(rows, vec):
+    return not echelon(rows).reduce(sparse(vec))
+
+
 @given(matrices())
 @settings(max_examples=300, deadline=None)
 def test_rref_rank_and_kernel_match_the_fraction_oracle(rows):
     same(linalg.rref(rows), oracle.rref(rows))
     same(linalg.rank(rows), oracle.rank(rows))
+    # the echelon's pivot set depends only on the span: the rref pivots
+    assert sorted(echelon(rows).rows) == oracle.rref(rows)[1]
     ncols = len(rows[0]) if rows else 3
     same(linalg.kernel_basis(rows, ncols), oracle.kernel_basis(rows, ncols))
 
@@ -69,10 +91,10 @@ def test_solve_and_span_match_the_fraction_oracle(rows, data):
     vec = data.draw(st.one_of(matrices(1, ncols),
                               st.just([tuple(x0)]),
                               st.just([(0,) * ncols])))[0]
-    same(linalg.in_row_span(rows, vec), oracle.in_row_span(rows, vec))
+    same(in_row_span(rows, vec), oracle.in_row_span(rows, vec))
     if rows:
         combo = tuple(sum(r[k] for r in rows) for k in range(ncols))
-        assert linalg.in_row_span(rows, combo)
+        assert in_row_span(rows, combo)
 
 
 @given(st.integers(0, 6).flatmap(lambda n: matrices(n, max(n, 1))))
@@ -103,4 +125,4 @@ def test_edge_shapes():
     same(linalg.det([(0, 1), (1, 0)]), Fraction(-1))
     same(linalg.det([(Fraction(1, 2), 1), (Fraction(1, 3), 1)]),
          Fraction(1, 6))
-    assert linalg.in_row_span([], (0, 0)) and not linalg.in_row_span([], (0, 1))
+    assert in_row_span([], (0, 0)) and not in_row_span([], (0, 1))

@@ -11,8 +11,8 @@ from newton_socle import (INFINITY, SparsePoly, build_ideal, certified_ideal,
                           verify_interior_membership)
 from newton_socle.errors import InputError, TruncationError
 from newton_socle.grobner import degrevlex_key
-from newton_socle.linalg import rref
-from newton_socle.localalg import _Echelon
+from newton_socle.linalg import Echelon, rref
+from newton_socle.localalg import jacobian_multiplication_report
 
 from conftest import poly
 from residue_oracles import _Echelon as _TrackedEchelon
@@ -147,6 +147,26 @@ def test_jacobian_multiplication_full_jacobian():
     assert rep["quotient_basis_j"] == ["1"]
 
 
+def test_jacobian_multiplication_not_injective():
+    # x1*x2 kills all but 1 and x2 of the nine monomials below (x1^3, x2^3)
+    # modulo (x1^2, x2^3)
+    rep = jacobian_multiplication_report(
+        certified_ideal([poly("x1^2", nvars=2), poly("x2^3", nvars=2)]),
+        certified_ideal([poly("x1^3", nvars=2), poly("x2^3", nvars=2)], D=8))
+    assert rep["well_defined"] and rep["random_image_samples_ok"]
+    assert len(rep["quotient_basis_j"]) == 9
+    assert not rep["injective"] and not rep["ok"]
+
+
+def test_jacobian_multiplication_not_well_defined():
+    # x1*x2 * x1 = x1^2*x2 is not in (x1^3, x2^3)
+    rep = jacobian_multiplication_report(
+        certified_ideal([poly("x1^3", nvars=2), poly("x2^3", nvars=2)]),
+        certified_ideal([poly("x1", nvars=2), poly("x2^2", nvars=2)], D=8))
+    assert not rep["well_defined"] and not rep["random_image_samples_ok"]
+    assert not rep["ok"]
+
+
 def test_jacobian_multiplication_family(family):
     for f in family:
         assert jacobian_multiplication_check(f)["ok"], str(f)
@@ -210,7 +230,7 @@ def test_echelon_matches_rref_oracle(polys, target):
             expected[mc] = expected.get(mc, 0) - c * v
     expected = {m: c for m, c in expected.items() if c}
 
-    plain = _Echelon(degrevlex_key)
+    plain = Echelon(degrevlex_key)
     tracked = _TrackedEchelon(degrevlex_key)
     for i, p in enumerate(polys):
         plain.insert(p)
