@@ -326,10 +326,6 @@ def cmd_verify_all(args):
     return report, EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
-PRIMES_HELP = ("accepted for older command lines and ignored: every face "
-               "is decided exactly over Q")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="newton-socle",
@@ -365,7 +361,6 @@ def build_parser():
 
     p = sub.add_parser("nondeg", help="nondegeneracy with per-face detail")
     common(p)
-    p.add_argument("--primes", type=int, default=3, help=PRIMES_HELP)
     p.set_defaults(func=cmd_nondeg)
 
     p = sub.add_parser("socle-order", help="Newton order of the socle")
@@ -425,7 +420,6 @@ def build_parser():
     p = sub.add_parser("verify-all", help="full verification pipeline")
     common(p)
     p.add_argument("--trunc", type=int, default=None)
-    p.add_argument("--primes", type=int, default=3, help=PRIMES_HELP)
     p.add_argument("--detlemma-trials", type=int, default=25)
     p.set_defaults(func=cmd_verify_all)
 

@@ -23,12 +23,12 @@ T(P) = c^P_{|P|-1} · Σ_{i∈P} (-1)^{#{p∈P : p>i}} · T(P∖{i}),
 grouping the orderings of P by their last element: 2^r·r products instead
 of Σ_k C(r,k)·k!·k.  Minors are integer Bareiss determinants of M."""
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 import random
 
+from ._record import DERIVED, record
 from .errors import CapError, InputError, VerificationError
 from .fan import dual_fan, face_normal_cone, interior_rays, multiplicity, \
     regularize
@@ -50,7 +50,7 @@ WEIGHT_ATTEMPTS = 100
 # Abstract determinant identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class MinorTable:
     """An (r+1) x n rational matrix with independent rows and its minors.
 
@@ -58,8 +58,8 @@ class MinorTable:
     ``scale`` the lcm of all denominators."""
 
     matrix: tuple
-    scale: int = field(init=False, repr=False, compare=False)
-    scaled: tuple = field(init=False, repr=False, compare=False)
+    scale: int = DERIVED
+    scaled: tuple = DERIVED
 
     def __post_init__(self):
         rows = tuple(tuple(x if type(x) is Fraction else Fraction(x)
@@ -350,7 +350,7 @@ def random_minor_identity_trials(rows, cols, trials, seed):
 # Weight systems on a face
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class WeightSystem:
     """Covectors w_1..w_n adapted to a face: the first r+1 span the normal
     cone's span and restrict to 1 on the face, the whole family is a basis,
@@ -367,7 +367,7 @@ class WeightSystem:
         return [f.weighted_derivative(w) for w in self.weights]
 
 
-@dataclass(frozen=True)
+@record
 class CSystem:
     ray_subset: tuple
     base_point: tuple
@@ -431,7 +431,7 @@ def admissible_ray_subsets(fan, face, poly, f=None):
     return sorted(subsets, key=lambda s: (len(s), [r.generator for r in s]))
 
 
-@dataclass(frozen=True)
+@record
 class _PlainRay:
     generator: tuple
     multiplicity: object

@@ -7,11 +7,11 @@ is cleared so graded pieces are indexed by integers.  Pieces are enumerated by
 exact lattice-point scans of bounded cone sections.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 from operator import add, neg
 
+from ._record import record
 from .errors import InputError, VerificationError
 from .fan import Cone, cone_from_rays
 from .linalg import Echelon, _integral, dot, solve
@@ -19,7 +19,7 @@ from .polylattice import (FaceDescriptor, SparsePoly, face_part,
                           lattice_points, parallelepiped_points)
 
 
-@dataclass(frozen=True)
+@record
 class FaceCone:
     """A compact face not inside a coordinate hyperplane, together with the
     cone it spans; ``r`` is the codimension bookkeeping n - 1 - dim(face)."""
@@ -42,7 +42,7 @@ def face_cone(face):
     return fc
 
 
-@dataclass(frozen=True)
+@record
 class GradingForm:
     """Rational covector equal to 1 on the face, positive on the cone minus
     the origin; ``denominator`` clears it to an integer form on the lattice."""
@@ -124,7 +124,7 @@ def graded_monomials(sigma, grading, scaled_degree, interior):
     return lattice_points(lo, hi, ineqs, eqs)
 
 
-@dataclass(frozen=True)
+@record
 class GradedPiece:
     degree: Fraction
     monomials: tuple
@@ -146,7 +146,7 @@ def graded_piece(sigma, grading, degree, interior=False):
     return GradedPiece(Fraction(degree), tuple(monos))
 
 
-@dataclass(frozen=True)
+@record
 class CanonicalQuotient:
     """The canonical module of the face ring modulo the chosen parameters:
     graded dimensions, socle degree and a monomial socle basis."""
@@ -285,7 +285,7 @@ def select_parameters(derivs, fc):
     return chosen
 
 
-@dataclass(frozen=True)
+@record
 class PoincareSeries:
     """Truncated graded dimension counts for the face ring and its canonical
     module, plus (simplicial cones) the closed rational form and its value at

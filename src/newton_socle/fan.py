@@ -6,12 +6,12 @@ pointed cone's rays off the facet incidences of its generators; only a cone
 with lineality takes a second double description, the polar's polar.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 import json
 
+from ._record import record
 from .errors import InputError, RegularizationError, VerificationError
 from .linalg import det, dot, primitive, rank, solve, vec_sub
 from .polylattice import (INFINITY, exact_int, faces, incidence_closures,
@@ -27,7 +27,7 @@ STELLAR_STEPS = 400
 # Cones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Cone:
     """Rational polyhedral cone by primitive generators and inequalities.
 
@@ -172,7 +172,7 @@ def check_face_duality(cone, nvars=None):
 # Fans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Fan:
     """A fan supported on the positive orthant, closed under taking faces."""
 
@@ -515,7 +515,7 @@ def _check_refines(fine, coarse):
 # Ray data for a fixed polynomial
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RayData:
     """A non-coordinate ray with its multiplicity for a reference polynomial
     and the multiplicity-normalized covector (None when the multiplicity is

@@ -14,9 +14,9 @@ variables (see :func:`nondegeneracy_report`); the stratum systems of
 :func:`torus_has_zero` in all n variables."""
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import InputError
 from .linalg import hermite_basis, solve, vec_sub
 from .polylattice import SparsePoly, compact_faces, face_part, newton_polyhedron
@@ -75,7 +75,7 @@ def _reduce(f, basis, leads):
     return rem
 
 
-@dataclass(frozen=True)
+@record
 class GB:
     """A reduced Groebner basis in degrevlex order over Q."""
 

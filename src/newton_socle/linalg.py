@@ -100,6 +100,18 @@ def _primitive_rows(rows):
     return [list(primitive(r)) for r in rows]
 
 
+def _primitive_sparse_row(terms, ncols):
+    """``list(primitive(v))`` for the row ``v`` of length ``ncols`` whose
+    nonzero entries are ``terms`` {column: rational}; the lcm and gcd run
+    over those entries only."""
+    ints, _ = _integral(terms)
+    g = gcd(*ints.values())
+    row = [0] * ncols
+    for j, x in ints.items():
+        row[j] = x // g
+    return row
+
+
 def rref(rows):
     """Reduced row echelon form.
 
@@ -133,8 +145,12 @@ def kernel_basis(rows, ncols=None):
             raise ValueError("ncols required for empty matrix")
         return [tuple(Fraction(int(i == j)) for j in range(ncols))
                 for i in range(ncols)]
-    ncols = len(rows[0])
-    mat = _primitive_rows(rows)
+    return _integer_kernel(_primitive_rows(rows), len(rows[0]))
+
+
+def _integer_kernel(mat, ncols):
+    """``kernel_basis`` of the integer rows ``mat``, which it reduces in
+    place."""
     pivots = _row_reduce(mat, ncols)
     pivset = set(pivots)
     basis = []

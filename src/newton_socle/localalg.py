@@ -7,13 +7,14 @@ the span, Nakayama promotes truncated answers to honest local-ring answers,
 and D0 is recorded as the certificate.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
+from ._record import record
 from .errors import InputError, TruncationError, VerificationError
 from .grobner import degrevlex_key
-from .linalg import Echelon, _integral, kernel_basis
+from .linalg import (Echelon, _integer_kernel, _integral,
+                     _primitive_sparse_row)
 from .polylattice import (INFINITY, SparsePoly, newton_order,
                           newton_polyhedron)
 
@@ -67,7 +68,7 @@ def _shifted_span(gens, D):
     return ech
 
 
-@dataclass
+@record(frozen=False)
 class IdealSpan:
     """Span of {x^a * g_j} inside the degree-D truncation, with the smallest
     degree whose monomials all lie in the span as colength certificate."""
@@ -177,23 +178,20 @@ def socle(span):
     basis = span.quotient_basis()
     if not basis:
         return []
+    n = len(basis)
     index = {m: i for i, m in enumerate(basis)}
     nvars = span.algebra.nvars
-    rows = []
+    mat = []
     for v in range(nvars):
-        ev = tuple(int(i == v) for i in range(nvars))
-        cols = []
-        for b in basis:
-            shifted = tuple(x + y for x, y in zip(b, ev))
-            red = span.reduce({shifted: Fraction(1)})
-            col = [Fraction(0)] * len(basis)
-            for m, c in red.items():
-                col[index[m]] = c
-            cols.append(col)
-        for i in range(len(basis)):
-            rows.append(tuple(cols[j][i] for j in range(len(basis))))
+        # rows[i][j]: the coefficient of basis[i] in x_v * basis[j]
+        rows = [{} for _ in basis]
+        for j, b in enumerate(basis):
+            shifted = b[:v] + (b[v] + 1,) + b[v + 1:]
+            for m, c in span.reduce({shifted: Fraction(1)}).items():
+                rows[index[m]][j] = c
+        mat.extend(_primitive_sparse_row(r, n) for r in rows)
     reps = []
-    for vec in kernel_basis(rows, ncols=len(basis)):
+    for vec in _integer_kernel(mat, n):
         reps.append(SparsePoly(nvars, {basis[j]: c for j, c in enumerate(vec)
                                        if c != 0}))
     return reps

@@ -8,11 +8,11 @@ hulls of Newton polyhedra are obtained from it by homogenization.
 """
 
 from fractions import Fraction
-from dataclasses import dataclass
 import json
 import math
 import re
 
+from ._record import record
 from .errors import InputError
 from .linalg import (det, dot, kernel_basis, primitive, rank, rref, solve,
                      vec_sub)
@@ -442,14 +442,14 @@ def hull_vertices(points, recession=()):
 # Newton polyhedra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Facet:
     normal: tuple          # primitive integer covector l, l(m) >= offset on the polyhedron
     offset: int
     compact: bool          # the facet is a bounded set (normal strictly positive)
 
 
-@dataclass(frozen=True)
+@record
 class NewtonPolyhedron:
     """conv(supp f) + R_+^n by vertices and facet inequalities."""
 
@@ -521,7 +521,7 @@ def support_function(poly, a):
     return min(dot(a, v) for v in poly.vertices)
 
 
-@dataclass(frozen=True)
+@record
 class FaceDescriptor:
     """A face of a Newton polyhedron.
 

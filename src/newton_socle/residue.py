@@ -7,13 +7,13 @@ The normalization absorbs all transcendental factors, so a residue against
 monomial denominators x^(a_1), ..., x^(a_n) is the bare coefficient of
 x^(a-1) and every value produced here is rational."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add
 import math
 import random
 
+from ._record import record
 from .errors import InputError, VerificationError
 from .facering import canonical_quotient, class_nonzero, face_cone, \
     face_derivatives, select_parameters
@@ -26,7 +26,7 @@ from .polylattice import (SparsePoly, hull_vertices, lattice_points,
 KOSZUL_ATTEMPTS = 5
 
 
-@dataclass(frozen=True)
+@record
 class ResidueResult:
     value: Fraction
     truncation_used: int
@@ -206,7 +206,7 @@ def nonvanishing_residue(f, h, r, g, quotient, log_residue):
 # Lattice-point models on compact polytopes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class LatticeSpace:
     polytope: tuple
     dilation: int

@@ -207,6 +207,16 @@ def test_parse_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["nondeg", "verify-all"])
+def test_removed_primes_option_exits_2(command):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        main([command, "--poly", "x1^2 + x2^3", "--primes", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --primes 5" in err.getvalue()
+
+
 @pytest.mark.parametrize("argv, extra_env", [
     (["nu", "--poly", '{"nvars": 2}', "--g", "x1"], {}),
     (["fan", "--poly", "x1^2 + x2^3", "--fan", "no-such-fan.json"], {}),

@@ -11,7 +11,7 @@ from newton_socle import (INFINITY, SparsePoly, build_ideal, certified_ideal,
                           verify_interior_membership)
 from newton_socle.errors import InputError, TruncationError
 from newton_socle.grobner import degrevlex_key
-from newton_socle.linalg import Echelon, rref
+from newton_socle.linalg import Echelon, kernel_basis, rref
 from newton_socle.localalg import jacobian_multiplication_report
 
 from conftest import poly
@@ -68,6 +68,57 @@ def test_socle_examples():
     assert [str(s) for s in socle(span2)] == ["x1*x2"]
     span3 = build_ideal([poly("x1", nvars=2), poly("x2", nvars=2)], 3)
     assert [str(s) for s in socle(span3)] == ["1"]
+
+
+def _dense_socle(span):
+    """The socle as it was computed before it went sparse: dense ``Fraction``
+    rows of the multiplication maps on the quotient basis, then
+    ``kernel_basis``."""
+    basis = span.quotient_basis()
+    index = {m: i for i, m in enumerate(basis)}
+    nvars = span.algebra.nvars
+    rows = []
+    for v in range(nvars):
+        cols = []
+        for b in basis:
+            shifted = tuple(x + int(i == v) for i, x in enumerate(b))
+            col = [Fraction(0)] * len(basis)
+            for m, c in span.reduce({shifted: Fraction(1)}).items():
+                col[index[m]] = c
+            cols.append(col)
+        rows.extend(tuple(col[i] for col in cols) for i in range(len(basis)))
+    return [{basis[j]: c for j, c in enumerate(vec) if c}
+            for vec in kernel_basis(rows, ncols=len(basis))]
+
+
+def test_socle_matches_the_dense_route(family):
+    spans = [certified_ideal(gens) for f in family
+             for gens in ideal_generators(f)]
+    spans.append(build_ideal([poly("x1^2", nvars=2), poly("x1*x2"),
+                              poly("x2^3", nvars=2)], 6))
+    for span in spans:
+        assert [s.terms for s in socle(span)] == _dense_socle(span)
+
+
+@given(st.integers(2, 4), st.integers(2, 4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.builds(Fraction, st.integers(-5, 5),
+                                    st.integers(1, 4))),
+                min_size=2, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_socle_matches_the_dense_route_on_random_ideals(a, b, extra):
+    """Pure powers plus p/q terms of positive degree: finite colength and
+    socles of several dimensions, with rational coefficients."""
+    gens = [{(a, 0): Fraction(1)}, {(0, b): Fraction(1)}]
+    for k, (i, j, c) in enumerate(extra):
+        if i + j and (i, j) not in ((a, 0), (0, b)):
+            gens[k % 2][(i, j)] = gens[k % 2].get((i, j), 0) + c
+    if len(extra) > 2:
+        gens.append({(1, 1): Fraction(1), (extra[2][0], 2): extra[2][2]})
+    span = build_ideal([SparsePoly(2, g) for g in gens], 2 * (a + b))
+    if span.m_power_bound is None:
+        return
+    assert [s.terms for s in socle(span)] == _dense_socle(span)
 
 
 def test_truncation_stability(family):
