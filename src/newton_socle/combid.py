@@ -403,7 +403,12 @@ def _restriction_matrix(weights, start, x0, dirs):
 def admissible_ray_subsets(fan, face, poly, f=None):
     """Nonempty subsets of the interior-ray sets of the fan cones of dimension
     r+1 inside the normal cone of the face."""
-    normal = face_normal_cone(poly, face)
+    return _ray_subsets_in(fan, face_normal_cone(poly, face), poly, f)
+
+
+def _ray_subsets_in(fan, normal, poly, f):
+    """:func:`admissible_ray_subsets` for the face with normal cone
+    ``normal``."""
     target_dim = normal.dim
     if f is not None:
         rays = {rd.generator: rd for rd in interior_rays(fan, f)}
@@ -451,7 +456,7 @@ def choose_weights(poly, face, seed=0, fan=None, f=None):
     r = normal.dim - 1
     if fan is None:
         fan = regularize(dual_fan(poly))
-    admissible = admissible_ray_subsets(fan, face, poly, f=f)
+    admissible = _ray_subsets_in(fan, normal, poly, f)
     rng = random.Random(seed)
     basis_v = [tuple(map(Fraction, ray)) for ray in normal.rays]
     last_failure = "no attempt run"

@@ -4,6 +4,14 @@ regular subdivision (continued fractions in 2D, stellar subdivision in 3D),
 ray multiplicities and pole components.  :func:`cone_from_rays` reads a
 pointed cone's rays off the facet incidences of its generators; only a cone
 with lineality takes a second double description, the polar's polar.
+
+Fans are assembled without intersecting cones where the combinatorics is
+known.  The normal fan is read off the face lattice: each face's normal cone
+is spanned by the normals of the facets that hold it, one double description
+per face.  A fan of simplicial cones is closed under faces by ray subsets,
+each built once, and checked by the pseudomanifold and covering criterion
+for triangulations.  Only a fan with a non-simplicial cone is closed by
+:func:`cone_faces` and checked pairwise by :func:`validate_fan`.
 """
 
 from fractions import Fraction
@@ -13,7 +21,7 @@ import json
 
 from ._record import record
 from .errors import InputError, RegularizationError, VerificationError
-from .linalg import det, dot, primitive, rank, solve, vec_sub
+from .linalg import det, dot, primitive, rank, solve
 from .polylattice import (INFINITY, exact_int, faces, incidence_closures,
                           newton_order, newton_polyhedron,
                           parallelepiped_points, polar_generators,
@@ -48,10 +56,6 @@ class Cone:
     def relative_interior_contains(self, point):
         return (all(dot(l, point) > 0 for l in self.facet_normals)
                 and all(dot(e, point) == 0 for e in self.equations))
-
-    def is_pointed(self):
-        rays = set(self.rays)
-        return not any(tuple(-x for x in r) in rays for r in rays)
 
 
 def cone_from_rays(rays):
@@ -201,17 +205,65 @@ class Fan:
 
 
 def fan_from_cones(nvars, max_cones, validate=True):
-    """Close the given cones under faces and assemble a fan."""
-    all_cones = {}
-    for c in max_cones:
-        for f in cone_faces(c, nvars):
-            all_cones[(f.rays, f.equations)] = f
-    cones = sorted(all_cones.values(), key=lambda c: (c.dim, c.rays))
+    """Close the given cones under faces and assemble a fan.
+
+    When every given cone is simplicial its faces are its ray subsets, and
+    each distinct subset's cone is built once.  If they are also all
+    full-dimensional, :func:`_triangulates_orthant` validates the fan; a fan
+    it rejects goes to :func:`validate_fan`, which names the fault.  Other
+    cones are closed by :func:`cone_faces` and validated pairwise."""
+    if max_cones and all(len(c.rays) == c.dim for c in max_cones):
+        by_rays = {c.rays: c for c in max_cones}
+        for c in list(by_rays.values()):
+            for k in range(1, len(c.rays)):
+                for sub in combinations(c.rays, k):
+                    if sub not in by_rays:
+                        by_rays[sub] = cone_from_rays(list(sub))
+        by_rays.setdefault((), zero_cone(nvars))
+        all_cones = by_rays.values()
+        if validate and all(c.dim == nvars for c in max_cones):
+            maxs = [c for c in all_cones if c.dim == nvars]
+            validate = not _triangulates_orthant(nvars, maxs)
+    else:
+        by_key = {}
+        for c in max_cones:
+            for f in cone_faces(c, nvars):
+                by_key[(f.rays, f.equations)] = f
+        all_cones = by_key.values()
+    cones = sorted(all_cones, key=lambda c: (c.dim, c.rays))
     rays = sorted({c.rays[0] for c in cones if c.dim == 1})
     fan = Fan(nvars, tuple(cones), tuple(rays))
     if validate:
         validate_fan(fan)
     return fan
+
+
+def _triangulates_orthant(n, maxs):
+    """True when the distinct full-dimensional simplicial cones ``maxs``
+    are the maximal cones of a fan whose support is the orthant.
+
+    This is the pseudomanifold and covering criterion for triangulations
+    (De Loera, Rambau & Santos, *Triangulations*, 2010, ch. 4): the rays lie
+    in the orthant; each (n-1)-face in a coordinate hyperplane lies in one
+    cone, and each other (n-1)-face in exactly two, on opposite sides (the
+    signs of two determinants); and the sum of the first cone's rays, a
+    point in its interior, lies in no other cone.  The number of cones over
+    a generic point is then the same on the whole orthant, namely one."""
+    sides = {}
+    for c in maxs:
+        if any(x < 0 for r in c.rays for x in r):
+            return False
+        for i, apex in enumerate(c.rays):
+            facet = c.rays[:i] + c.rays[i + 1:]
+            sides.setdefault(facet, []).append(det(list(facet) + [apex]) > 0)
+    for facet, signs in sides.items():
+        if any(all(r[k] == 0 for r in facet) for k in range(n)):
+            if len(signs) != 1:
+                return False
+        elif sorted(signs) != [False, True]:
+            return False
+    point = tuple(map(sum, zip(*maxs[0].rays)))
+    return sum(c.contains(point) for c in maxs) == 1
 
 
 def fan_from_json(obj, validate=True):
@@ -230,6 +282,12 @@ def fan_from_json(obj, validate=True):
     n = len(rays[0])
     if not n or any(len(r) != n for r in rays):
         raise InputError("fan rays must share one positive dimension")
+    for i, r in enumerate(rays):
+        if not any(r):
+            raise InputError("fan ray %d is the zero vector" % i)
+    for i, c in enumerate(cone_rays):
+        if not c:
+            raise InputError("fan cone %d has no rays" % i)
     max_cones = [cone_from_rays(c) for c in cone_rays]
     return fan_from_cones(n, max_cones, validate=validate)
 
@@ -321,18 +379,10 @@ def _intersect_cones(c1, c2, n):
 
 def face_normal_cone(poly, face):
     """The cone of covectors whose minimum on the polyhedron is attained on
-    the whole face."""
-    n = poly.nvars
-    verts = face.vertices()
-    v0 = verts[0]
-    ineqs = list(_std_basis(n))
-    ineqs += [vec_sub(w, v0) for w in poly.vertices]
-    eqs = [vec_sub(v, v0) for v in verts[1:]]
-    eqs += [tuple(int(i == k) for k in range(n)) for i in face.recession_axes]
-    cone = _polar_cone(ineqs, eqs, n)
-    if not cone.is_pointed():
-        raise VerificationError("normal cone unexpectedly has lineality")
-    return cone
+    the whole face: the cone spanned by the normals of the facets that hold
+    the face, and the zero cone for the polyhedron itself."""
+    normals = [poly.facets[j].normal for j in face.tight_facets]
+    return cone_from_rays(normals) if normals else zero_cone(poly.nvars)
 
 
 def dual_fan(poly):
@@ -348,7 +398,13 @@ def dual_fan(poly):
 
 def dual_fan_of_faces(poly, poly_faces):
     """The fan of :func:`dual_fan`, from ``poly_faces``, the list
-    :func:`polylattice.faces` gives for ``poly``."""
+    :func:`polylattice.faces` gives for ``poly``.
+
+    The normal fan of a polyhedron is the set of its faces' normal cones
+    (Ziegler, *Lectures on Polytopes*, 7.1), so the fan is read off the face
+    lattice: no cone is intersected with another.  The checks are linear in
+    the face count: each normal cone has dimension n - dim F, no two faces
+    share one, and the zero cone is among them (the polyhedron's own)."""
     n = poly.nvars
     cones = []
     for face in poly_faces:
@@ -356,16 +412,17 @@ def dual_fan_of_faces(poly, poly_faces):
         if c.dim != n - face.dim:
             raise VerificationError("normal cone dimension mismatch")
         cones.append(c)
-    maxs = [c for c in cones if c.dim == n]
-    fan = fan_from_cones(n, maxs)
+    if len(set(cones)) != len(cones):
+        raise VerificationError("two faces share a normal cone")
+    if zero_cone(n) not in cones:
+        raise VerificationError("no face has the zero normal cone")
+    cones.sort(key=lambda c: (c.dim, c.rays))
+    rays = sorted(c.rays[0] for c in cones if c.dim == 1)
     units = set(_std_basis(n))
-    for r in fan.rays:
+    for r in rays:
         if any(x == 0 for x in r) and r not in units:
             raise InputError("coordinate-axis condition violated")
-    # the construction visits every face, so all cones must already be present
-    if not set(cones) <= set(fan.cones):
-        raise VerificationError("normal cone missing from assembled fan")
-    return fan
+    return Fan(n, tuple(cones), tuple(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +474,12 @@ def _regularize_2d(fan):
     rays = sorted(fan.rays, key=cmp_to_key(_angle_cmp))
     if rays[0] != (1, 0) or rays[-1] != (0, 1):
         raise InputError("fan must contain the coordinate rays")
+    # distinct primitive rays of the quadrant span a cone with exactly
+    # those rays, so cones are matched by their ray tuples
+    cone_rays = {c.rays for c in fan.cones}
     new_rays = [rays[0]]
     for u, v in zip(rays, rays[1:]):
-        expected = cone_from_rays([u, v])
-        if expected not in set(fan.cones):
+        if tuple(sorted((u, v))) not in cone_rays:
             raise InputError("2D fan is not a chain of adjacent cones")
         new_rays.extend(_hj_chain(u, v)[1:])
     max_cones = [cone_from_rays([a, b]) for a, b in zip(new_rays, new_rays[1:])]
@@ -498,8 +557,9 @@ def regularize(fan):
     if not is_regular(out):
         raise VerificationError("regularization produced a singular cone")
     _check_refines(out, fan)
+    out_rays = set(out.rays)
     for r in fan.rays:
-        if r not in set(out.rays):
+        if r not in out_rays:
             raise VerificationError("regularization dropped a ray")
     return out
 

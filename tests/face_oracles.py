@@ -1,4 +1,4 @@
-"""Brute-force face enumerators and a reference cone constructor, kept as
+"""Brute-force face enumerators and reference cone constructors, kept as
 test oracles.
 
 Both enumerators try every subset of facets, by size and then
@@ -6,16 +6,22 @@ lexicographically, and keep the first subset that reaches each face.  Their
 cost is 2^facets, so they serve only small inputs; ``polylattice.faces`` and
 ``fan.cone_faces`` must return the same lists in the same order.
 ``brute_meets_in_faces`` checks the fan axiom on every pair of cones, where
-``fan.validate_fan`` intersects only the maximal ones.  ``double_polar_cone``
-builds a cone by two double descriptions, generators to inequalities and
-back, where ``fan.cone_from_rays`` reads a pointed cone's rays off the facet
-incidences of its generators; ``brute_cone_faces`` builds its faces with it.
+``fan.validate_fan`` intersects only the maximal ones and
+``fan.fan_from_cones`` checks a simplicial fan by its facet pairs.
+``double_polar_cone`` builds a cone by two double descriptions, generators
+to inequalities and back, where ``fan.cone_from_rays`` reads a pointed
+cone's rays off the facet incidences of its generators;
+``brute_cone_faces`` builds its faces with it.  ``inequality_normal_cone``
+builds a face's normal cone from the vertex differences of the polyhedron,
+where ``fan.face_normal_cone`` spans it by the normals of the facets that
+hold the face.
 """
 
 from itertools import combinations
 
 from newton_socle.fan import (Cone, _cone_ambient, _generators,
-                              _intersect_cones, zero_cone)
+                              _intersect_cones, _polar_cone, _std_basis,
+                              zero_cone)
 from newton_socle.errors import InputError
 from newton_socle.linalg import dot, primitive, rank, vec_sub
 from newton_socle.polylattice import FaceDescriptor, polar_generators
@@ -104,3 +110,18 @@ def brute_meets_in_faces(fan):
                 or inter not in brute_cone_faces(c2, fan.nvars):
             return False
     return True
+
+
+def inequality_normal_cone(poly, face):
+    """The cone of covectors whose minimum on the polyhedron is attained on
+    the whole face, as {a >= 0 : a.(w - v0) >= 0 for every vertex w} cut by
+    a.(v - v0) = 0 for the face's vertices v and a_i = 0 for its recession
+    axes i."""
+    n = poly.nvars
+    verts = face.vertices()
+    v0 = verts[0]
+    ineqs = list(_std_basis(n))
+    ineqs += [vec_sub(w, v0) for w in poly.vertices]
+    eqs = [vec_sub(v, v0) for v in verts[1:]]
+    eqs += [tuple(int(i == k) for k in range(n)) for i in face.recession_axes]
+    return _polar_cone(ineqs, eqs, n)

@@ -111,6 +111,22 @@ def test_fan_file_with_a_non_face_cone_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"rays": [[1, 0], [0, 0]], "cones": [[0, 1]]},
+     "fan ray 1 is the zero vector"),
+    ({"rays": [[1, 0], [0, 1]], "cones": [[]]}, "fan cone 0 has no rays"),
+], ids=["zero-ray", "empty-cone"])
+def test_fan_file_with_a_degenerate_entry_exits_2(obj, message, tmp_path):
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(obj))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["fan", "--poly", "x1^2 + x2^3", "--fan", str(fan_file),
+                     "--regular"])
+    assert code == 2
+    assert message in err.getvalue()
+
+
 def test_nu_command():
     code, rep = run_json(["nu", "--poly", "x1^2 + x2^3", "--g", "x1*x2"])
     assert code == 0 and rep["nu"] == "5/6"

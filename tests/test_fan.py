@@ -1,4 +1,9 @@
+import io
+import json
+import os
 import random
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -9,15 +14,22 @@ from newton_socle import (SparsePoly, check_face_duality, cone_from_rays,
                           is_regular, multiplicity, newton_polyhedron,
                           orbit_closure_intersection, pole_components,
                           regularize, support_function)
+from newton_socle import fan as fanmod
+from newton_socle.cli import main
 from newton_socle.errors import (InputError, RegularizationError,
                                  VerificationError)
-from newton_socle.fan import cone_faces, fan_from_cones, validate_fan
-from newton_socle.linalg import dot
+from newton_socle.fan import (_triangulates_orthant, cone_faces,
+                              dual_fan_of_faces, face_normal_cone,
+                              fan_from_cones, validate_fan)
+from newton_socle.linalg import det, dot, solve
 from newton_socle.polylattice import faces
 
 from conftest import poly, supports
 from face_oracles import (brute_cone_faces, brute_meets_in_faces,
-                          double_polar_cone)
+                          double_polar_cone, inequality_normal_cone)
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
+from perfbench.workloads import k_support  # noqa: E402
 
 
 ORTHANT_2 = cone_from_rays([(1, 0), (0, 1)])
@@ -173,6 +185,112 @@ def test_fan_validation_rejects_each_dropped_cone_in_3d():
             fan_from_cones(3, maxs[:i] + maxs[i + 1:])
 
 
+UNITS_3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+STELLAR_POOL_3 = [(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 1, 1),
+                  (1, 2, 1), (1, 1, 2), (2, 1, 0)]
+
+
+def _star_subdivide(triangles, point):
+    """Each cone that holds the point trades each ray on which the point has
+    a positive coefficient for the point."""
+    out = []
+    for t in triangles:
+        coeffs = solve([tuple(r[k] for r in t) for k in range(3)], point)
+        if any(x < 0 for x in coeffs):
+            out.append(t)
+            continue
+        out += [tuple(sorted(t[:i] + (point,) + t[i + 1:]))
+                for i, x in enumerate(coeffs) if x > 0]
+    return out
+
+
+@st.composite
+def simplicial_cone_sets(draw):
+    """The maximal cones of a star-subdivided orthant, as they are or with
+    one cone dropped, one simplicial cone added, or a second subdivision
+    laid over them (which covers the orthant twice)."""
+    def triangulation():
+        triangles = [tuple(sorted(UNITS_3))]
+        for p in draw(st.lists(st.sampled_from(STELLAR_POOL_3), max_size=2,
+                               unique=True)):
+            triangles = _star_subdivide(triangles, p)
+        return sorted(set(triangles))
+
+    triangles = triangulation()
+    kind = draw(st.sampled_from(["none", "drop", "add", "overlay"]))
+    if kind == "drop" and len(triangles) > 1:
+        triangles.pop(draw(st.integers(0, len(triangles) - 1)))
+    elif kind == "add":
+        rays = draw(st.lists(st.sampled_from(UNITS_3 + STELLAR_POOL_3),
+                             min_size=3, max_size=3, unique=True))
+        assume(det(rays) != 0)
+        triangles.append(tuple(sorted(rays)))
+    elif kind == "overlay":
+        triangles += triangulation()
+    return [cone_from_rays(list(t)) for t in triangles]
+
+
+@given(simplicial_cone_sets())
+@settings(max_examples=40, deadline=None)
+def test_simplicial_fans_match_the_pairwise_route(cones):
+    # the facet-pair criterion accepts exactly the fans validate_fan
+    # accepts; a fan it rejects fails with validate_fan's own message
+    fan = fan_from_cones(3, cones, validate=False)
+    try:
+        validate_fan(fan)
+        pairwise = None
+    except VerificationError as exc:
+        pairwise = str(exc)
+    assert _triangulates_orthant(3, fan.maximal_cones()) == (pairwise is None)
+    try:
+        assert fan_from_cones(3, cones) == fan
+        message = None
+    except VerificationError as exc:
+        message = str(exc)
+    assert message == pairwise
+    if message is None:
+        assert brute_meets_in_faces(fan)
+
+
+def test_simplicial_validation_rejects_a_double_cover():
+    # two subdivisions of the orthant with no (n-1)-face in common: every
+    # facet pairs up, but each generic point lies in two cones
+    fine = [tuple(sorted(UNITS_3))]
+    for p in [(1, 1, 0), (1, 0, 1), (0, 1, 1)]:
+        fine = _star_subdivide(fine, p)
+    coarse = _star_subdivide([tuple(sorted(UNITS_3))], (1, 1, 1))
+    cones = [cone_from_rays(list(t)) for t in fine + coarse]
+    assert not _triangulates_orthant(3, cones)
+    with pytest.raises(VerificationError, match="intersection of two cones"):
+        fan_from_cones(3, cones)
+
+
+def test_simplicial_closure_matches_cone_faces():
+    reg = regularize(dual_fan(newton_polyhedron(poly("x1^2 + x2^3 + x3^4"))))
+    closed = {f for c in reg.maximal_cones() for f in cone_faces(c, 3)}
+    assert set(reg.cones) == closed and len(reg.cones) == len(closed)
+
+
+def test_fan_routes_make_few_double_descriptions(monkeypatch):
+    calls = []
+    real = fanmod.polar_generators
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fanmod, "polar_generators", counting)
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify-all", "--poly", "x1^2+x2^3+x3^4",
+                     "--seed", "1"]) == 0
+    assert len(calls) <= 60
+    D = newton_polyhedron(SparsePoly.from_json(json.loads(k_support(10))))
+    calls.clear()
+    fan = dual_fan(D)
+    assert len(calls) <= 50
+    assert len(fan.cones) == len(faces(D))
+
+
 def test_fan_incidence_matches_face_relation():
     fan = dual_fan(newton_polyhedron(poly("x1^2 + x2^3")))
     inc = fan.incidence()
@@ -191,6 +309,24 @@ def test_fan_incidence_matches_face_relation():
 # ---------------------------------------------------------------------------
 # The dual fan
 # ---------------------------------------------------------------------------
+
+@given(supports(max_vars=3))
+@settings(max_examples=60, deadline=None)
+def test_face_normal_cone_matches_inequality_route(f):
+    # supports that miss an axis give faces with recession axes
+    D = newton_polyhedron(f)
+    for face in faces(D):
+        assert face_normal_cone(D, face) == inequality_normal_cone(D, face)
+
+
+def test_dual_fan_of_faces_checks_the_face_list():
+    D = newton_polyhedron(poly("x1^2 + x2^3"))
+    fs = faces(D)
+    with pytest.raises(VerificationError, match="two faces share"):
+        dual_fan_of_faces(D, fs + fs[:1])
+    with pytest.raises(VerificationError, match="zero normal cone"):
+        dual_fan_of_faces(D, [f for f in fs if f.dim < 2])
+
 
 def test_dual_fan_of_cusp():
     fan = dual_fan(newton_polyhedron(poly("x1^2 + x2^3")))

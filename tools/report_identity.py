@@ -48,6 +48,14 @@ FILES = {
                           "cones": [[0, 1, 3, 4], [2, 3, 4], [0, 4]]},
     "fan-3d.json": {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
                     "cones": [[0, 1, 3], [1, 2, 3], [0, 2, 3]]},
+    # a quadrilateral cone and a triangle: a fan of the orthant
+    "fan-quad.json": {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                               [1, 0, 1], [0, 1, 1]],
+                      "cones": [[0, 1, 3, 4], [2, 3, 4]]},
+    # fan-3d.json without its last cone: the support misses part of the orthant
+    "fan-3d-dropped.json": {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                     [1, 1, 1]],
+                            "cones": [[0, 1, 3], [1, 2, 3]]},
 }
 
 
@@ -63,6 +71,9 @@ def invocations():
         out.append(("polyhedron " + f, ["polyhedron", "--poly", f]))
         out.append(("fan --regular " + f, ["fan", "--poly", f, "--regular"]))
         out.append(("nondeg " + f, ["nondeg", "--poly", f, "--seed", "1"]))
+    for item in SURFACES:
+        out.append(("fan --regular " + item["poly"],
+                    ["fan", "--poly", item["poly"], "--regular"]))
     for name in KOSZUL_PRESETS:
         out.append(("koszul " + name, ["koszul", "--polytope", name]))
     # the residue runs of tests/test_cli.py
@@ -117,6 +128,10 @@ def invocations():
                                  "fan-2d.json", "--regular"]))
     out.append(("fan --fan non-face", ["fan", "--poly", "x1^2+x2^3+x3^4",
                                        "--fan", "fan-non-face.json"]))
+    out.append(("fan --fan quad", ["fan", "--poly", "x1^2+x2^3+x3^4",
+                                   "--fan", "fan-quad.json"]))
+    out.append(("fan --fan dropped cone", ["fan", "--poly", "x1^2+x2^3+x3^4",
+                                           "--fan", "fan-3d-dropped.json"]))
     # a 3-coordinate fan for a 2-variable polynomial
     out.append(("fan --fan dimension mismatch",
                 ["fan", "--poly", "x1^2+x2^3", "--fan", "fan-3d.json",
