@@ -8,10 +8,12 @@ with lineality takes a second double description, the polar's polar.
 Fans are assembled without intersecting cones where the combinatorics is
 known.  The normal fan is read off the face lattice: each face's normal cone
 is spanned by the normals of the facets that hold it, one double description
-per face.  A fan of simplicial cones is closed under faces by ray subsets,
-each built once, and checked by the pseudomanifold and covering criterion
-for triangulations.  Only a fan with a non-simplicial cone is closed by
-:func:`cone_faces` and checked pairwise by :func:`validate_fan`.
+per face.  Other fans are closed under faces by :func:`cone_faces` with one
+memo, so a face shared by several cones is built once (for a simplicial cone
+the faces are its ray subsets).  A fan of full-dimensional simplicial cones
+is checked by the pseudomanifold and covering criterion for triangulations;
+any other fan, and one the criterion rejects, pairwise by
+:func:`validate_fan`.
 """
 
 from fractions import Fraction
@@ -121,20 +123,27 @@ def _cone_ambient(cone):
     raise InputError("cannot infer ambient dimension of the zero cone; pass nvars")
 
 
-def cone_faces(cone, nvars=None):
+def cone_faces(cone, nvars=None, built=None):
     """All faces of the cone (itself and its minimal face included).
 
     The faces are the facet intersections from :func:`incidence_closures`.
     The atoms are the generating rays, each on the facets whose normal
     vanishes on it; an intersection without rays is the zero cone.  Sorted
-    by dimension and rays."""
+    by dimension and rays.  ``built`` maps the tuple of a face's tight rays
+    to its cone; faces found there are not built again, and new ones are
+    added."""
     n = nvars if nvars is not None else _cone_ambient(cone)
+    if built is None:
+        built = {}
     incidences = [[j for j, l in enumerate(cone.facet_normals) if dot(l, r) == 0]
                   for r in cone.rays]
     out = []
     for atoms in incidence_closures(incidences, len(cone.facet_normals)):
-        tight_rays = [cone.rays[a] for a in atoms]
-        out.append(cone_from_rays(tight_rays) if tight_rays else zero_cone(n))
+        tight_rays = tuple(cone.rays[a] for a in atoms)
+        if tight_rays not in built:
+            built[tight_rays] = (cone_from_rays(list(tight_rays)) if tight_rays
+                                 else zero_cone(n))
+        out.append(built[tight_rays])
     return sorted(out, key=lambda c: (c.dim, c.rays))
 
 
@@ -207,34 +216,23 @@ class Fan:
 def fan_from_cones(nvars, max_cones, validate=True):
     """Close the given cones under faces and assemble a fan.
 
-    When every given cone is simplicial its faces are its ray subsets, and
-    each distinct subset's cone is built once.  If they are also all
-    full-dimensional, :func:`_triangulates_orthant` validates the fan; a fan
-    it rejects goes to :func:`validate_fan`, which names the fault.  Other
-    cones are closed by :func:`cone_faces` and validated pairwise."""
-    if max_cones and all(len(c.rays) == c.dim for c in max_cones):
-        by_rays = {c.rays: c for c in max_cones}
-        for c in list(by_rays.values()):
-            for k in range(1, len(c.rays)):
-                for sub in combinations(c.rays, k):
-                    if sub not in by_rays:
-                        by_rays[sub] = cone_from_rays(list(sub))
-        by_rays.setdefault((), zero_cone(nvars))
-        all_cones = by_rays.values()
-        if validate and all(c.dim == nvars for c in max_cones):
-            maxs = [c for c in all_cones if c.dim == nvars]
-            validate = not _triangulates_orthant(nvars, maxs)
-    else:
-        by_key = {}
-        for c in max_cones:
-            for f in cone_faces(c, nvars):
-                by_key[(f.rays, f.equations)] = f
-        all_cones = by_key.values()
-    cones = sorted(all_cones, key=lambda c: (c.dim, c.rays))
+    All cones share one :func:`cone_faces` memo, seeded with the given
+    cones, so each distinct face is built once.  When the given cones are
+    all full-dimensional and simplicial, :func:`_triangulates_orthant`
+    validates the fan; any other fan, and one the criterion rejects, goes to
+    :func:`validate_fan`, which names the fault."""
+    built = {c.rays: c for c in max_cones}
+    for c in max_cones:
+        cone_faces(c, nvars, built)
+    cones = sorted(set(built.values()), key=lambda c: (c.dim, c.rays))
     rays = sorted({c.rays[0] for c in cones if c.dim == 1})
     fan = Fan(nvars, tuple(cones), tuple(rays))
     if validate:
-        validate_fan(fan)
+        simplicial = max_cones and all(len(c.rays) == c.dim == nvars
+                                       for c in max_cones)
+        if not (simplicial
+                and _triangulates_orthant(nvars, fan.maximal_cones())):
+            validate_fan(fan)
     return fan
 
 

@@ -103,11 +103,11 @@ def brute_meets_in_faces(fan):
     """True iff every two cones of the fan meet in a cone of the fan that is
     a face of both."""
     cone_set = set(fan.cones)
+    faces_of = {c: brute_cone_faces(c, fan.nvars) for c in cone_set}
     for c1, c2 in combinations(fan.cones, 2):
         inter = _intersect_cones(c1, c2, fan.nvars)
         if inter not in cone_set \
-                or inter not in brute_cone_faces(c1, fan.nvars) \
-                or inter not in brute_cone_faces(c2, fan.nvars):
+                or inter not in faces_of[c1] or inter not in faces_of[c2]:
             return False
     return True
 

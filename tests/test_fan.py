@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+from itertools import combinations
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -185,17 +186,25 @@ def test_fan_validation_rejects_each_dropped_cone_in_3d():
             fan_from_cones(3, maxs[:i] + maxs[i + 1:])
 
 
-UNITS_3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-STELLAR_POOL_3 = [(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 1, 1),
-                  (1, 2, 1), (1, 1, 2), (2, 1, 0)]
+def _units(n):
+    return [tuple(int(i == k) for k in range(n)) for i in range(n)]
 
 
-def _star_subdivide(triangles, point):
+STELLAR_POOLS = {
+    3: [(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 1, 1), (1, 2, 1),
+        (1, 1, 2), (2, 1, 0)],
+    4: [(1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 1, 1), (1, 1, 1, 0),
+        (1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 0), (0, 1, 1, 2)],
+}
+
+
+def _star_subdivide(simplices, point):
     """Each cone that holds the point trades each ray on which the point has
     a positive coefficient for the point."""
     out = []
-    for t in triangles:
-        coeffs = solve([tuple(r[k] for r in t) for k in range(3)], point)
+    for t in simplices:
+        coeffs = solve([tuple(r[k] for r in t) for k in range(len(point))],
+                       point)
         if any(x < 0 for x in coeffs):
             out.append(t)
             continue
@@ -204,65 +213,95 @@ def _star_subdivide(triangles, point):
     return out
 
 
+def _star_subdivided_orthant(n, points):
+    simplices = [tuple(sorted(_units(n)))]
+    for p in points:
+        simplices = _star_subdivide(simplices, p)
+    return sorted(set(simplices))
+
+
 @st.composite
-def simplicial_cone_sets(draw):
-    """The maximal cones of a star-subdivided orthant, as they are or with
+def simplicial_cone_sets(draw, n):
+    """The maximal cones of a star-subdivided n-orthant, as they are or with
     one cone dropped, one simplicial cone added, or a second subdivision
     laid over them (which covers the orthant twice)."""
     def triangulation():
-        triangles = [tuple(sorted(UNITS_3))]
-        for p in draw(st.lists(st.sampled_from(STELLAR_POOL_3), max_size=2,
-                               unique=True)):
-            triangles = _star_subdivide(triangles, p)
-        return sorted(set(triangles))
+        return _star_subdivided_orthant(n, draw(st.lists(
+            st.sampled_from(STELLAR_POOLS[n]), max_size=2, unique=True)))
 
-    triangles = triangulation()
+    simplices = triangulation()
     kind = draw(st.sampled_from(["none", "drop", "add", "overlay"]))
-    if kind == "drop" and len(triangles) > 1:
-        triangles.pop(draw(st.integers(0, len(triangles) - 1)))
+    if kind == "drop" and len(simplices) > 1:
+        simplices.pop(draw(st.integers(0, len(simplices) - 1)))
     elif kind == "add":
-        rays = draw(st.lists(st.sampled_from(UNITS_3 + STELLAR_POOL_3),
-                             min_size=3, max_size=3, unique=True))
+        rays = draw(st.lists(st.sampled_from(_units(n) + STELLAR_POOLS[n]),
+                             min_size=n, max_size=n, unique=True))
         assume(det(rays) != 0)
-        triangles.append(tuple(sorted(rays)))
+        simplices.append(tuple(sorted(rays)))
     elif kind == "overlay":
-        triangles += triangulation()
-    return [cone_from_rays(list(t)) for t in triangles]
+        simplices += triangulation()
+    return [cone_from_rays(list(t)) for t in simplices]
 
 
-@given(simplicial_cone_sets())
-@settings(max_examples=40, deadline=None)
-def test_simplicial_fans_match_the_pairwise_route(cones):
-    # the facet-pair criterion accepts exactly the fans validate_fan
-    # accepts; a fan it rejects fails with validate_fan's own message
-    fan = fan_from_cones(3, cones, validate=False)
+def _check_simplicial_against_pairwise(n, cones):
+    """The facet-pair criterion accepts exactly the fans validate_fan
+    accepts, and a fan it rejects fails with validate_fan's own message.
+    Returns that message, or None for a fan."""
+    fan = fan_from_cones(n, cones, validate=False)
     try:
         validate_fan(fan)
         pairwise = None
     except VerificationError as exc:
         pairwise = str(exc)
-    assert _triangulates_orthant(3, fan.maximal_cones()) == (pairwise is None)
+    assert _triangulates_orthant(n, fan.maximal_cones()) == (pairwise is None)
     try:
-        assert fan_from_cones(3, cones) == fan
+        assert fan_from_cones(n, cones) == fan
         message = None
     except VerificationError as exc:
         message = str(exc)
     assert message == pairwise
-    if message is None:
+    return message
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_simplicial_fans_match_the_pairwise_route(n, data):
+    cones = data.draw(simplicial_cone_sets(n))
+    fan = fan_from_cones(n, cones, validate=False)
+    if _check_simplicial_against_pairwise(n, cones) is None:
         assert brute_meets_in_faces(fan)
 
 
-def test_simplicial_validation_rejects_a_double_cover():
+@pytest.mark.parametrize("n, points", [
+    (3, [(1, 1, 1), (2, 1, 1)]),
+    (4, [(1, 1, 1, 1), (1, 1, 0, 0), (2, 1, 1, 1)]),
+])
+def test_simplicial_validation_of_a_subdivided_orthant(n, points):
+    simplices = _star_subdivided_orthant(n, points)
+    cones = [cone_from_rays(list(t)) for t in simplices]
+    assert _check_simplicial_against_pairwise(n, cones) is None
+    if n == 4:
+        assert brute_meets_in_faces(fan_from_cones(n, cones))
+    for i in range(len(cones)):
+        message = _check_simplicial_against_pairwise(
+            n, cones[:i] + cones[i + 1:])
+        assert message.startswith("support is not the orthant")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_simplicial_validation_rejects_a_double_cover(n):
     # two subdivisions of the orthant with no (n-1)-face in common: every
     # facet pairs up, but each generic point lies in two cones
-    fine = [tuple(sorted(UNITS_3))]
-    for p in [(1, 1, 0), (1, 0, 1), (0, 1, 1)]:
-        fine = _star_subdivide(fine, p)
-    coarse = _star_subdivide([tuple(sorted(UNITS_3))], (1, 1, 1))
+    fine = _star_subdivided_orthant(n, [
+        tuple(int(k in pair) for k in range(n))
+        for pair in combinations(range(n), 2)])
+    coarse = _star_subdivided_orthant(n, [(1,) * n])
     cones = [cone_from_rays(list(t)) for t in fine + coarse]
-    assert not _triangulates_orthant(3, cones)
+    assert not _triangulates_orthant(n, cones)
     with pytest.raises(VerificationError, match="intersection of two cones"):
-        fan_from_cones(3, cones)
+        fan_from_cones(n, cones)
+    _check_simplicial_against_pairwise(n, cones)
 
 
 def test_simplicial_closure_matches_cone_faces():
