@@ -326,55 +326,61 @@ def cmd_verify_all(args):
     return report, EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="newton-socle",
-        description="Exact Newton-polyhedron invariants of polynomial "
-                    "singularities and their mechanical verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _LazySubParsers(argparse._SubParsersAction):
+    """Sub-parsers whose arguments are added when argparse dispatches to
+    them, so a launch builds the options of the one command it runs."""
 
-    def common(p, poly=True):
-        if poly:
-            p.add_argument("--poly", required=True,
-                           help="polynomial file or literal (x1..xn grammar)")
-        p.add_argument("--vars", type=int, default=None,
-                       help="number of variables (inferred when omitted)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._populate = {}
 
-    p = sub.add_parser("polyhedron", help="vertices, facets and faces")
-    common(p)
-    p.set_defaults(func=cmd_polyhedron)
+    def add_command(self, name, func, populate, **kwargs):
+        """A sub-parser ``name`` that runs ``func``; ``populate(parser)``
+        adds its arguments on first dispatch."""
+        self.add_parser(name, **kwargs).set_defaults(func=func)
+        self._populate[name] = populate
 
-    p = sub.add_parser("fan", help="dual fan, optionally regularized")
-    common(p)
+    def __call__(self, parser, namespace, values, option_string=None):
+        populate = self._populate.pop(values[0], None)
+        if populate is not None:
+            populate(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _common(p):
+    p.add_argument("--poly", required=True,
+                   help="polynomial file or literal (x1..xn grammar)")
+    p.add_argument("--vars", type=int, default=None,
+                   help="number of variables (inferred when omitted)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _fan_args(p):
+    _common(p)
     p.add_argument("--regular", action="store_true")
     p.add_argument("--fan", default=None,
                    help="externally supplied fan JSON (needed for n >= 4)")
-    p.set_defaults(func=cmd_fan)
 
-    p = sub.add_parser("nu", help="Newton order of g for the polyhedron of f")
-    common(p)
+
+def _nu_args(p):
+    _common(p)
     p.add_argument("--g", required=True)
-    p.set_defaults(func=cmd_nu)
 
-    p = sub.add_parser("nondeg", help="nondegeneracy with per-face detail")
-    common(p)
-    p.set_defaults(func=cmd_nondeg)
 
-    p = sub.add_parser("socle-order", help="Newton order of the socle")
-    common(p)
+def _socle_order_args(p):
+    _common(p)
     p.add_argument("--trunc", type=int, default=None)
-    p.set_defaults(func=cmd_socle_order)
 
-    p = sub.add_parser("kbar", help="graded quotient data for one face")
-    common(p)
+
+def _kbar_args(p):
+    _common(p)
     p.add_argument("--face", type=int, required=True,
                    help="index into the admissible faces")
-    p.set_defaults(func=cmd_kbar)
 
-    p = sub.add_parser("residue", help="Grothendieck residue of g against a system")
+
+def _residue_args(p):
     p.add_argument("--g", required=True)
     p.add_argument("--system", required=True,
                    help="JSON array file or ';'-joined literals")
@@ -383,46 +389,77 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_residue)
 
-    p = sub.add_parser("verify-thm1", help="interior support implies membership")
-    common(p)
+
+def _thm1_args(p):
+    _common(p)
     p.add_argument("--h", required=True)
     p.add_argument("--trunc", type=int, default=None)
-    p.set_defaults(func=cmd_verify_thm1)
 
-    p = sub.add_parser("verify-thm2", help="residue nonvanishing for a face")
-    common(p)
+
+def _thm2_args(p):
+    _common(p)
     p.add_argument("--h", required=True)
     p.add_argument("--face", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--trunc", type=int, default=None)
-    p.set_defaults(func=cmd_verify_thm2)
 
-    p = sub.add_parser("detlemma", help="random trials of the minor identities")
+
+def _detlemma_args(p):
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_detlemma)
 
-    p = sub.add_parser("koszul", help="lattice Koszul quotient and trace value")
+
+def _koszul_args(p):
     p.add_argument("--polytope", required=True,
                    help="preset name, JSON file, or JSON literal")
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_koszul)
 
-    p = sub.add_parser("verify-all", help="full verification pipeline")
-    common(p)
+
+def _verify_all_args(p):
+    _common(p)
     p.add_argument("--trunc", type=int, default=None)
     p.add_argument("--detlemma-trials", type=int, default=25)
-    p.set_defaults(func=cmd_verify_all)
 
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="newton-socle",
+        description="Exact Newton-polyhedron invariants of polynomial "
+                    "singularities and their mechanical verification.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                action=_LazySubParsers)
+    sub.add_command("polyhedron", cmd_polyhedron, _common,
+                    help="vertices, facets and faces")
+    sub.add_command("fan", cmd_fan, _fan_args,
+                    help="dual fan, optionally regularized")
+    sub.add_command("nu", cmd_nu, _nu_args,
+                    help="Newton order of g for the polyhedron of f")
+    sub.add_command("nondeg", cmd_nondeg, _common,
+                    help="nondegeneracy with per-face detail")
+    sub.add_command("socle-order", cmd_socle_order, _socle_order_args,
+                    help="Newton order of the socle")
+    sub.add_command("kbar", cmd_kbar, _kbar_args,
+                    help="graded quotient data for one face")
+    sub.add_command("residue", cmd_residue, _residue_args,
+                    help="Grothendieck residue of g against a system")
+    sub.add_command("verify-thm1", cmd_verify_thm1, _thm1_args,
+                    help="interior support implies membership")
+    sub.add_command("verify-thm2", cmd_verify_thm2, _thm2_args,
+                    help="residue nonvanishing for a face")
+    sub.add_command("detlemma", cmd_detlemma, _detlemma_args,
+                    help="random trials of the minor identities")
+    sub.add_command("koszul", cmd_koszul, _koszul_args,
+                    help="lattice Koszul quotient and trace value")
+    sub.add_command("verify-all", cmd_verify_all, _verify_all_args,
+                    help="full verification pipeline")
     return parser
 
 

@@ -2,20 +2,23 @@
 computation: the signed-permutation sum of chain coefficients equals a minor,
 and for full index sets it collapses to the determinant with a ones column.
 
-The identities run on one integer matrix M = s·A, where s is the lcm of the
-denominators of A; ``Fraction`` is built only in what the public functions
+The identities run on one integer matrix M = s·A, where s is a common
+denominator of A; ``Fraction`` is built only in what the public functions
 return.  The coefficients c_l^I making a unit combination on the affine
-slice E_I = {x : A_I x = 1} come two ways, cross-checked on every subset by
-integer cross-products:
-
-* by Cramer's rule on integer determinants,
+slice E_I = {x : A_I x = 1} come from Cramer's rule on integer determinants,
   c_l^I = det[m_l; M_I cols 0..k-2] / (s·det[1...1; M_I cols 0..k-2]),
-  both expanded along their first row, so one set of cofactors serves every
-  l (none when the denominator vanishes);
-* by a parametrization of the slice: one fraction-free elimination of
-  [M_I | s] gives a point of E_I and a kernel basis together, and a second
-  solves for c the square system saying that the combination is 1 at the
-  point and 0 on every direction (none when it is singular).
+both expanded along their first row, so one set of cofactors serves every l
+(none when the denominator vanishes).  They are checked on every subset of
+two or more rows against a parametrization of the slice: one fraction-free
+elimination of [M_I | s] gives a point of E_I and one kernel vector per free
+column, and the Cramer numerators are substituted into them, which must give
+the denominator at the point and 0 on every kernel vector.  As the rows are
+independent, the unit combinations supported on coordinates k-1..n-1 are
+in one-to-one correspondence with the solutions of the Cramer system, so a
+subset is singular for both or for neither, and a Cramer answer that passes
+is the unique combination on the slice.  :func:`chain_coefficients_direct`
+keeps the second route whole: it solves the square system of the point and
+the kernel vectors for c.
 
 The signed sum over orderings of the chain products is one pass over
 subsets by size, T(∅) = 1 and
@@ -38,8 +41,9 @@ from .linalg import _bareiss, _row_reduce, det, dot, kernel_basis, rank, \
 from .polylattice import face_part, faces, support_function
 
 # The largest row count random trials accept.  A trial visits all 2^rows row
-# subsets: one trial takes about 2 s at 12 rows and 4-6 s at 13 (two x86-64
-# cores, Python 3.11).
+# subsets, and the k Bareiss cofactors of each k-row subset are most of its
+# time: one square trial takes 2.5-3 s at 12 rows and 6-8 s at 13 (a shared
+# two-core x86-64 host, Python 3.11).
 MAX_TRIAL_ROWS = 12
 
 # Weight draws :func:`choose_weights` makes before it gives up.
@@ -72,8 +76,7 @@ class MinorTable:
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "scale", s)
         object.__setattr__(self, "scaled", scaled)
-        if len(_row_reduce([list(r) for r in scaled], len(rows[0]))) \
-                != len(rows):
+        if not _independent(scaled):
             raise InputError("rows are linearly dependent")
 
     @property
@@ -84,23 +87,33 @@ class MinorTable:
     def ncols(self):
         return len(self.matrix[0])
 
-    def _int_minor(self, rows, cols):
-        """The minor of ``scaled`` on sorted ``rows`` and ``cols``."""
-        return _bareiss([[self.scaled[i][j] for j in cols] for i in rows])
-
     def minor(self, row_set, col_set):
         rows = sorted(row_set)
         cols = sorted(col_set)
         if len(rows) != len(cols):
             raise InputError("minor needs equal index counts")
-        return Fraction(self._int_minor(rows, cols), self.scale ** len(rows))
+        return Fraction(_bareiss([[self.scaled[i][j] for j in cols]
+                                  for i in rows]),
+                        self.scale ** len(rows))
 
 
-def _cramer_coefficients(table, rows):
-    """``(nums, den)`` with c_l^I = nums[l - k + 1] / den for l = k-1..n-1,
-    or None when the Cramer system is singular.  ``rows`` is sorted."""
+def _independent(M):
+    return len(_row_reduce([list(r) for r in M], len(M[0]))) == len(M)
+
+
+def _leading_minor(M, rows):
+    """The integer minor of ``M`` on ``rows`` and the first |rows| columns."""
     k = len(rows)
-    M = table.scaled
+    return _bareiss([list(M[i][:k]) for i in rows])
+
+
+def _cramer_coefficients(M, s, rows):
+    """``(nums, den)`` with c_l^I = nums[l - k + 1] / den for l = k-1..n-1,
+    or None when the Cramer system is singular.  ``M`` is the integer matrix
+    s·A and ``rows`` is sorted."""
+    k = len(rows)
+    if k == 1:
+        return list(M[rows[0]]), s
     # det[u; R] = sum_t u_t C_t, with C the signed maximal minors of R
     R = [[M[j][l] for j in rows] for l in range(k - 1)]
     cof = [(-1) ** t * _bareiss([r[:t] + r[t + 1:] for r in R])
@@ -108,26 +121,31 @@ def _cramer_coefficients(table, rows):
     den = sum(cof)
     if not den:
         return None
-    nums = [sum(M[j][l] * c for j, c in zip(rows, cof))
-            for l in range(k - 1, table.ncols)]
-    return nums, table.scale * den
+    nums = [0] * (len(M[0]) - k + 1)
+    for j, c in zip(rows, cof):
+        nums = [x + c * y for x, y in zip(nums, M[j][k - 1:])]
+    return nums, s * den
 
 
-def _slice_coefficients(table, rows):
-    """``(nums, dens)`` with c_l^I = nums[l - k + 1] / dens[l - k + 1] from a
-    parametrization of the slice E_I, or None when I is empty or the
+def _slice_parametrization(M, s, rows):
+    """The reduced [M_I | s], its pivot columns and L = lcm(d_i).  Row i
+    reads d_i x_{p_i} + sum_f e_if x_f = r_i over the free columns f, so
+    scaled by L the point of E_I with free x = 0 and the kernel vector of
+    each free column are integer.  ``rows`` is sorted and nonempty."""
+    mat = [list(M[j]) + [s] for j in rows]
+    pivots = _row_reduce(mat, len(M[0]) + 1)
+    return mat, pivots, lcm(*(row[p] for row, p in zip(mat, pivots)))
+
+
+def _slice_coefficients(M, s, rows):
+    """``(nums, dens)`` with c_l^I = nums[l - k + 1] / dens[l - k + 1],
+    solved from the slice parametrization, or None when I is empty or the
     combination is not unique.  ``rows`` is sorted."""
     k = len(rows)
     if not k:
         return None
-    n = table.ncols
-    s = table.scale
-    mat = [list(table.scaled[j]) + [s] for j in rows]
-    pivots = _row_reduce(mat, n + 1)
-    # rows i of the reduced [M_I | s] read d_i x_{p_i} + sum_f e_if x_f = r_i;
-    # scaled by L = lcm(d_i), the point (free x = 0) and the kernel vector of
-    # each free column f are integer
-    L = lcm(*(row[p] for row, p in zip(mat, pivots)))
+    n = len(M[0])
+    mat, pivots, L = _slice_parametrization(M, s, rows)
     point = [0] * n
     for row, p in zip(mat, pivots):
         point[p] = row[n] * (L // row[p])
@@ -146,12 +164,32 @@ def _slice_coefficients(table, rows):
     return nums, dens
 
 
+def _on_slice(M, s, rows, nums, den):
+    """Whether sum_l nums[l - k + 1] x_l = den on E_I: the Cramer numerators
+    substituted into the point and every kernel vector of the slice
+    parametrization.  ``rows`` is sorted and nonempty."""
+    k = len(rows)
+    n = len(M[0])
+    mat, pivots, L = _slice_parametrization(M, s, rows)
+    # the point has x_{p_i} = L r_i / d_i and the kernel vector of a free f
+    # has x_f = L and x_{p_i} = -L e_if / d_i (both scaled by L), so with
+    # w_i = nums at p_i times L / d_i the substituted values are
+    # sum_i w_i r_i and L nums_f - sum_i w_i e_if
+    w = [nums[p - k + 1] * (L // row[p]) if p >= k - 1 else 0
+         for row, p in zip(mat, pivots)]
+    if sum(wi * row[n] for wi, row in zip(w, mat)) != den * L:
+        return False
+    free = set(range(n)).difference(pivots)
+    return all(sum(wi * row[f] for wi, row in zip(w, mat))
+               == (nums[f - k + 1] * L if f >= k - 1 else 0) for f in free)
+
+
 def chain_coefficients_cramer(table, index_set):
     """The coefficients c_k^I, ..., c_n^I of the unit combination on the slice
     cut out by the rows in I, via the Cramer system sum(b_j) = 1,
     sum(b_j a_jl) = 0 for l < k.  None when that system is singular."""
     rows = sorted(index_set)
-    got = _cramer_coefficients(table, rows)
+    got = _cramer_coefficients(table.scaled, table.scale, rows)
     if got is None:
         return None
     nums, den = got
@@ -163,94 +201,139 @@ def chain_coefficients_direct(table, index_set):
     coordinate covectors k..n restricted to the slice E_I equals 1.  None when
     the restricted system is singular."""
     rows = sorted(index_set)
-    got = _slice_coefficients(table, rows)
+    got = _slice_coefficients(table.scaled, table.scale, rows)
     if got is None:
         return None
     return {l: Fraction(x, d)
             for l, (x, d) in enumerate(zip(*got), len(rows) - 1)}
 
 
-def _mask(subset):
-    return sum(1 << i for i in subset)
+def _subset_plan(nrows, max_size):
+    """The nonempty row subsets P of at most ``max_size`` rows, listed by
+    size, each as ``(rows, mask, below)``: the sorted tuple, its bit mask,
+    and for each i in P the pair (mask of P minus i, parity of
+    #{p in P : p > i})."""
+    plan = []
+    for size in range(1, max_size + 1):
+        for subset in combinations(range(nrows), size):
+            mask = 0
+            for i in subset:
+                mask |= 1 << i
+            # #{p in P : p > i} = size - 1 - pos, as P is sorted
+            below = tuple((mask ^ (1 << i), (size - 1 - pos) & 1)
+                          for pos, i in enumerate(subset))
+            plan.append((subset, mask, below))
+    return plan
 
 
-def _signed_chain_sums(coeff, subsets):
-    """T(P) for every P in ``subsets`` (sorted tuples, listed by size), from
-    ``coeff[mask(P)]`` = c^P_{|P|-1} as a pair ``(num, den)`` or None.  Each
-    T(P) is a reduced pair ``(num, den)`` with ``den > 0``, or None when any
-    coefficient below P is None."""
-    sums = {0: (1, 1)}
-    for subset in subsets:
-        mask = _mask(subset)
-        c = coeff[mask]
-        num, den = 0, 1
-        last = len(subset) - 1
-        for pos, i in enumerate(subset):
-            below = sums[mask ^ (1 << i)]
-            if c is None or below is None:
-                c = None
-                break
-            u, w = below
-            m = lcm(den, w)
-            # #{p in P : p > i} = last - pos, as P is sorted
-            num = num * (m // den) + (-u if (last - pos) % 2 else u) * (m // w)
-            den = m
+def _signed_chain_sums(coeff, plan, nrows):
+    """T(P), indexed by mask, for every P of ``plan``, from ``coeff``, which
+    holds c^P_{|P|-1} for the subsets of ``plan`` in order, each a pair
+    ``(num, den)`` or None.  Each T(P) is a reduced pair ``(num, den)`` with
+    ``den > 0``, or None when any coefficient below P is None."""
+    sums = [None] * (1 << nrows)
+    sums[0] = (1, 1)
+    for (_, mask, below), c in zip(plan, coeff):
         if c is None:
-            sums[mask] = None
             continue
-        num *= c[0]
-        den *= c[1]
-        g = gcd(num, den)
-        if den < 0:
-            g = -g
-        sums[mask] = (num // g, den // g)
+        num, den = 0, 1
+        for under, odd in below:
+            term = sums[under]
+            if term is None:
+                break
+            u, w = term
+            m = lcm(den, w)
+            num = num * (m // den) + (-u if odd else u) * (m // w)
+            den = m
+        else:
+            num *= c[0]
+            den *= c[1]
+            g = gcd(num, den)
+            if den < 0:
+                g = -g
+            sums[mask] = (num // g, den // g)
     return sums
+
+
+def _minor_identity(M, s, plan):
+    """:func:`check_minor_identity` on the integer matrix ``M`` = s·A with
+    independent rows, over the subsets of ``plan``."""
+    coeff = []
+    skipped = []
+    for rows, _, _ in plan:
+        cc = _cramer_coefficients(M, s, rows)
+        if cc is None:
+            coeff.append(None)
+            skipped.append(list(rows))
+            continue
+        # one row is its own slice equation: nothing to substitute
+        if len(rows) > 1 and not _on_slice(M, s, rows, *cc):
+            raise VerificationError(
+                "coefficient routes disagree on %r" % (rows,))
+        coeff.append((cc[0][0], cc[1]))
+    sums = _signed_chain_sums(coeff, plan, len(M))
+    checked = 0
+    failures = []
+    for rows, mask, _ in plan:
+        total = sums[mask]
+        if total is None:
+            continue
+        checked += 1
+        scale = s ** len(rows)
+        minor = _leading_minor(M, rows)
+        if total[0] * scale != minor * total[1]:
+            failures.append({"rows": list(rows),
+                             "sum": str(Fraction(*total)),
+                             "minor": str(Fraction(minor, scale))})
+    return {"ok": not failures, "checked": checked, "skipped": skipped,
+            "failures": failures}
 
 
 def check_minor_identity(table, k_max=None):
     """For each row subset I the signed sum over orderings of the chain
     products c_1 ... c_k equals the minor on the first k columns.
 
-    Subsets whose Cramer systems are singular are skipped with a note; both
-    coefficient routes are cross-checked wherever both exist."""
+    Subsets whose Cramer systems are singular are skipped with a note; on
+    every other subset of two or more rows the Cramer coefficients are
+    substituted into the slice parametrization."""
     r1 = table.nrows
     if k_max is None:
         k_max = r1
-    subsets = [subset for size in range(1, min(k_max, r1) + 1)
-               for subset in combinations(range(r1), size)]
-    coeff = {}
-    skipped = []
-    for subset in subsets:
-        cc = _cramer_coefficients(table, subset)
-        cd = _slice_coefficients(table, subset)
-        if cc is not None and cd is not None and any(
-                x * q != cc[1] * p for x, p, q in zip(cc[0], *cd)):
-            raise VerificationError(
-                "coefficient routes disagree on %r" % (subset,))
-        if cc is not None:
-            c = cc[0][0], cc[1]
-        elif cd is not None:
-            c = cd[0][0], cd[1][0]
-        else:
-            c = None
-            skipped.append(subset)
-        coeff[_mask(subset)] = c
-    sums = _signed_chain_sums(coeff, subsets)
-    checked = 0
-    failures = []
-    for subset in subsets:
-        total = sums[_mask(subset)]
-        if total is None:
-            continue
-        k = len(subset)
-        checked += 1
-        if total[0] * table.scale ** k != \
-                table._int_minor(subset, range(k)) * total[1]:
-            failures.append({"rows": list(subset),
-                             "sum": str(Fraction(*total)),
-                             "minor": str(table.minor(subset, range(k)))})
-    return {"ok": not failures, "checked": checked,
-            "skipped": [list(s) for s in skipped], "failures": failures}
+    return _minor_identity(table.scaled, table.scale,
+                           _subset_plan(r1, min(k_max, r1)))
+
+
+def _ones_column_identity(M, s, plan):
+    """:func:`check_ones_column_identity` on the integer matrix ``M`` = s·A
+    with independent rows; ``plan`` lists the subsets of fewer than all
+    rows."""
+    r1 = len(M)
+    coeff = []
+    for rows, _, _ in plan:
+        cc = _cramer_coefficients(M, s, rows)
+        if cc is None:
+            return {"ok": False, "note": "singular chain system",
+                    "skipped": True}
+        coeff.append((cc[0][0], cc[1]))
+    sums = _signed_chain_sums(coeff, plan, r1)
+    full = tuple(range(r1))
+    top = (1 << r1) - 1
+    total = sum(Fraction(*sums[top ^ (1 << i)]) * (-1) ** (r1 - 1 - i)
+                for i in full)
+    minor_sum = Fraction(
+        sum((-1) ** (r1 + 1 + i) * _leading_minor(M, full[:i] + full[i + 1:])
+            for i in full),
+        s ** (r1 - 1))
+    out = {"ok": total == minor_sum, "sum": str(total),
+           "minor_sum": str(minor_sum), "skipped": False}
+    if len(M[0]) == r1 and all(sum(row) == s for row in M):
+        ones_det = Fraction(_bareiss([list(row[:r1 - 1]) + [s] for row in M]),
+                            s ** r1)
+        plain_det = Fraction(_leading_minor(M, full), s ** r1)
+        out["ones_column_det"] = str(ones_det)
+        out["det"] = str(plain_det)
+        out["ok"] = out["ok"] and total == ones_det == plain_det
+    return out
 
 
 def check_ones_column_identity(table):
@@ -259,36 +342,8 @@ def check_ones_column_identity(table):
     with unit row sums both equal the plain determinant (the ones-column
     form)."""
     r1 = table.nrows
-    full = tuple(range(r1))
-    subsets = [subset for size in range(1, r1)
-               for subset in combinations(full, size)]
-    coeff = {}
-    for subset in subsets:
-        cc = _cramer_coefficients(table, subset)
-        if cc is None:
-            return {"ok": False, "note": "singular chain system",
-                    "skipped": True}
-        coeff[_mask(subset)] = cc[0][0], cc[1]
-    sums = _signed_chain_sums(coeff, subsets)
-    top = _mask(full)
-    total = sum(Fraction(*sums[top ^ (1 << i)]) * (-1) ** (r1 - 1 - i)
-                for i in full)
-    minor_sum = Fraction(
-        sum((-1) ** (r1 + 1 + i)
-            * table._int_minor(full[:i] + full[i + 1:], range(r1 - 1))
-            for i in full),
-        table.scale ** (r1 - 1))
-    out = {"ok": total == minor_sum, "sum": str(total),
-           "minor_sum": str(minor_sum), "skipped": False}
-    s = table.scale
-    if table.ncols == r1 and all(sum(row) == s for row in table.scaled):
-        ones_det = Fraction(_bareiss([list(row[:r1 - 1]) + [s]
-                                      for row in table.scaled]), s ** r1)
-        plain_det = Fraction(table._int_minor(full, full), s ** r1)
-        out["ones_column_det"] = str(ones_det)
-        out["det"] = str(plain_det)
-        out["ok"] = out["ok"] and total == ones_det == plain_det
-    return out
+    return _ones_column_identity(table.scaled, table.scale,
+                                 _subset_plan(r1, r1 - 1))
 
 
 def validate_trials(rows, cols, trials):
@@ -307,39 +362,47 @@ def validate_trials(rows, cols, trials):
 
 def random_minor_identity_trials(rows, cols, trials, seed):
     """Seeded random matrices fed through the minor identity; returns the
-    first counterexample if any (expected none)."""
+    first counterexample if any (expected none).
+
+    Each entry is p/q with p drawn from -9..9, then q from 1..3, and kept
+    as the integer pair in lowest terms; ``Fraction`` is built only for the
+    matrix of a reported failure."""
     validate_trials(rows, cols, trials)
-    rng = random.Random(seed)
+    randint = random.Random(seed).randint
+    plan = _subset_plan(rows, rows)
     ran = 0
     skipped = 0
     for t in range(trials):
-        matrix = []
-        for _ in range(rows):
-            matrix.append(tuple(Fraction(rng.randint(-9, 9),
-                                         rng.randint(1, 3))
-                                for _ in range(cols)))
-        try:
-            table = MinorTable(tuple(matrix))
-        except InputError:
+        entries = []
+        for _ in range(rows * cols):
+            p = randint(-9, 9)
+            q = randint(1, 3)
+            g = gcd(p, q)
+            entries.append((p // g, q // g))
+        s = lcm(*(q for _, q in entries))
+        M = [[p * (s // q) for p, q in entries[i:i + cols]]
+             for i in range(0, rows * cols, cols)]
+        if not _independent(M):
             skipped += 1
             continue
-        report = check_minor_identity(table)
+        report = _minor_identity(M, s, plan)
         ran += 1
         if not report["ok"]:
             return {"ok": False, "trial": t, "matrix":
-                    [[str(x) for x in row] for row in matrix],
+                    [[str(Fraction(p, q)) for p, q in entries[i:i + cols]]
+                     for i in range(0, rows * cols, cols)],
                     "failures": report["failures"]}
-        if table.ncols == table.nrows:
-            sums = [sum(row) for row in matrix]
-            if any(s == 0 for s in sums):
+        if rows == cols:
+            sums = [sum(row) for row in M]
+            if not all(sums):
                 continue
-            stochastic = tuple(tuple(x / s for x in row)
-                               for row, s in zip(matrix, sums))
-            try:
-                st = MinorTable(stochastic)
-            except InputError:
-                continue
-            rep2 = check_ones_column_identity(st)
+            # row i over its sum is M_i / sums_i, so over the common
+            # denominator L every row sums to L; scaling rows keeps them
+            # independent
+            L = lcm(*sums)
+            stochastic = [[x * (L // row_sum) for x in row]
+                          for row, row_sum in zip(M, sums)]
+            rep2 = _ones_column_identity(stochastic, L, plan[:-1])
             if not rep2.get("skipped") and not rep2["ok"]:
                 return {"ok": False, "trial": t, "stochastic": True,
                         "report": rep2}

@@ -428,14 +428,11 @@ def dual_fan_of_faces(poly, poly_faces):
 # ---------------------------------------------------------------------------
 
 def is_regular(fan):
-    """True iff every maximal cone's rays form a lattice basis."""
+    """True iff every maximal cone's rays form a lattice basis, so a fan
+    with a non-simplicial maximal cone is not regular."""
     n = fan.nvars
-    for c in fan.maximal_cones():
-        if len(c.rays) != n:
-            raise InputError("non-simplicial cone %r" % (c.rays,))
-        if abs(det(list(c.rays))) != 1:
-            return False
-    return True
+    return all(len(c.rays) == n and abs(det(list(c.rays))) == 1
+               for c in fan.maximal_cones())
 
 
 def _angle_cmp(u, v):

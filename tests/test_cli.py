@@ -111,6 +111,22 @@ def test_fan_file_with_a_non_face_cone_exits_1(tmp_path):
     assert code == 1
 
 
+def test_non_simplicial_fan_file_is_not_regular(tmp_path):
+    # a quadrilateral cone and a triangle: a valid fan of the orthant, so
+    # --regular is a failed check (exit 1), not bad input (exit 2)
+    fan_file = tmp_path / "fan.json"
+    fan_file.write_text(json.dumps(
+        {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1]],
+         "cones": [[0, 1, 3, 4], [2, 3, 4]]}))
+    argv = ["fan", "--poly", "x1^2 + x2^3 + x3^4", "--fan", str(fan_file)]
+    assert run_json(argv)[0] == 0
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_json(argv + ["--regular"])
+    assert code == 1
+    assert "supplied fan is not regular" in err.getvalue()
+
+
 @pytest.mark.parametrize("obj, message", [
     ({"rays": [[1, 0], [0, 0]], "cones": [[0, 1]]},
      "fan ray 1 is the zero vector"),
@@ -514,7 +530,8 @@ def test_detlemma_above_the_row_cap_is_refused(monkeypatch):
     # one trial visits all 2^rows row subsets, so nothing may run
     def never(*_):
         raise AssertionError("a chain coefficient was computed")
-    for name in ("_cramer_coefficients", "_slice_coefficients"):
+    for name in ("_cramer_coefficients", "_slice_parametrization",
+                 "_slice_coefficients"):
         monkeypatch.setattr(newton_socle.combid, name, never)
     cap = newton_socle.combid.MAX_TRIAL_ROWS
     err = io.StringIO()

@@ -99,6 +99,21 @@ def test_random_trials_clean():
     assert rep2["ok"]
 
 
+def test_square_trials_check_the_ones_column_form(monkeypatch):
+    # square trials rescale each row to sum 1: every table the ones-column
+    # identity sees has row sums equal to its scale
+    seen = []
+    real = combid._ones_column_identity
+
+    def spy(M, s, plan):
+        seen.append(all(sum(row) == s for row in M))
+        return real(M, s, plan)
+
+    monkeypatch.setattr(combid, "_ones_column_identity", spy)
+    assert random_minor_identity_trials(3, 3, 10, seed=2)["ok"]
+    assert seen and all(seen)
+
+
 def test_minor_table_rejects_dependent_rows():
     with pytest.raises(InputError):
         table([[1, 2, 3], [2, 4, 6]])
@@ -190,18 +205,47 @@ def test_trial_reports_match_fraction_oracles(shape):
 
 
 def test_disagreeing_routes_are_caught(monkeypatch):
-    real = combid._slice_coefficients
+    # each corruption changes what the substitution compares: the last
+    # Cramer numerator (which no chain sum reads, so only the slice check
+    # can see it) or the point of the slice parametrization, moved by 1
+    # along the last pivot column, which is at least k - 1
+    A = table([[2, 1, 3, -1], [1, -2, 1, 4]])
+    cramer = combid._cramer_coefficients
+    param = combid._slice_parametrization
 
-    def off_by_one(A, rows):
-        got = real(A, rows)
+    def off_numerator(M, s, rows):
+        got = cramer(M, s, rows)
         if got is None or len(rows) < 2:
             return got
-        nums, dens = got
-        return [nums[0] + dens[0]] + nums[1:], dens
+        nums, den = got
+        return nums[:-1] + [nums[-1] + den], den
 
-    monkeypatch.setattr(combid, "_slice_coefficients", off_by_one)
-    with pytest.raises(VerificationError):
-        check_minor_identity(table([[2, 1, 3, -1], [1, -2, 1, 4]]))
+    def off_point(M, s, rows):
+        mat, pivots, L = param(M, s, rows)
+        mat[-1][-1] += mat[-1][pivots[-1]]
+        return mat, pivots, L
+
+    for name, corrupt in (("_cramer_coefficients", off_numerator),
+                          ("_slice_parametrization", off_point)):
+        with monkeypatch.context() as m:
+            m.setattr(combid, name, corrupt)
+            with pytest.raises(VerificationError):
+                check_minor_identity(A)
+    assert check_minor_identity(A)["ok"]
+
+
+@given(tables())
+@settings(max_examples=200, deadline=None)
+def test_cramer_and_slice_are_singular_together(A):
+    """On independent rows a subset's Cramer system is singular exactly
+    when the square system of the slice parametrization is."""
+    if A is None:
+        return
+    for size in range(1, A.nrows + 1):
+        for rows in combinations(range(A.nrows), size):
+            cramer = combid._cramer_coefficients(A.scaled, A.scale, rows)
+            direct = combid._slice_coefficients(A.scaled, A.scale, rows)
+            assert (cramer is None) == (direct is None), rows
 
 
 # ---------------------------------------------------------------------------
