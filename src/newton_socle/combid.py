@@ -113,6 +113,7 @@ def _cramer_coefficients(M, s, rows):
     s·A and ``rows`` is sorted."""
     k = len(rows)
     if k == 1:
+        # b = (1): the combination is the row itself
         return list(M[rows[0]]), s
     # det[u; R] = sum_t u_t C_t, with C the signed maximal minors of R
     R = [[M[j][l] for j in rows] for l in range(k - 1)]
