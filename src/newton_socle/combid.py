@@ -24,7 +24,15 @@ The signed sum over orderings of the chain products is one pass over
 subsets by size, T(∅) = 1 and
 T(P) = c^P_{|P|-1} · Σ_{i∈P} (-1)^{#{p∈P : p>i}} · T(P∖{i}),
 grouping the orderings of P by their last element: 2^r·r products instead
-of Σ_k C(r,k)·k!·k.  Minors are integer Bareiss determinants of M."""
+of Σ_k C(r,k)·k!·k.  Minors are integer Bareiss determinants of M.
+
+A weight system w_0..w_{n-1} of a face runs its c-systems on the same
+kernel.  Each normalized ray covector is written in the weights,
+ρ_i = Σ_l a_il w_l, so in the coordinates y_l = w_l(x) the slice of a ray
+subset I is {A_I y = 1}, and the unit combination of the tail weights
+w_{k-1}..w_{n-1} on it is the chain coefficients of A_I: the Cramer
+coefficients, substituted into the slice parametrization for k >= 2.  The
+slice-basis condition fails exactly when the Cramer system is singular."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -36,8 +44,7 @@ from .errors import CapError, InputError, VerificationError
 from .fan import dual_fan, face_normal_cone, interior_rays, multiplicity, \
     regularize
 from .grobner import torus_has_zero
-from .linalg import _bareiss, _row_reduce, det, dot, kernel_basis, rank, \
-    solve
+from .linalg import _bareiss, _row_reduce, det, dot, solve
 from .polylattice import face_part, faces, support_function
 
 # The largest row count random trials accept.  A trial visits all 2^rows row
@@ -434,8 +441,6 @@ class WeightSystem:
 @record
 class CSystem:
     ray_subset: tuple
-    base_point: tuple
-    directions: tuple
     coefficients: dict        # 0-based weight index -> Fraction
 
     def to_json(self):
@@ -444,83 +449,60 @@ class CSystem:
                                  for k, v in sorted(self.coefficients.items())}}
 
 
-def _slice_of_rays(ray_subset):
-    """Base point and direction basis of the affine slice where every
-    normalized ray covector equals 1."""
-    covs = [r.normalized for r in ray_subset]
-    n = len(covs[0])
-    x0 = solve(covs, [Fraction(1)] * len(covs))
-    if x0 is None:
-        return None, None
-    dirs = kernel_basis(covs, ncols=n)
-    return x0, tuple(dirs)
-
-
-def _restriction_matrix(weights, start, x0, dirs):
-    """Values of the weights w_start..w_n on (base point, directions)."""
-    rows = []
-    for w in weights[start:]:
-        rows.append(tuple([dot(w, x0)] + [dot(w, v) for v in dirs]))
-    return rows
-
-
-def admissible_ray_subsets(fan, face, poly, f=None):
-    """Nonempty subsets of the interior-ray sets of the fan cones of dimension
-    r+1 inside the normal cone of the face."""
-    return _ray_subsets_in(fan, face_normal_cone(poly, face), poly, f)
-
-
-def _ray_subsets_in(fan, normal, poly, f):
-    """:func:`admissible_ray_subsets` for the face with normal cone
-    ``normal``."""
-    target_dim = normal.dim
-    if f is not None:
-        rays = {rd.generator: rd for rd in interior_rays(fan, f)}
-    else:
-        # multiplicities straight from the support function of the polyhedron
-        rays = {}
-        for r in fan.rays:
-            if not _is_unit(r):
-                v = support_function(poly, r)
-                norm = tuple(Fraction(x, v) for x in r) if v > 0 else None
-                rays[r] = _PlainRay(r, v, norm)
-    groups = []
+def _admissible_subsets(fan, normal, f):
+    """Nonempty subsets of the interior-ray sets of the fan cones of the
+    dimension of the face's normal cone ``normal`` that lie inside it."""
+    rays = {rd.generator: rd for rd in interior_rays(fan, f)}
+    subsets = set()
     for cone in fan.cones:
-        if cone.dim != target_dim:
+        if cone.dim != normal.dim:
             continue
         if not all(normal.contains(r) for r in cone.rays):
             continue
         group = tuple(rays[r] for r in cone.rays)
-        groups.append(group)
-    subsets = set()
-    for group in groups:
         for size in range(1, len(group) + 1):
             for sub in combinations(group, size):
                 subsets.add(tuple(sorted(sub, key=lambda rd: rd.generator)))
     return sorted(subsets, key=lambda s: (len(s), [r.generator for r in s]))
 
 
-@record
-class _PlainRay:
-    generator: tuple
-    multiplicity: object
-    normalized: object
+def _c_coefficients(weights, ray_subset):
+    """The coefficients c_{k-1..n-1} (0-based weight index -> Fraction) making
+    the tail weights sum to 1 on the slice of the k rays, or None when the
+    Cramer system is singular.  ``weights`` must be a basis.
+
+    Row i of A_I solves sum_l a_il w_l = rho_i, so in the coordinates
+    y_l = w_l(x) the slice is {A_I y = 1} and the coefficients are the chain
+    coefficients of A_I, checked on the slice for k >= 2."""
+    columns = tuple(zip(*weights))
+    table = MinorTable(tuple(solve(columns, rd.normalized)
+                             for rd in ray_subset))
+    M, s = table.scaled, table.scale
+    rows = list(range(len(ray_subset)))
+    got = _cramer_coefficients(M, s, rows)
+    if got is None:
+        return None
+    if len(rows) > 1 and not _on_slice(M, s, rows, *got):
+        raise VerificationError("unit combination fails on the slice")
+    nums, den = got
+    return {l: Fraction(x, den) for l, x in enumerate(nums, len(rows) - 1)}
 
 
-def _is_unit(r):
-    return sum(1 for x in r if x != 0) == 1 and max(r) == 1
-
-
-def choose_weights(poly, face, seed=0, fan=None, f=None):
+def choose_weights(face, f, seed=0):
     """Random rational weights adapted to the face, resampled until the
     spanning, normalization, vertex-nonvanishing and slice-basis conditions
-    all hold, for at most ``WEIGHT_ATTEMPTS`` draws."""
+    all hold, for at most ``WEIGHT_ATTEMPTS`` draws.  The face must be
+    compact and off the coordinate hyperplanes."""
+    if not face.compact:
+        raise InputError("weights need a compact face")
+    if face.in_coordinate_hyperplane:
+        raise InputError("face lies in a coordinate hyperplane")
+    poly = face.polyhedron
     n = poly.nvars
     normal = face_normal_cone(poly, face)
     r = normal.dim - 1
-    if fan is None:
-        fan = regularize(dual_fan(poly))
-    admissible = _ray_subsets_in(fan, normal, poly, f)
+    fan = regularize(dual_fan(poly))
+    admissible = _admissible_subsets(fan, normal, f)
     rng = random.Random(seed)
     basis_v = [tuple(map(Fraction, ray)) for ray in normal.rays]
     last_failure = "no attempt run"
@@ -549,28 +531,13 @@ def choose_weights(poly, face, seed=0, fan=None, f=None):
             last_failure = "weights are not a basis"
             continue
         # normalization on the face (spanning weights are constant there)
-        bad = False
-        for w in weights[:r + 1]:
-            if any(dot(w, v) != 1 for v in face.vertices()):
-                bad = True
-                last_failure = "weight not constant 1 on the face"
-                break
-        if bad:
+        if any(dot(w, v) != 1 for w in weights[:r + 1]
+               for v in face.vertices()):
+            last_failure = "weight not constant 1 on the face"
             continue
         # slice-basis condition for every admissible ray subset
-        for sub in admissible:
-            x0, dirs = _slice_of_rays(sub)
-            if x0 is None:
-                bad = True
-                last_failure = "slice is empty for %r" % ([r_.generator for r_ in sub],)
-                break
-            k = len(sub)
-            rows = _restriction_matrix(weights, k - 1, x0, dirs)
-            if rank(rows) != n - k + 1 or len(rows) != n - k + 1:
-                bad = True
-                last_failure = "restricted weights not a slice basis"
-                break
-        if bad:
+        if any(_c_coefficients(weights, sub) is None for sub in admissible):
+            last_failure = "restricted weights not a slice basis"
             continue
         return WeightSystem(tuple(weights), face, normal, r, fan,
                             tuple(admissible))
@@ -581,34 +548,21 @@ def choose_weights(poly, face, seed=0, fan=None, f=None):
 def solve_c_system(ws, ray_subset):
     """Exact coefficients making the tail weights sum to 1 on the slice of
     the given rays; singularity means the slice-basis condition failed."""
-    x0, dirs = _slice_of_rays(ray_subset)
-    if x0 is None:
-        raise InputError("slice is empty")
-    k = len(ray_subset)
-    n = len(ws.weights)
-    rows = _restriction_matrix(ws.weights, k - 1, x0, dirs)
-    cols = list(zip(*rows))
-    rhs = [Fraction(1)] + [Fraction(0)] * len(dirs)
-    c = solve(cols, rhs)
+    if not det(ws.weights):
+        raise InputError("weights are not a basis")
+    c = _c_coefficients(ws.weights, ray_subset)
     if c is None:
         raise InputError("slice-basis condition violated")
-    coefficients = {k - 1 + i: c[i] for i in range(len(c))}
-    # defining identity on a spanning set of the slice
-    for idx, val in ((None, x0),) + tuple(enumerate(dirs)):
-        got = sum(coefficients[j] * dot(ws.weights[j], val)
-                  for j in coefficients)
-        want = Fraction(1) if idx is None else Fraction(0)
-        if got != want:
-            raise VerificationError("unit combination fails on the slice")
-    return CSystem(tuple(ray_subset), tuple(x0), tuple(dirs), coefficients)
+    return CSystem(tuple(ray_subset), c)
 
 
-def check_resolution_assumptions(fan, f, ws):
+def check_resolution_assumptions(f, ws):
     """The computable parts of the resolution hypotheses for the derived
     system g_j: equal ray multiplicities, no common torus zero of the tail
     face systems on each stratum (decided exactly over Q by
     :func:`grobner.torus_has_zero`), and solvable slice systems."""
     n = f.nvars
+    fan = ws.fan
     poly = ws.face.polyhedron
     gs = ws.derived_polynomials(f)
     report = {"multiplicities_ok": True, "strata": [], "slices": [],

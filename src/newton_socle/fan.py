@@ -264,7 +264,7 @@ def _triangulates_orthant(n, maxs):
     return sum(c.contains(point) for c in maxs) == 1
 
 
-def fan_from_json(obj, validate=True):
+def fan_from_json(obj):
     try:
         if isinstance(obj, str):
             obj = json.loads(obj)
@@ -287,7 +287,7 @@ def fan_from_json(obj, validate=True):
         if not c:
             raise InputError("fan cone %d has no rays" % i)
     max_cones = [cone_from_rays(c) for c in cone_rays]
-    return fan_from_cones(n, max_cones, validate=validate)
+    return fan_from_cones(n, max_cones)
 
 
 def validate_fan(fan):

@@ -235,10 +235,10 @@ class SparsePoly:
                 terms[e] = terms.get(e, Fraction(0)) + c1 * c2
         return SparsePoly(self.nvars, terms)
 
-    def power(self, k, max_total_degree=None):
+    def power(self, k):
         result = SparsePoly.monomial((0,) * self.nvars)
         for _ in range(k):
-            result = result.mul_truncated(self, max_total_degree)
+            result = result * self
         return result
 
     def x_ddx(self, i):
@@ -420,10 +420,10 @@ def polyhedron_hull(points, recession=()):
     return equations, facets
 
 
-def hull_vertices(points, recession=()):
-    """Vertices of conv(points) + cone(recession), as a sublist of ``points``."""
+def hull_vertices(points):
+    """Vertices of conv(points), as a sublist of ``points``."""
     n = len(points[0])
-    equations, facets = polyhedron_hull(points, recession)
+    equations, facets = polyhedron_hull(points)
     verts = []
     seen = set()
     for p in points:

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +10,8 @@ from newton_socle import combid
 from newton_socle import (MinorTable, check_minor_identity,
                           check_ones_column_identity,
                           check_resolution_assumptions, choose_weights,
-                          compact_faces, dual_fan, newton_polyhedron,
+                          compact_faces, dual_fan, faces,
+                          newton_polyhedron,
                           random_minor_identity_trials, regularize,
                           solve_c_system)
 from newton_socle.combid import (chain_coefficients_cramer,
@@ -19,7 +21,7 @@ from newton_socle.linalg import det, dot
 
 import combid_oracles as oracle
 import linalg_oracles
-from conftest import poly
+from conftest import FAMILY, poly
 
 
 def table(rows):
@@ -267,7 +269,7 @@ def _vertex(f_text):
 def test_choose_weights_cusp_edge_forced():
     f = poly("x1^2 + x2^3")
     D, edge = _edge("x1^2 + x2^3")
-    ws = choose_weights(D, edge, seed=1, f=f)
+    ws = choose_weights(edge, f, seed=1)
     assert ws.r == 0
     assert ws.weights[0] == (Fraction(1, 2), Fraction(1, 3))
     assert det(ws.weights) != 0
@@ -278,7 +280,7 @@ def test_choose_weights_cusp_edge_forced():
 def test_choose_weights_vertex_face():
     f = poly("x1^2 + x1*x2 + x2^3")
     D, vert = _vertex("x1^2 + x1*x2 + x2^3")
-    ws = choose_weights(D, vert, seed=2, f=f)
+    ws = choose_weights(vert, f, seed=2)
     assert ws.r == 1
     for w in ws.weights[:2]:
         assert dot(w, (1, 1)) == 1
@@ -290,7 +292,7 @@ def test_choose_weights_reverified_with_fresh_seed():
     f = poly("x1^2 + x2^3")
     D, edge = _edge("x1^2 + x2^3")
     for seed in (3, 4, 5):
-        ws = choose_weights(D, edge, seed=seed, f=f)
+        ws = choose_weights(edge, f, seed=seed)
         # re-verify the defining conditions independently
         assert det(ws.weights) != 0
         for w in ws.weights:
@@ -301,10 +303,66 @@ def test_choose_weights_reverified_with_fresh_seed():
             solve_c_system(ws, sub)  # raises when condition (iv)-style fails
 
 
+def test_choose_weights_on_every_face_of_the_cusp():
+    # the vertex (0, 3) lies on the x2 axis and the whole polyhedron is not
+    # compact: both are refused, the edge gets weights
+    f = poly("x1^2 + x2^3")
+    for face in faces(newton_polyhedron(f)):
+        if face.compact and not face.in_coordinate_hyperplane:
+            assert choose_weights(face, f).r == face.polyhedron.nvars - 1 - face.dim
+        else:
+            with pytest.raises(InputError):
+                choose_weights(face, f)
+
+
+@functools.lru_cache(maxsize=None)
+def _family_weight_systems():
+    """One weight system per admissible face of each FAMILY polynomial."""
+    out = []
+    for text in FAMILY:
+        f = poly(text)
+        for face in compact_faces(newton_polyhedron(f)):
+            if face.in_coordinate_hyperplane:
+                continue
+            for seed in range(20):
+                try:
+                    out.append(choose_weights(face, f, seed=seed))
+                    break
+                except InputError:
+                    continue
+    return tuple(out)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_c_systems_match_fraction_oracle(data):
+    # integer weights in -2..2: on a basis the det-lemma route and the
+    # restriction of the weights to the slice agree on singularity and on
+    # every coefficient, and weights that are no basis are refused
+    ws = data.draw(st.sampled_from(_family_weight_systems()))
+    n = len(ws.weights)
+    weights = tuple(tuple(Fraction(data.draw(st.integers(-2, 2)))
+                          for _ in range(n)) for _ in range(n))
+    trial = ws.__class__(weights=weights, face=ws.face,
+                         normal_cone=ws.normal_cone, r=ws.r, fan=ws.fan,
+                         admissible_sets=ws.admissible_sets)
+    for sub in ws.admissible_sets:
+        if not det(weights):
+            with pytest.raises(InputError):
+                solve_c_system(trial, sub)
+            continue
+        want = oracle.c_system(weights, sub)
+        try:
+            got = solve_c_system(trial, sub).coefficients
+        except InputError:
+            got = None
+        assert got == want, (weights, [r.generator for r in sub])
+
+
 def test_solve_c_cusp_is_unit_on_first_weight():
     f = poly("x1^2 + x2^3")
     D, edge = _edge("x1^2 + x2^3")
-    ws = choose_weights(D, edge, seed=1, f=f)
+    ws = choose_weights(edge, f, seed=1)
     cs = solve_c_system(ws, ws.admissible_sets[0])
     assert cs.coefficients == {0: Fraction(1), 1: Fraction(0)}
 
@@ -312,12 +370,12 @@ def test_solve_c_cusp_is_unit_on_first_weight():
 def test_solve_c_point_slice():
     f = poly("x1^2 + x1*x2 + x2^3")
     D, vert = _vertex("x1^2 + x1*x2 + x2^3")
-    ws = choose_weights(D, vert, seed=2, f=f)
+    ws = choose_weights(vert, f, seed=2)
     two = [s for s in ws.admissible_sets if len(s) == 2][0]
     cs = solve_c_system(ws, two)
     # E_J is a point p: the combination must hit 1 at p
-    p = cs.base_point
-    assert not cs.directions
+    p, directions = oracle._slice_of_rays(two)
+    assert not directions
     total = sum(c * dot(ws.weights[j], p) for j, c in cs.coefficients.items())
     assert total == 1
 
@@ -327,8 +385,8 @@ def test_resolution_assumptions_cusp():
     for text in ("x1^2 + x2^3", "2/3*x1^2 + 3/5*x2^3"):
         f = poly(text)
         D, edge = _edge(text)
-        ws = choose_weights(D, edge, seed=1, f=f)
-        rep = check_resolution_assumptions(ws.fan, f, ws)
+        ws = choose_weights(edge, f, seed=1)
+        rep = check_resolution_assumptions(f, ws)
         assert rep["ok"] and rep["multiplicities_ok"], text
         assert all(not s["torus_zero"] for s in rep["strata"]), text
         assert all(s["solvable"] for s in rep["slices"]), text
@@ -337,15 +395,17 @@ def test_resolution_assumptions_cusp():
 def test_resolution_assumptions_catch_bad_weights():
     f = poly("x1^2 + x2^3")
     D, edge = _edge("x1^2 + x2^3")
-    ws = choose_weights(D, edge, seed=1, f=f)
+    ws = choose_weights(edge, f, seed=1)
     # sabotage: replace the weights by ones vanishing on the vertex (0, 3),
     # so the derived polynomial drops that vertex and a multiplicity shifts
     bad = ws.__class__(weights=((Fraction(1), Fraction(0)),) * 2,
                        face=ws.face, normal_cone=ws.normal_cone, r=ws.r,
                        fan=ws.fan, admissible_sets=ws.admissible_sets)
-    rep = check_resolution_assumptions(ws.fan, f, bad)
+    rep = check_resolution_assumptions(f, bad)
     assert not rep["multiplicities_ok"]
     assert not rep["ok"]
+    # the weights are not a basis, so no slice system is solvable
+    assert rep["slices"] and not any(s["solvable"] for s in rep["slices"])
 
 
 def test_resolution_assumptions_degenerate_polynomial():
@@ -353,8 +413,8 @@ def test_resolution_assumptions_degenerate_polynomial():
     for text in ("x1^2 + 2*x1*x2 + x2^2", "1/2*x1^2 + x1*x2 + 1/2*x2^2"):
         f = poly(text)
         D, edge = _edge(text)
-        ws = choose_weights(D, edge, seed=6, f=f)
-        rep = check_resolution_assumptions(ws.fan, f, ws)
+        ws = choose_weights(edge, f, seed=6)
+        rep = check_resolution_assumptions(f, ws)
         assert any(s["torus_zero"] for s in rep["strata"]), text
         assert not rep["ok"], text
 
