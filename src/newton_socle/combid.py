@@ -510,7 +510,9 @@ def choose_weights(face, f, seed=0):
         weights = []
         ok = True
         for _ in range(r + 1):
-            w = tuple(sum(rng.randint(-4, 4) * b[k] for b in basis_v)
+            # one coefficient per ray keeps w in the normal cone's span
+            coeffs = [rng.randint(-4, 4) for _ in basis_v]
+            w = tuple(sum(c * b[k] for c, b in zip(coeffs, basis_v))
                       for k in range(n))
             c = dot(w, face.vertices()[0])
             if c == 0:

@@ -303,6 +303,21 @@ def test_choose_weights_reverified_with_fresh_seed():
             solve_c_system(ws, sub)  # raises when condition (iv)-style fails
 
 
+@pytest.mark.parametrize("text", ["x1^2 + x2^2 + x3^2",
+                                  "x1^3 + x2^3 + x3^3",
+                                  "x1^2 + x2^3 + x3^4"])
+def test_choose_weights_on_a_facet_for_every_seed(text):
+    # the spanning weight is one multiple of the facet's normal, so no draw
+    # can miss the normal cone's span
+    f = poly(text)
+    facet = [fc for fc in compact_faces(newton_polyhedron(f))
+             if fc.dim == 2][0]
+    for seed in range(10):
+        ws = choose_weights(facet, f, seed=seed)
+        assert all(dot(ws.weights[0], v) == 1 for v in facet.vertices())
+        assert check_resolution_assumptions(f, ws)["ok"], seed
+
+
 def test_choose_weights_on_every_face_of_the_cusp():
     # the vertex (0, 3) lies on the x2 axis and the whole polyhedron is not
     # compact: both are refused, the edge gets weights
