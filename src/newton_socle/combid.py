@@ -471,7 +471,7 @@ def _c_coefficients(weights, ray_subset):
     the tail weights sum to 1 on the slice of the k rays, or None when the
     Cramer system is singular.  ``weights`` must be a basis.
 
-    Row i of A_I solves sum_l a_il w_l = rho_i, so in the coordinates
+    Row i of A_I solves sum_l a_il w_l = ρ_i, so in the coordinates
     y_l = w_l(x) the slice is {A_I y = 1} and the coefficients are the chain
     coefficients of A_I, checked on the slice for k >= 2."""
     columns = tuple(zip(*weights))

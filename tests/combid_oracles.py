@@ -22,8 +22,8 @@ import random
 
 from linalg_oracles import det, kernel_basis, rank, solve
 from newton_socle.combid import MinorTable
-from newton_socle.linalg import dot
 from newton_socle.errors import InputError, VerificationError
+from newton_socle.linalg import dot
 
 
 def _sign_of_sequence(seq):
@@ -200,7 +200,6 @@ def random_minor_identity_trials(rows, cols, trials, seed):
                 return {"ok": False, "trial": t, "stochastic": True,
                         "report": rep2}
     return {"ok": True, "trials": ran, "degenerate_skipped": skipped}
-
 
 
 def _slice_of_rays(ray_subset):
