@@ -44,7 +44,7 @@ from .errors import CapError, InputError, VerificationError
 from .fan import dual_fan, face_normal_cone, interior_rays, multiplicity, \
     regularize
 from .grobner import torus_has_zero
-from .linalg import _bareiss, _row_reduce, det, dot, solve
+from .linalg import _bareiss, _row_reduce, det, dot, signed_minors, solve
 from .polylattice import face_part, faces, support_function
 
 # The largest row count random trials accept.  A trial visits all 2^rows row
@@ -71,6 +71,7 @@ class MinorTable:
     matrix: tuple
     scale: int = DERIVED
     scaled: tuple = DERIVED
+    full_slice: tuple = DERIVED
 
     def __post_init__(self):
         rows = tuple(tuple(x if type(x) is Fraction else Fraction(x)
@@ -83,8 +84,10 @@ class MinorTable:
         object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "scale", s)
         object.__setattr__(self, "scaled", scaled)
-        if not _independent(scaled):
+        full = _full_slice(scaled, s)
+        if full is None:
             raise InputError("rows are linearly dependent")
+        object.__setattr__(self, "full_slice", full)
 
     @property
     def nrows(self):
@@ -104,10 +107,6 @@ class MinorTable:
                         self.scale ** len(rows))
 
 
-def _independent(M):
-    return len(_row_reduce([list(r) for r in M], len(M[0]))) == len(M)
-
-
 def _leading_minor(M, rows):
     """The integer minor of ``M`` on ``rows`` and the first |rows| columns."""
     k = len(rows)
@@ -116,16 +115,16 @@ def _leading_minor(M, rows):
 
 def _cramer_coefficients(M, s, rows):
     """``(nums, den)`` with c_l^I = nums[l - k + 1] / den for l = k-1..n-1,
-    or None when the Cramer system is singular.  ``M`` is the integer matrix
-    s·A and ``rows`` is sorted."""
+    or None when I is empty or the Cramer system is singular.  ``M`` is the
+    integer matrix s·A and ``rows`` is sorted."""
     k = len(rows)
+    if not k:
+        return None
     if k == 1:
         # b = (1): the combination is the row itself
         return list(M[rows[0]]), s
-    # det[u; R] = sum_t u_t C_t, with C the signed maximal minors of R
-    R = [[M[j][l] for j in rows] for l in range(k - 1)]
-    cof = [(-1) ** t * _bareiss([r[:t] + r[t + 1:] for r in R])
-           for t in range(k)]
+    # det[u; R] = sum_t u_t C_t for R = (M_I cols 0..k-2) transposed
+    cof = signed_minors([[M[j][l] for j in rows] for l in range(k - 1)])
     den = sum(cof)
     if not den:
         return None
@@ -143,6 +142,17 @@ def _slice_parametrization(M, s, rows):
     mat = [list(M[j]) + [s] for j in rows]
     pivots = _row_reduce(mat, len(M[0]) + 1)
     return mat, pivots, lcm(*(row[p] for row, p in zip(mat, pivots)))
+
+
+def _full_slice(M, s):
+    """The slice parametrization of all rows of ``M`` = s·A, or None when
+    the rows are dependent.  They are independent exactly when [M | s] has
+    a pivot in every row and none in its last column."""
+    full = _slice_parametrization(M, s, range(len(M)))
+    pivots = full[1]
+    if len(pivots) < len(M) or pivots[-1] == len(M[0]):
+        return None
+    return full
 
 
 def _slice_coefficients(M, s, rows):
@@ -172,13 +182,12 @@ def _slice_coefficients(M, s, rows):
     return nums, dens
 
 
-def _on_slice(M, s, rows, nums, den):
-    """Whether sum_l nums[l - k + 1] x_l = den on E_I: the Cramer numerators
-    substituted into the point and every kernel vector of the slice
-    parametrization.  ``rows`` is sorted and nonempty."""
-    k = len(rows)
-    n = len(M[0])
-    mat, pivots, L = _slice_parametrization(M, s, rows)
+def _on_slice(param, k, nums, den):
+    """Whether sum_l nums[l - k + 1] x_l = den on E_I, for the k rows of
+    I: the Cramer numerators substituted into the point and every kernel
+    vector of ``param``, the slice parametrization of I."""
+    mat, pivots, L = param
+    n = len(mat[0]) - 1
     # the point has x_{p_i} = L r_i / d_i and the kernel vector of a free f
     # has x_f = L and x_{p_i} = -L e_if / d_i (both scaled by L), so with
     # w_i = nums at p_i times L / d_i the substituted values are
@@ -263,9 +272,10 @@ def _signed_chain_sums(coeff, plan, nrows):
     return sums
 
 
-def _minor_identity(M, s, plan):
+def _minor_identity(M, s, plan, full):
     """:func:`check_minor_identity` on the integer matrix ``M`` = s·A with
-    independent rows, over the subsets of ``plan``."""
+    independent rows, over the subsets of ``plan``; ``full`` is the slice
+    parametrization of all rows."""
     coeff = []
     skipped = []
     for rows, _, _ in plan:
@@ -275,9 +285,12 @@ def _minor_identity(M, s, plan):
             skipped.append(list(rows))
             continue
         # one row is its own slice equation: nothing to substitute
-        if len(rows) > 1 and not _on_slice(M, s, rows, *cc):
-            raise VerificationError(
-                "coefficient routes disagree on %r" % (rows,))
+        if len(rows) > 1:
+            param = (full if len(rows) == len(M)
+                     else _slice_parametrization(M, s, rows))
+            if not _on_slice(param, len(rows), *cc):
+                raise VerificationError(
+                    "coefficient routes disagree on %r" % (rows,))
         coeff.append((cc[0][0], cc[1]))
     sums = _signed_chain_sums(coeff, plan, len(M))
     checked = 0
@@ -308,7 +321,7 @@ def check_minor_identity(table, k_max=None):
     if k_max is None:
         k_max = r1
     return _minor_identity(table.scaled, table.scale,
-                           _subset_plan(r1, min(k_max, r1)))
+                           _subset_plan(r1, min(k_max, r1)), table.full_slice)
 
 
 def _ones_column_identity(M, s, plan):
@@ -390,10 +403,11 @@ def random_minor_identity_trials(rows, cols, trials, seed):
         s = lcm(*(q for _, q in entries))
         M = [[p * (s // q) for p, q in entries[i:i + cols]]
              for i in range(0, rows * cols, cols)]
-        if not _independent(M):
+        full = _full_slice(M, s)
+        if full is None:
             skipped += 1
             continue
-        report = _minor_identity(M, s, plan)
+        report = _minor_identity(M, s, plan, full)
         ran += 1
         if not report["ok"]:
             return {"ok": False, "trial": t, "matrix":
@@ -477,28 +491,33 @@ def _c_coefficients(weights, ray_subset):
     columns = tuple(zip(*weights))
     table = MinorTable(tuple(solve(columns, rd.normalized)
                              for rd in ray_subset))
-    M, s = table.scaled, table.scale
-    rows = list(range(len(ray_subset)))
-    got = _cramer_coefficients(M, s, rows)
+    k = len(ray_subset)
+    got = _cramer_coefficients(table.scaled, table.scale, list(range(k)))
     if got is None:
         return None
-    if len(rows) > 1 and not _on_slice(M, s, rows, *got):
+    if k > 1 and not _on_slice(table.full_slice, k, *got):
         raise VerificationError("unit combination fails on the slice")
     nums, den = got
-    return {l: Fraction(x, den) for l, x in enumerate(nums, len(rows) - 1)}
+    return {l: Fraction(x, den) for l, x in enumerate(nums, k - 1)}
 
 
 def choose_weights(face, f, seed=0):
     """Random rational weights adapted to the face, resampled until the
     spanning, normalization, vertex-nonvanishing and slice-basis conditions
     all hold, for at most ``WEIGHT_ATTEMPTS`` draws.  The face must be
-    compact and off the coordinate hyperplanes."""
+    compact and off the coordinate hyperplanes, in at most 3 variables:
+    the slices come from a regular subdivision of the dual fan, which
+    :func:`fan.regularize` builds only for n <= 3."""
     if not face.compact:
         raise InputError("weights need a compact face")
     if face.in_coordinate_hyperplane:
         raise InputError("face lies in a coordinate hyperplane")
     poly = face.polyhedron
     n = poly.nvars
+    if n > 3:
+        raise InputError("weight systems need a regular subdivision of the "
+                         "dual fan, which is built only for n <= 3 "
+                         "variables; the face has n = %d" % n)
     normal = face_normal_cone(poly, face)
     r = normal.dim - 1
     fan = regularize(dual_fan(poly))

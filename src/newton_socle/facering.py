@@ -4,7 +4,10 @@ series.
 
 The grading is the unique linear form equal to 1 on the face; its denominator
 is cleared so graded pieces are indexed by integers.  Pieces are enumerated by
-exact lattice-point scans of bounded cone sections.
+exact lattice-point scans of bounded cone sections, all built by one section
+builder: a single degree is one scan with the grading as an equation, and
+every degree 0..top, as a quotient, a Poincare series or a class test needs
+them, is one scan of the cone truncated at top, bucketed by degree.
 """
 
 from fractions import Fraction
@@ -100,28 +103,53 @@ def face_derivatives(f, face):
     return [fp.x_ddx(i) for i in range(f.nvars)]
 
 
+def _section(sigma, grading, low, high, interior):
+    """Lattice points of the cone (or its relative interior) on which the
+    cleared grading lies between the integers ``low`` and ``high``, in
+    lexicographic order.
+
+    The grading is positive on the rays, so the cone between the two degrees
+    is the convex hull of the rays' corners at both, and the box of those
+    corners holds every point.  One degree is an equation of the scan, a
+    range two inequalities."""
+    n = len((sigma.rays or sigma.equations)[0])
+    scaled_cov = tuple(x * grading.denominator for x in grading.covector)
+    corners = [(0,) * n] if not sigma.rays else []
+    for ray in sigma.rays:
+        h = dot(scaled_cov, ray)
+        corners += [tuple(Fraction(k * x, h) for x in ray) for k in {low, high}]
+    lo = [min(c[i] for c in corners) for i in range(n)]
+    hi = [max(c[i] for c in corners) for i in range(n)]
+    ineqs = [(l, 0, interior) for l in sigma.facet_normals]
+    eqs = [(e, 0) for e in sigma.equations]
+    if low == high:
+        eqs.append((scaled_cov, low))
+    else:
+        ineqs += [(scaled_cov, low, False),
+                  (tuple(-x for x in scaled_cov), -high, False)]
+    return lattice_points(lo, hi, ineqs, eqs)
+
+
 def graded_monomials(sigma, grading, scaled_degree, interior):
     """Lattice points of the cone (or its relative interior) on which the
     cleared grading takes the given integer value."""
     if scaled_degree < 0:
         return []
-    if scaled_degree == 0:
-        if interior and sigma.dim > 0:
-            return []
-        n = len(sigma.rays[0]) if sigma.rays else len(sigma.equations[0])
-        origin = (0,) * n
-        return [origin] if sigma.contains(origin) else []
-    n = len(sigma.rays[0])
-    scaled_cov = tuple(x * grading.denominator for x in grading.covector)
-    corners = []
-    for ray in sigma.rays:
-        h = dot(scaled_cov, ray)
-        corners.append(tuple(Fraction(scaled_degree * x, h) for x in ray))
-    lo = [min(c[i] for c in corners) for i in range(n)]
-    hi = [max(c[i] for c in corners) for i in range(n)]
-    ineqs = [(l, 0, interior) for l in sigma.facet_normals]
-    eqs = [(e, 0) for e in sigma.equations] + [(scaled_cov, scaled_degree)]
-    return lattice_points(lo, hi, ineqs, eqs)
+    return _section(sigma, grading, scaled_degree, scaled_degree, interior)
+
+
+def graded_pieces(sigma, grading, top, interior):
+    """The lists :func:`graded_monomials` gives at the scaled degrees
+    0..``top``, indexed by degree, from one scan of the cone truncated at
+    ``top``.  The scan is in lexicographic order, so each list keeps the
+    order of its one-degree scan."""
+    pieces = [[] for _ in range(top + 1)]
+    if top < 0:
+        return pieces
+    cov = [int(x * grading.denominator) for x in grading.covector]
+    for m in _section(sigma, grading, 0, top, interior):
+        pieces[dot(cov, m)].append(m)
+    return pieces
 
 
 @record
@@ -174,30 +202,25 @@ def _parameter_degree(p, grading):
     return degs.pop()
 
 
-def _interior_piece(sigma, grading, scaled_degree, pieces):
-    """Interior monomials of the given scaled degree, kept in ``pieces``."""
-    if scaled_degree not in pieces:
-        pieces[scaled_degree] = graded_monomials(sigma, grading, scaled_degree,
-                                                 interior=True)
-    return pieces[scaled_degree]
-
-
 def _image_span(sigma, grading, params, scaled_degree, param_degrees,
                 pieces=None):
     """Echelon span of the image of multiplication by the parameters inside
     the interior-monomial piece of the given scaled degree; returns
     (echelon, piece).  Its columns are positions in the piece and the key is
     the negated position, so the pivots are the leftmost monomials, as in
-    ``rref``.  ``pieces`` carries the interior pieces already enumerated, by
-    scaled degree, from one call to the next."""
+    ``rref``.  ``pieces`` holds the interior pieces of the scaled degrees
+    0..``scaled_degree`` at least, as :func:`graded_pieces` gives them; when
+    omitted they are scanned here."""
     if pieces is None:
-        pieces = {}
-    piece = _interior_piece(sigma, grading, scaled_degree, pieces)
+        pieces = graded_pieces(sigma, grading, scaled_degree, interior=True)
+    piece = pieces[scaled_degree]
     index = {m: i for i, m in enumerate(piece)}
     ech = Echelon(neg)
     for p, pd in zip(params, param_degrees):
+        if pd > scaled_degree:
+            continue
         terms = _integral(p.terms)[0].items()
-        for m in _interior_piece(sigma, grading, scaled_degree - pd, pieces):
+        for m in pieces[scaled_degree - pd]:
             ech.insert({index[tuple(map(add, e, m))]: c for e, c in terms})
     return ech, piece
 
@@ -205,7 +228,7 @@ def _image_span(sigma, grading, params, scaled_degree, param_degrees,
 def canonical_quotient(fc, params, grading=None):
     """Graded dimensions of the quotient of the interior-monomial module by
     the parameter ideal, computed degree by degree as corank of the
-    multiplication map.
+    multiplication map, on the interior pieces of one truncated scan.
 
     The dimensions are checked against the Poincare-series prediction
     P(K) * prod(1 - t^deg) through one degree unit past the expected socle
@@ -228,11 +251,8 @@ def canonical_quotient(fc, params, grading=None):
     expected_scaled = sum(param_degrees)
     top_scaled = expected_scaled + d
 
-    pieces = {}
-    k_dims = {}
+    pieces = graded_pieces(sigma, grading, top_scaled, interior=True)
     q_dims = {}
-    for k in range(0, top_scaled + 1):
-        k_dims[k] = len(_interior_piece(sigma, grading, k, pieces))
     for k in range(0, top_scaled + 1):
         ech, piece = _image_span(sigma, grading, params, k, param_degrees,
                                  pieces)
@@ -241,7 +261,7 @@ def canonical_quotient(fc, params, grading=None):
             socle_ech, socle_piece = ech, piece
 
     # Poincare prediction: coefficients of P(K) * prod(1 - t^pd)
-    predicted = dict(k_dims)
+    predicted = dict(enumerate(map(len, pieces)))
     for pd in param_degrees:
         nxt = {}
         for k in range(0, top_scaled + 1):
@@ -329,16 +349,11 @@ def poincare_series(sigma, grading, truncation):
             raise InputError("non-positive grading")
     d = grading.denominator
     top = int(Fraction(truncation) * d)
-    ring_dims = {}
-    module_dims = {}
-    for k in range(0, top + 1):
-        q = Fraction(k, d)
-        a = len(graded_monomials(sigma, grading, k, interior=False))
-        m = len(graded_monomials(sigma, grading, k, interior=True))
-        if a:
-            ring_dims[q] = a
-        if m:
-            module_dims[q] = m
+    ring_dims, module_dims = [
+        {Fraction(k, d): len(piece)
+         for k, piece in enumerate(graded_pieces(sigma, grading, top,
+                                                 interior)) if piece}
+        for interior in (False, True)]
 
     numerator = None
     den_degrees = None

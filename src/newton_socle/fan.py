@@ -1,9 +1,15 @@
 """Cone and fan combinatorics on the positive orthant: dual cones, face
 lattices, the coarsest fan on which the support function is linear, exact
 regular subdivision (continued fractions in 2D, stellar subdivision in 3D),
-ray multiplicities and pole components.  :func:`cone_from_rays` reads a
-pointed cone's rays off the facet incidences of its generators; only a cone
-with lineality takes a second double description, the polar's polar.
+ray multiplicities and pole components.
+
+Closed forms replace the double description where one exists.
+:func:`cone_from_rays` gives a full-dimensional simplicial cone its facet
+normals from the signed maximal minors of its rays.  Any other cone takes
+one double description, and its rays are read off the facet incidences of
+its generators when it is pointed; only a cone with lineality takes a
+second, the polar's polar.  The 2D regular subdivision walks each cone's
+Hirzebruch–Jung continued fraction with integer Bezout steps.
 
 Fans are assembled without intersecting cones where the combinatorics is
 known.  The normal fan is read off the face lattice: each face's normal cone
@@ -23,11 +29,10 @@ import json
 
 from ._record import record
 from .errors import InputError, RegularizationError, VerificationError
-from .linalg import det, dot, primitive, rank, solve
+from .linalg import det, dot, primitive, rank, signed_minors, solve
 from .polylattice import (INFINITY, exact_int, faces, incidence_closures,
                           newton_order, newton_polyhedron,
-                          parallelepiped_points, polar_generators,
-                          polyhedron_hull)
+                          parallelepiped_points, polar_generators)
 
 # Stellar subdivisions _regularize_3d makes before RegularizationError.
 STELLAR_STEPS = 400
@@ -63,17 +68,25 @@ class Cone:
 def cone_from_rays(rays):
     """Canonical cone spanned by the given vectors.
 
-    One double description of the generators gives equations and facet
-    normals.  If these have rank n the cone is pointed and its rays are the
-    primitive generators whose tight normals plus the equations have rank
-    n - 1; else they are the extreme rays and lineality pairs of the polar's
-    polar."""
+    When the distinct primitive generators are n independent vectors in
+    n-space the cone is simplicial and full-dimensional, and facet normal i
+    is the primitive vector of the signed maximal minors of the other n - 1
+    rays, signed to be positive on ray i.  Otherwise one double description
+    of the generators gives equations and facet normals.  If these have rank
+    n the cone is pointed and its rays are the primitive generators whose
+    tight normals plus the equations have rank n - 1; else they are the
+    extreme rays and lineality pairs of the polar's polar."""
     if not rays:
         raise InputError("cone needs an ambient dimension; give at least the zero vector")
     n = len(rays[0])
     gens = [primitive(r) for r in rays if any(x != 0 for x in r)]
     if not gens:
         return zero_cone(n)
+    distinct = sorted(set(gens))
+    if len(distinct) == n:
+        normals = _simplicial_normals(distinct)
+        if normals is not None:
+            return Cone(tuple(distinct), tuple(sorted(normals)), (), n)
     lin_n, normals = polar_generators(gens, dim=n)
     equations = sorted(lin_n)
     if rank(normals + equations) == n:
@@ -84,6 +97,23 @@ def cone_from_rays(rays):
         allrays = _generators(*polar_generators(normals, equations, dim=n))
     return Cone(tuple(sorted(set(allrays))), tuple(sorted(normals)),
                 tuple(equations), n - len(equations))
+
+
+def _simplicial_normals(rays):
+    """Facet normals of the cone over n vectors in n-space, the one opposite
+    each ray in turn, or None when the vectors are dependent.  Each is the
+    primitive vector C with C.x = +-det[x; other rays], which vanishes on
+    the other rays, signed by its value on its own ray: that value is
+    +-det of all the rays, so it is zero for one ray exactly when it is
+    zero for all."""
+    normals = []
+    for i, ray in enumerate(rays):
+        c = signed_minors(rays[:i] + rays[i + 1:])
+        side = dot(c, ray)
+        if not side:
+            return None
+        normals.append(primitive(c if side > 0 else [-x for x in c]))
+    return normals
 
 
 def _generators(lineality, extreme):
@@ -435,8 +465,12 @@ def is_regular(fan):
                for c in fan.maximal_cones())
 
 
+def _det2(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def _angle_cmp(u, v):
-    d = u[0] * v[1] - u[1] * v[0]
+    d = _det2(u, v)
     if d > 0:
         return -1
     if d < 0:
@@ -444,25 +478,47 @@ def _angle_cmp(u, v):
     return 0
 
 
+def _bezout(a, b):
+    """``(x, y)`` with a*x + b*y = gcd(a, b), by the extended Euclidean
+    algorithm."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (x0, y0) if a > 0 else (-x0, -y0)
+
+
 def _hj_chain(u, v):
-    """Rays of the regular subdivision of the 2D cone <u, v>: the lattice
-    points on the bounded boundary of the convex hull of the nonzero lattice
-    points of the cone.  Endpoints included, consecutive determinants +-1."""
-    candidates = parallelepiped_points([u, v], True, True)
-    _, facets = polyhedron_hull(candidates, [u, v])
-    chain = set()
-    for normal, c in facets:
-        if dot(normal, u) > 0 and dot(normal, v) > 0:
-            for p in candidates:
-                if dot(normal, p) == c:
-                    chain.add(p)
-    ordered = sorted(chain, key=cmp_to_key(_angle_cmp))
-    if ordered[0] != tuple(u) or ordered[-1] != tuple(v):
-        raise VerificationError("hull boundary chain lost an endpoint")
-    for a, b in zip(ordered, ordered[1:]):
-        if abs(a[0] * b[1] - a[1] * b[0]) != 1:
+    """Rays of the regular subdivision of the 2D cone <u, v>, u before v
+    counterclockwise: the Hirzebruch–Jung continued fraction of the cone
+    (Fulton, *Introduction to Toric Varieties*, 1993, §2.6), which are the
+    lattice points on the bounded boundary of the convex hull of the
+    nonzero lattice points of the cone.  Endpoints included, consecutive
+    determinants +-1.
+
+    The ray after w is the lattice point p with det(w, p) = 1 and
+    0 <= det(p, v) < det(w, v).  Those p with det(w, p) = 1 are p0 + t w,
+    with p0 from a Bezout identity for the primitive w, and det(p, v) grows
+    by det(w, v) with t, so one t qualifies.  det(w, v) falls at each step
+    and the walk stops at v, the only such p with det(p, v) = 0."""
+    chain = [tuple(u)]
+    w = chain[0]
+    gap = _det2(w, v)
+    while gap > 0:
+        x, y = _bezout(w[0], w[1])
+        p0 = (-y, x)
+        t = -(_det2(p0, v) // gap)
+        w = (p0[0] + t * w[0], p0[1] + t * w[1])
+        chain.append(w)
+        gap = _det2(w, v)
+    if chain[-1] != tuple(v):
+        raise VerificationError("continued fraction walk missed the endpoint")
+    for a, b in zip(chain, chain[1:]):
+        if abs(_det2(a, b)) != 1:
             raise VerificationError("chain step with determinant != 1")
-    return ordered
+    return chain
 
 
 def _regularize_2d(fan):

@@ -222,6 +222,17 @@ def det(rows):
     return Fraction(_bareiss(mat), scale)
 
 
+def signed_minors(rows):
+    """The signed maximal minors C_0..C_{k-1} of the integer (k-1) x k
+    matrix ``rows``: C_t is (-1)^t times the determinant of ``rows`` without
+    column t, so that det[u; rows] = sum_t u_t C_t for every row u.  The
+    vector C is orthogonal to every row, and it is zero exactly when the
+    rows are dependent."""
+    k = len(rows) + 1
+    return [(-1) ** t * _bareiss([[*r[:t], *r[t + 1:]] for r in rows])
+            for t in range(k)]
+
+
 def _integral(terms):
     """``terms`` over the common denominator d of its coefficients: an
     integer dict without zero entries, and d."""

@@ -14,17 +14,21 @@ cone's rays off the facet incidences of its generators;
 ``brute_cone_faces`` builds its faces with it.  ``inequality_normal_cone``
 builds a face's normal cone from the vertex differences of the polyhedron,
 where ``fan.face_normal_cone`` spans it by the normals of the facets that
-hold the face.
+hold the face.  ``hull_hj_chain`` reads a 2D cone's regular subdivision off
+the convex hull of its parallelepiped points, where ``fan._hj_chain`` walks
+the continued fraction.
 """
 
+from functools import cmp_to_key
 from itertools import combinations
 
-from newton_socle.fan import (Cone, _cone_ambient, _generators,
+from newton_socle.fan import (Cone, _angle_cmp, _cone_ambient, _generators,
                               _intersect_cones, _polar_cone, _std_basis,
                               zero_cone)
 from newton_socle.errors import InputError
 from newton_socle.linalg import dot, primitive, rank, vec_sub
-from newton_socle.polylattice import FaceDescriptor, polar_generators
+from newton_socle.polylattice import (FaceDescriptor, parallelepiped_points,
+                                      polar_generators, polyhedron_hull)
 
 
 def double_polar_cone(rays):
@@ -125,3 +129,19 @@ def inequality_normal_cone(poly, face):
     eqs = [vec_sub(v, v0) for v in verts[1:]]
     eqs += [tuple(int(i == k) for k in range(n)) for i in face.recession_axes]
     return _polar_cone(ineqs, eqs, n)
+
+
+def hull_hj_chain(u, v):
+    """Rays of the regular subdivision of the 2D cone <u, v>: the lattice
+    points on the bounded boundary of the convex hull of the nonzero lattice
+    points of the cone, in angular order.  The hull of the cone's closed
+    parallelepiped points plus the cone as recession has that boundary."""
+    candidates = parallelepiped_points([u, v], True, True)
+    _, facets = polyhedron_hull(candidates, [u, v])
+    chain = set()
+    for normal, c in facets:
+        if dot(normal, u) > 0 and dot(normal, v) > 0:
+            for p in candidates:
+                if dot(normal, p) == c:
+                    chain.add(p)
+    return sorted(chain, key=cmp_to_key(_angle_cmp))

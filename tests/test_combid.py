@@ -210,8 +210,9 @@ def test_disagreeing_routes_are_caught(monkeypatch):
     # each corruption changes what the substitution compares: the last
     # Cramer numerator (which no chain sum reads, so only the slice check
     # can see it) or the point of the slice parametrization, moved by 1
-    # along the last pivot column, which is at least k - 1
-    A = table([[2, 1, 3, -1], [1, -2, 1, 4]])
+    # along the last pivot column, which is at least k - 1; the table is
+    # built under the corruption, as it eliminates the full row set
+    rows = [[2, 1, 3, -1], [1, -2, 1, 4]]
     cramer = combid._cramer_coefficients
     param = combid._slice_parametrization
 
@@ -232,8 +233,8 @@ def test_disagreeing_routes_are_caught(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(combid, name, corrupt)
             with pytest.raises(VerificationError):
-                check_minor_identity(A)
-    assert check_minor_identity(A)["ok"]
+                check_minor_identity(table(rows))
+    assert check_minor_identity(table(rows))["ok"]
 
 
 @given(tables())
@@ -328,6 +329,14 @@ def test_choose_weights_on_every_face_of_the_cusp():
         else:
             with pytest.raises(InputError):
                 choose_weights(face, f)
+
+
+def test_choose_weights_states_the_regularization_limit():
+    f = poly("x1^2 + x2^2 + x3^2 + x4^2")
+    facet = [fc for fc in compact_faces(newton_polyhedron(f))
+             if fc.dim == 3][0]
+    with pytest.raises(InputError, match=r"n <= 3 variables.*n = 4"):
+        choose_weights(facet, f)
 
 
 @functools.lru_cache(maxsize=None)

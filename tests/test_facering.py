@@ -9,7 +9,8 @@ from newton_socle import (SparsePoly, canonical_quotient, class_nonzero,
                           face_derivatives, grading_form, newton_polyhedron,
                           poincare_series, select_parameters)
 from newton_socle.errors import InputError
-from newton_socle.facering import graded_monomials, grading_from_covector
+from newton_socle.facering import (graded_monomials, graded_pieces,
+                                   grading_from_covector)
 from newton_socle.linalg import det, dot, solve
 from newton_socle.polylattice import parallelepiped_points
 
@@ -279,6 +280,28 @@ def test_graded_monomials_against_box_oracle():
                             for t in coeffs):
                         expected.add((x, y))
             assert got == expected
+
+
+@st.composite
+def graded_cones(draw):
+    """A cone of 1-4 nonzero generators in the 2- or 3-D orthant (so
+    lower-dimensional cones with equations too) and a grading positive on
+    it, possibly with a denominator."""
+    n = draw(st.sampled_from([2, 3]))
+    vec = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    sigma = cone_from_rays(draw(st.lists(vec, min_size=1, max_size=4)))
+    cov = draw(st.tuples(*[st.sampled_from([1, 2, 3, Fraction(1, 2),
+                                            Fraction(2, 3)])] * n))
+    return sigma, grading_from_covector(cov, sigma)
+
+
+@given(graded_cones(), st.integers(0, 9), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_range_scan_matches_one_degree_scans(cone, top, interior):
+    sigma, grading = cone
+    pieces = graded_pieces(sigma, grading, top, interior)
+    assert pieces == [graded_monomials(sigma, grading, k, interior)
+                      for k in range(top + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ directory that holds the fan files some invocations read.  One line is
 printed per invocation: ``same`` when stdout and the exit code agree byte
 for byte, else ``DIFF`` with both exit codes and the first line where
 stdout differs.  The exit status is 0 when every invocation agrees and 1
-otherwise.  Standard library only.
+otherwise.  Standard library only, besides this checkout's ``perfbench``
+inputs and ``src``, which gives the admissible faces ``kbar`` is run on.
 """
 
 import json
@@ -21,7 +22,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, os.pardir))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 
+from newton_socle.cli import read_polynomial  # noqa: E402
+from newton_socle.context import RunContext  # noqa: E402
 from perfbench.workloads import (CURVES, SURFACES, k_support,  # noqa: E402
                                  load_expected)
 
@@ -74,6 +78,17 @@ def invocations():
     for item in SURFACES:
         out.append(("fan --regular " + item["poly"],
                     ["fan", "--poly", item["poly"], "--regular"]))
+    # long Hirzebruch-Jung chains in 2D
+    for f in ("x1^2 + x2^13", "x1^13 + x1^5*x2^2 + x2^17",
+              "x1^11 + x1^3*x2^4 + x2^19"):
+        out.append(("fan --regular " + f, ["fan", "--poly", f, "--regular"]))
+    # the graded quotient of every admissible face
+    for item in CURVES + SURFACES:
+        count = len(RunContext(read_polynomial(item["poly"], None))
+                    .admissible_faces)
+        for i in range(count):
+            out.append(("kbar --face %d %s" % (i, item["poly"]),
+                        ["kbar", "--poly", item["poly"], "--face", str(i)]))
     for name in KOSZUL_PRESETS:
         out.append(("koszul " + name, ["koszul", "--polytope", name]))
     # the residue runs of tests/test_cli.py
