@@ -478,18 +478,6 @@ def _angle_cmp(u, v):
     return 0
 
 
-def _bezout(a, b):
-    """``(x, y)`` with a*x + b*y = gcd(a, b), by the extended Euclidean
-    algorithm."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (x0, y0) if a > 0 else (-x0, -y0)
-
-
 def _hj_chain(u, v):
     """Rays of the regular subdivision of the 2D cone <u, v>, u before v
     counterclockwise: the Hirzebruch–Jung continued fraction of the cone
@@ -500,17 +488,19 @@ def _hj_chain(u, v):
 
     The ray after w is the lattice point p with det(w, p) = 1 and
     0 <= det(p, v) < det(w, v).  Those p with det(w, p) = 1 are p0 + t w,
-    with p0 from a Bezout identity for the primitive w, and det(p, v) grows
-    by det(w, v) with t, so one t qualifies.  det(w, v) falls at each step
-    and the walk stops at v, the only such p with det(p, v) = 0."""
+    with p0 = (-y, x) from a Bezout identity a x + b y = 1 for the
+    primitive w = (a, b), and det(p, v) grows by det(w, v) with t, so one
+    t qualifies.  det(w, v) falls at each step and the walk stops at v, the
+    only such p with det(p, v) = 0."""
     chain = [tuple(u)]
     w = chain[0]
     gap = _det2(w, v)
     while gap > 0:
-        x, y = _bezout(w[0], w[1])
-        p0 = (-y, x)
+        a, b = w
+        x = pow(a, -1, b) if b else a
+        p0 = ((a * x - 1) // b if b else 0, x)
         t = -(_det2(p0, v) // gap)
-        w = (p0[0] + t * w[0], p0[1] + t * w[1])
+        w = (p0[0] + t * a, p0[1] + t * b)
         chain.append(w)
         gap = _det2(w, v)
     if chain[-1] != tuple(v):

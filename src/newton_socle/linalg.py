@@ -8,11 +8,11 @@ the lcm of its denominators and divided by the gcd of its entries (this
 keeps its span).  :func:`_row_reduce` is the one Gauss–Jordan routine behind
 ``rref``, ``rank``, ``solve`` and ``kernel_basis``: it cancels each pivot by
 integer cross-multiplication and divides every row it changes by its gcd, so
-the rows stay primitive.  :func:`_bareiss`, behind ``det``, is Bareiss's
-fraction-free elimination on integer rows (E. H. Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math. Comp.
-22 (1968)).  ``Fraction`` is built only in what ``rref``, ``solve``,
-``kernel_basis`` and ``det`` return.
+the rows stay primitive.  :func:`_bareiss`, behind ``det`` and
+``signed_minors``, is Bareiss's fraction-free elimination on integer rows
+(E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22 (1968)).  ``Fraction`` is built only
+in what ``rref``, ``solve``, ``kernel_basis`` and ``det`` return.
 
 Spans of sparse vectors (dicts from a column, often a monomial, to its entry)
 go through :class:`Echelon` instead: the same primitive integer rows, kept
