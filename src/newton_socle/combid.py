@@ -48,9 +48,10 @@ from .linalg import _bareiss, _row_reduce, det, dot, signed_minors, solve
 from .polylattice import face_part, faces, support_function
 
 # The largest row count random trials accept.  A trial visits all 2^rows row
-# subsets, and the k Bareiss cofactors of each k-row subset are most of its
-# time: one square trial takes 2.5-3 s at 12 rows and 6-8 s at 13 (a shared
-# two-core x86-64 host, Python 3.11).
+# subsets, and the elimination for the Cramer cofactors of each subset
+# (``signed_minors``) and that of its slice are most of its time: one square
+# trial takes 1.2-1.7 s at 12 rows and 3.1-4.1 s at 13 (three runs each, a
+# shared two-core x86-64 host, Python 3.11).
 MAX_TRIAL_ROWS = 12
 
 # Weight draws :func:`choose_weights` makes before it gives up.

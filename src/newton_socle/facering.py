@@ -12,7 +12,7 @@ them, is one scan of the cone truncated at top, bucketed by degree.
 
 from fractions import Fraction
 import math
-from operator import add, neg
+from operator import add
 
 from ._record import record
 from .errors import InputError, VerificationError
@@ -206,23 +206,31 @@ def _image_span(sigma, grading, params, scaled_degree, param_degrees,
                 pieces=None):
     """Echelon span of the image of multiplication by the parameters inside
     the interior-monomial piece of the given scaled degree; returns
-    (echelon, piece).  Its columns are positions in the piece and the key is
-    the negated position, so the pivots are the leftmost monomials, as in
-    ``rref``.  ``pieces`` holds the interior pieces of the scaled degrees
-    0..``scaled_degree`` at least, as :func:`graded_pieces` gives them; when
-    omitted they are scanned here."""
+    (echelon, column), where ``column`` maps the piece's monomials, in piece
+    order, to their columns.  The columns number the piece right to left,
+    so the pivots are the leftmost monomials, as in ``rref``.  ``pieces``
+    holds the interior pieces of the scaled degrees 0..``scaled_degree`` at
+    least, as :func:`graded_pieces` gives them; when omitted they are
+    scanned here."""
     if pieces is None:
         pieces = graded_pieces(sigma, grading, scaled_degree, interior=True)
     piece = pieces[scaled_degree]
-    index = {m: i for i, m in enumerate(piece)}
-    ech = Echelon(neg)
+    last = len(piece) - 1
+    column = {m: last - i for i, m in enumerate(piece)}
+    ech = Echelon()
     for p, pd in zip(params, param_degrees):
         if pd > scaled_degree:
             continue
         terms = _integral(p.terms)[0].items()
         for m in pieces[scaled_degree - pd]:
-            ech.insert({index[tuple(map(add, e, m))]: c for e, c in terms})
-    return ech, piece
+            ech.insert({column[tuple(map(add, e, m))]: c for e, c in terms})
+    return ech, column
+
+
+def _quotient_monomials(ech, column):
+    """The monomials of a piece at the non-pivot columns of its image span,
+    in piece order, from :func:`_image_span`'s (echelon, column)."""
+    return [m for m, c in column.items() if c not in ech.rows]
 
 
 def canonical_quotient(fc, params, grading=None):
@@ -254,11 +262,11 @@ def canonical_quotient(fc, params, grading=None):
     pieces = graded_pieces(sigma, grading, top_scaled, interior=True)
     q_dims = {}
     for k in range(0, top_scaled + 1):
-        ech, piece = _image_span(sigma, grading, params, k, param_degrees,
-                                 pieces)
-        q_dims[k] = len(piece) - len(ech.rows)
+        ech, column = _image_span(sigma, grading, params, k, param_degrees,
+                                  pieces)
+        q_dims[k] = len(column) - len(ech.rows)
         if k == expected_scaled:
-            socle_ech, socle_piece = ech, piece
+            socle_basis = _quotient_monomials(ech, column)
 
     # Poincare prediction: coefficients of P(K) * prod(1 - t^pd)
     predicted = dict(enumerate(map(len, pieces)))
@@ -280,8 +288,7 @@ def canonical_quotient(fc, params, grading=None):
     if not nonzero or max(nonzero) != expected_scaled:
         raise InputError("not a system of parameters: socle degree mismatch")
 
-    basis = [SparsePoly.monomial(m) for i, m in enumerate(socle_piece)
-             if i not in socle_ech.rows]
+    basis = [SparsePoly.monomial(m) for m in socle_basis]
     graded_dims = {Fraction(k, d): v for k, v in q_dims.items() if v > 0}
     return CanonicalQuotient(sigma, grading, params, graded_dims,
                              Fraction(expected_scaled, d), tuple(basis))
@@ -293,10 +300,10 @@ def select_parameters(derivs, fc):
     system of parameters is checked by :func:`canonical_quotient`, which
     every caller builds from them next."""
     target = fc.sigma.dim
-    ech = Echelon(lambda m: m)
+    ech = Echelon()
     chosen = []
     for p in derivs:
-        if ech.insert(p.terms):
+        if ech.insert(_integral(p.terms)[0]):
             chosen.append(p)
         if len(chosen) == target:
             break
@@ -402,7 +409,6 @@ def class_nonzero(g, quotient):
         if not sigma.relative_interior_contains(e):
             raise InputError("g is not supported in the interior of the cone")
     param_degrees = [_parameter_degree(p, grading) for p in quotient.parameters]
-    ech, piece = _image_span(sigma, grading, quotient.parameters, k,
-                             param_degrees)
-    index = {m: i for i, m in enumerate(piece)}
-    return bool(ech.reduce({index[e]: c for e, c in g.terms.items()}))
+    ech, column = _image_span(sigma, grading, quotient.parameters, k,
+                              param_degrees)
+    return bool(ech.reduce({column[e]: c for e, c in g.terms.items()}))

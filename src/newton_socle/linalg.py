@@ -8,17 +8,19 @@ the lcm of its denominators and divided by the gcd of its entries (this
 keeps its span).  :func:`_row_reduce` is the one Gauss–Jordan routine behind
 ``rref``, ``rank``, ``solve`` and ``kernel_basis``: it cancels each pivot by
 integer cross-multiplication and divides every row it changes by its gcd, so
-the rows stay primitive.  :func:`_bareiss`, behind ``det`` and
-``signed_minors``, is Bareiss's fraction-free elimination on integer rows
-(E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 22 (1968)).  ``Fraction`` is built only
+the rows stay primitive.  :func:`_bareiss`, behind ``det``, is Bareiss's
+fraction-free elimination on integer rows (E. H. Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math. Comp.
+22 (1968)); ``signed_minors`` runs the same exact division by the previous
+pivot as one Gauss–Jordan pass.  ``Fraction`` is built only
 in what ``rref``, ``solve``, ``kernel_basis`` and ``det`` return.
 
-Spans of sparse vectors (dicts from a column, often a monomial, to its entry)
-go through :class:`Echelon` instead: the same primitive integer rows, kept
-sparse and pivoting on the largest column under a given key.  Ideal spans,
-face-ring quotients, parameter choice, the Jacobian injectivity check and
-the Koszul rank all use it.
+Spans of sparse vectors (dicts from a column to its entry) go through
+:class:`Echelon` instead: the same primitive integer rows, kept sparse and
+pivoting on the largest column.  Callers number their columns once so that
+this is the pivot order they want (a truncated local algebra numbers its
+monomials in degrevlex order).  Ideal spans, face-ring quotients, parameter
+choice, the Jacobian injectivity check and the Koszul rank all use it.
 """
 
 from fractions import Fraction
@@ -227,10 +229,51 @@ def signed_minors(rows):
     matrix ``rows``: C_t is (-1)^t times the determinant of ``rows`` without
     column t, so that det[u; rows] = sum_t u_t C_t for every row u.  The
     vector C is orthogonal to every row, and it is zero exactly when the
-    rows are dependent."""
+    rows are dependent.
+
+    One fraction-free Gauss–Jordan elimination (Bareiss's division by the
+    previous pivot, applied to the rows above the pivot as well) leaves
+    every pivot entry equal to d, the minor on the pivot columns up to the
+    sign of the row swaps, and the free column f holding the Cramer
+    numerators.  So x_f = d, x_(p_i) = -row_i[f] spans the kernel, and C is
+    that vector times (-1)^f and the swap sign.  Dependent rows leave more
+    than one free column, and C is then zero."""
     k = len(rows) + 1
-    return [(-1) ** t * _bareiss([[*r[:t], *r[t + 1:]] for r in rows])
-            for t in range(k)]
+    mat = [list(r[:k]) for r in rows]
+    sign = 1
+    prev = 1
+    pivots, free = [], []
+    r = 0
+    for c in range(k):
+        for i in range(r, k - 1):
+            if mat[i][c]:
+                break
+        else:
+            free.append(c)
+            if len(free) > 1:
+                return [0] * k
+            continue
+        if i != r:
+            mat[r], mat[i] = mat[i], mat[r]
+            sign = -sign
+        prow = mat[r]
+        p = prow[c]
+        for i, row in enumerate(mat):
+            if i == r:
+                continue
+            a = row[c]
+            for j in range(k):
+                row[j] = (p * row[j] - a * prow[j]) // prev
+        prev = p
+        pivots.append(c)
+        r += 1
+    f, = free
+    s = sign if f % 2 == 0 else -sign
+    out = [0] * k
+    out[f] = s * prev
+    for c, row in zip(pivots, mat):
+        out[c] = -s * row[f]
+    return out
 
 
 def _integral(terms):
@@ -252,16 +295,19 @@ def _sub_multiple(dst, b, src):
 
 
 class Echelon:
-    """Sparse row-echelon span of dicts {column: entry}, pivoting on the
-    maximal column under ``key``.
+    """Sparse row-echelon span of integer dicts {column: entry}, pivoting on
+    the largest column.
 
-    Rows are primitive integer dicts with a positive pivot entry, and
-    elimination is fraction-free: ``Fraction`` appears only where ``reduce``
-    hands its results back.  ``len(rows)`` is the rank, and the pivot set
-    (the keys of ``rows``) depends only on the span."""
+    Columns are numbered so that the wanted pivot order is the native order
+    of the column labels, usually integers; callers number them once, and
+    insert integer rows without zero entries, clearing denominators
+    themselves (:func:`_integral`).  Rows are primitive integer dicts with a
+    positive pivot entry, and elimination is fraction-free: ``Fraction``
+    appears only where ``reduce`` hands its results back.  ``len(rows)`` is
+    the rank, and the pivot set (the keys of ``rows``) depends only on the
+    span."""
 
-    def __init__(self, key):
-        self.key = key
+    def __init__(self):
         self.rows = {}
 
     def _eliminate(self, work, lead_only):
@@ -274,7 +320,7 @@ class Echelon:
         out = {}
         scale = 1
         while work:
-            m = max(work, key=self.key)
+            m = max(work)
             c = work[m]
             row = self.rows.get(m)
             if row is None:
@@ -294,17 +340,18 @@ class Echelon:
         return out
 
     def reduce(self, terms):
-        """Normal form of ``terms``: what is left once every pivot column is
-        cancelled; empty exactly when ``terms`` lies in the span."""
+        """Normal form of ``terms`` (rational entries): what is left once
+        every pivot column is cancelled; empty exactly when ``terms`` lies
+        in the span."""
         work, d = _integral(terms)
         out = self._eliminate(work, lead_only=False)
         return {m: Fraction(c, s * d) for m, (c, s) in out.items()}
 
-    def insert(self, terms):
-        """Add ``terms`` to the span; False when it is already in it.  Only
-        the leading entry is reduced and the new row's tail stays as it is:
-        pivots and normal forms depend only on the span."""
-        work, _ = _integral(terms)
+    def insert(self, row):
+        """Add the integer row ``row`` to the span; False when it is already
+        in it.  Only the leading entry is reduced and the new row's tail
+        stays as it is: pivots and normal forms depend only on the span."""
+        work = dict(row)
         out = self._eliminate(work, lead_only=True)
         if not out:
             return False
@@ -314,7 +361,9 @@ class Echelon:
         g = gcd(*row.values())
         if c < 0:
             g = -g
-        self.rows[pivot] = {m: v // g for m, v in row.items()}
+        if g != 1:
+            row = {m: v // g for m, v in row.items()}
+        self.rows[pivot] = row
         return True
 
 

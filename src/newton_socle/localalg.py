@@ -8,10 +8,12 @@ and D0 is recorded as the certificate.
 """
 
 from fractions import Fraction
-from operator import add
+from math import comb, lcm
+from operator import add, mul
 
 from ._record import record
-from .errors import InputError, TruncationError, VerificationError
+from .errors import (CapError, InputError, TruncationError,
+                     VerificationError)
 from .grobner import degrevlex_key
 from .linalg import (Echelon, _integer_kernel, _integral,
                      _primitive_sparse_row)
@@ -29,9 +31,19 @@ def monomials_of_degree(nvars, degree):
             yield (first,) + rest
 
 
+# Most monomials a truncated algebra may hold: a truncation D in n variables
+# with C(D+n, n) above this is refused before any of them is enumerated.
+# Just under it, socle-order on x1^2+x2^3+x3^4 at D=142 (497 640 monomials)
+# takes 13 s and 433 MB (a shared two-core x86-64 host, Python 3.11).
+MAX_ALGEBRA_MONOMIALS = 500_000
+
+
 class TruncatedLocalAlgebra:
-    """The space of polynomials of total degree <= D, indexed by monomials in
-    descending degrevlex order."""
+    """The space of polynomials of total degree <= D.  Its monomials are
+    sorted once by degrevlex: ``ascending`` lists them in ascending order
+    and ``column`` numbers them by position there, so a larger column is a
+    larger monomial.  Spans of the algebra are :class:`Echelon` spans on
+    these columns."""
 
     def __init__(self, nvars, D):
         if D < 1:
@@ -41,29 +53,38 @@ class TruncatedLocalAlgebra:
         monos = []
         for d in range(D + 1):
             monos.extend(monomials_of_degree(nvars, d))
-        monos.sort(key=degrevlex_key, reverse=True)
-        self.monomials = monos
+        monos.sort(key=degrevlex_key)
+        self.ascending = monos
+        self.column = {m: i for i, m in enumerate(monos)}
 
-    def truncate_terms(self, poly):
-        return {e: c for e, c in poly.terms.items() if sum(e) <= self.D}
+    def columns(self, poly):
+        """{column: coefficient} of the terms of degree <= D of ``poly``, a
+        SparsePoly or a dict {monomial: coefficient}."""
+        if isinstance(poly, SparsePoly):
+            poly = poly.terms
+        column = self.column
+        D = self.D
+        return {column[e]: c for e, c in poly.items() if sum(e) <= D}
 
 
-def _shifted_span(gens, D):
-    """Echelon span of the shifts x^a * g_j truncated beyond degree D, each
-    generator's shifts inserted in ascending degrevlex order of a and each
-    generator cleared of denominators once."""
-    nvars = gens[0].nvars
-    ech = Echelon(degrevlex_key)
+def _shifted_span(alg, gens):
+    """Echelon span of the shifts x^a * g_j truncated beyond the algebra's
+    degree D, each generator cleared of denominators once and its shifts
+    inserted in ascending degrevlex order of a.  Degrevlex is degree-first,
+    so the shifts of degree <= D - ord g are a prefix of ``ascending``."""
+    D = alg.D
+    column = alg.column
+    ech = Echelon()
     for g in gens:
         terms, _ = _integral(g.terms)
         graded = [(sum(e), e, c) for e, c in terms.items()]
-        shifts = []
-        for d in range(D - g.order() + 1):
-            shifts.extend(monomials_of_degree(nvars, d))
-        shifts.sort(key=degrevlex_key)
-        for a in shifts:
-            room = D - sum(a)
-            ech.insert({tuple(map(add, a, e)): c
+        top = D - g.order()
+        for a in alg.ascending:
+            degree = sum(a)
+            if degree > top:
+                break
+            room = D - degree
+            ech.insert({column[tuple(map(add, a, e))]: c
                         for deg, e, c in graded if deg <= room})
     return ech
 
@@ -71,7 +92,9 @@ def _shifted_span(gens, D):
 @record(frozen=False)
 class IdealSpan:
     """Span of {x^a * g_j} inside the degree-D truncation, with the smallest
-    degree whose monomials all lie in the span as colength certificate."""
+    degree whose monomials all lie in the span as colength certificate.
+    The echelon's columns are the algebra's; ``reduce`` and
+    ``quotient_basis`` translate them back to monomials."""
 
     algebra: TruncatedLocalAlgebra
     generators: tuple
@@ -79,15 +102,23 @@ class IdealSpan:
     m_power_bound: object   # int, or None when no certificate was found
 
     def reduce(self, poly):
-        if isinstance(poly, SparsePoly):
-            poly = self.algebra.truncate_terms(poly)
-        return self.echelon.reduce(poly)
+        """Normal form of ``poly`` (its terms of degree <= D) as a dict
+        {monomial: Fraction}; empty exactly when it lies in the span."""
+        ascending = self.algebra.ascending
+        return {ascending[i]: c for i, c in
+                self.echelon.reduce(self.algebra.columns(poly)).items()}
 
     def quotient_basis(self):
-        """Monomials spanning the quotient (all of degree < m_power_bound)."""
-        pivots = set(self.echelon.rows)
-        return [m for m in reversed(self.algebra.monomials)
-                if m not in pivots and sum(m) < self.m_power_bound]
+        """Monomials spanning the quotient (all of degree < m_power_bound),
+        in ascending degrevlex order."""
+        pivots = self.echelon.rows
+        basis = []
+        for i, m in enumerate(self.algebra.ascending):
+            if sum(m) >= self.m_power_bound:
+                break
+            if i not in pivots:
+                basis.append(m)
+        return basis
 
 
 def build_ideal(gens, D):
@@ -100,10 +131,11 @@ def build_ideal(gens, D):
         if g.is_zero() or g.order() < 1:
             raise InputError("generators must lie in the maximal ideal")
     alg = TruncatedLocalAlgebra(nvars, D)
-    ech = _shifted_span(gens, D)
+    ech = _shifted_span(alg, gens)
+    column = alg.column
     bound = None
     for k in range(1, D + 1):
-        if all(not ech.reduce({m: Fraction(1)})
+        if all(not ech.reduce({column[m]: 1})
                for m in monomials_of_degree(nvars, k)):
             bound = k
             break
@@ -128,15 +160,26 @@ def certified_ideal(gens, D=None, min_D=0):
     tried, once.  So is a start from the generator degrees one step (2)
     beyond the cap in two variables, where that build costs about what one
     at the cap does; any other start beyond the cap is refused before
-    building, naming the truncation it needs."""
+    building, naming the truncation it needs.  A truncation whose algebra
+    is above ``MAX_ALGEBRA_MONOMIALS`` is refused (CapError) before it is
+    built."""
     gens = tuple(gens)
     if not gens:
         raise InputError("no generators")
     nvars = gens[0].nvars
     cap = 40 if nvars <= 2 else 20
+
+    def build(D):
+        count = comb(D + nvars, nvars)
+        if count > MAX_ALGEBRA_MONOMIALS:
+            raise CapError(
+                "truncation D=%d in n=%d variables has %d monomials, above "
+                "the cap of %d" % (D, nvars, count, MAX_ALGEBRA_MONOMIALS))
+        return build_ideal(gens, D)
+
     if D is not None:
         check_truncation_floor(D, min_D)
-        span = build_ideal(gens, D)
+        span = build(D)
         if span.m_power_bound is None:
             raise TruncationError("increase truncation: no certificate at D=%d" % D)
         return span
@@ -148,11 +191,11 @@ def certified_ideal(gens, D=None, min_D=0):
     start = max(start, min_D)
     d = start
     while d <= max(cap, start):
-        span = build_ideal(gens, d)
+        span = build(d)
         if span.m_power_bound is not None:
             target = max(span.m_power_bound + 4, min_D)
             if target > d:
-                span = build_ideal(gens, target)
+                span = build(target)
             return span
         d += 2
     if start > cap:
@@ -214,47 +257,47 @@ def ideal_generators(f):
     return log_gens, tuple(jac_gens)
 
 
-def _nu_level_key(poly):
-    """Sort key putting the smallest Newton-order monomial first."""
-    pos = poly.positive_facets()
-
-    def level(m):
-        return min(Fraction(sum(l * x for l, x in zip(f.normal, m)), f.offset)
-                   for f in pos)
-
-    def key(m):
-        return (-level(m), degrevlex_key(m))
-
-    return level, key
-
-
 def _nu_echelon(span, poly):
     """Re-echelonized ideal span pivoting on the lowest Newton-order part.
 
-    A normal form against this basis has, in every reachable Newton level, no
-    component that the ideal could cancel, so its order is the supremum of the
-    orders over the whole coset.
+    A column's level is the Newton order of its monomial times ``scale``,
+    the lcm of the facet offsets, which makes it an integer.  The algebra's
+    columns are renumbered once by (-level, column), so the largest new
+    column is the lowest level, the largest monomial within it.  Returns
+    the echelon on the new columns, the new column of each algebra column,
+    the level of each new column, and ``scale``.  A normal form against this
+    basis has, in every reachable Newton level, no component that the ideal
+    could cancel, so its order is the supremum of the orders over the whole
+    coset.
     """
-    level, key = _nu_level_key(poly)
-    ech = Echelon(key)
-    for pivot_row in sorted(span.echelon.rows.values(),
-                            key=lambda r: degrevlex_key(max(r, key=degrevlex_key)),
-                            reverse=True):
-        ech.insert(pivot_row)
-    return ech, level
+    pos = poly.positive_facets()
+    scale = lcm(*(fc.offset for fc in pos))
+    weights = [(fc.normal, scale // fc.offset) for fc in pos]
+    levels = [min(w * sum(map(mul, normal, m)) for normal, w in weights)
+              for m in span.algebra.ascending]
+    order = sorted(range(len(levels)), key=lambda i: (-levels[i], i))
+    renumber = [0] * len(order)
+    for new, i in enumerate(order):
+        renumber[i] = new
+    ech = Echelon()
+    rows = span.echelon.rows
+    for pivot in sorted(rows, reverse=True):
+        ech.insert({renumber[i]: c for i, c in rows[pivot].items()})
+    return ech, renumber, [levels[i] for i in order], scale
 
 
 def coset_newton_order(h, span, poly):
     """Newton order of the coset h + ideal: sup over representatives.
 
-    INFINITY when h lies in the ideal.  Exact within the truncation; callers
-    arrange the truncation so that every discarded monomial has order above
-    the range of interest."""
-    ech, level = _nu_echelon(span, poly)
-    red = ech.reduce(span.algebra.truncate_terms(h) if isinstance(h, SparsePoly) else h)
+    INFINITY when h lies in the ideal.  Exact within the truncation (terms
+    of h above it are dropped); callers arrange the truncation so that every
+    discarded monomial has order above the range of interest."""
+    ech, renumber, levels, scale = _nu_echelon(span, poly)
+    red = ech.reduce({renumber[i]: c
+                      for i, c in span.algebra.columns(h).items()})
     if not red:
         return INFINITY
-    return min(level(m) for m in red)
+    return Fraction(min(levels[i] for i in red), scale)
 
 
 def socle_newton_order(f, D=None):
@@ -325,10 +368,13 @@ def jacobian_multiplication_report(span_i, span_j):
     x_all = SparsePoly.monomial((1,) * n)
     well_defined = all(member(x_all * g, span_i) for g in span_j.generators)
 
+    # the image span's rank is all that is read, so its columns are the
+    # monomials themselves in their native tuple order
     basis_j = span_j.quotient_basis()
-    images = Echelon(degrevlex_key)
-    injective = sum(images.insert(span_i.reduce(x_all * SparsePoly.monomial(b)))
-                    for b in basis_j) == len(basis_j)
+    images = Echelon()
+    injective = sum(
+        images.insert(_integral(span_i.reduce(x_all * SparsePoly.monomial(b)))[0])
+        for b in basis_j) == len(basis_j)
     return {
         "truncation": span_i.algebra.D,
         "well_defined": well_defined,

@@ -248,10 +248,13 @@ def koszul_top_dimension(polytope_points, gs):
             raise InputError("section does not have the full Newton polytope")
     big = lattice_space(pts, n + 1, interior=True).points
     small = lattice_space(pts, n, interior=True).points
-    image = Echelon(lambda m: m)
-    return len(big) - sum(
-        image.insert({tuple(map(add, e, m)): c for e, c in g.terms.items()})
-        for g in gs for m in small)
+    image = Echelon()
+    image_dim = 0
+    for g in gs:
+        terms = _integral(g.terms)[0].items()
+        image_dim += sum(image.insert({tuple(map(add, e, m)): c
+                                       for e, c in terms}) for m in small)
+    return len(big) - image_dim
 
 
 def random_section(polytope_points, rng, nvars):

@@ -5,11 +5,14 @@ it moved to fraction-free elimination on primitive integer rows, with the
 functions it built on them.  They divide by every pivot, so each entry is a
 ``Fraction`` and every step normalizes it; they serve only the small
 matrices of the tests.  The package's functions of the same names must
-return the same values, of the same types.
+return the same values, of the same types.  ``signed_minors`` is the
+integer route through one determinant per minor.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from newton_socle.linalg import _bareiss
 
 
 def primitive(v):
@@ -132,3 +135,11 @@ def in_row_span(rows, vec):
     if not rows:
         return all(x == 0 for x in vec)
     return rank(list(rows)) == rank(list(rows) + [tuple(vec)])
+
+
+def signed_minors(rows):
+    """``linalg.signed_minors`` as it was before one elimination gave all
+    the minors: k separate Bareiss determinants, one per deleted column."""
+    k = len(rows) + 1
+    return [(-1) ** t * _bareiss([[*r[:t], *r[t + 1:]] for r in rows])
+            for t in range(k)]

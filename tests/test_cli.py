@@ -1,6 +1,7 @@
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -524,6 +525,26 @@ def test_residue_escalation_start_far_beyond_the_cap_is_refused(monkeypatch):
     assert code == 3
     assert "would start at D=22" in err.getvalue()
     assert "--trunc" in err.getvalue()
+
+
+@pytest.mark.parametrize("argv, D", [
+    # the socle floor of x1^2+x2^3+x3^500 is 1501
+    (["socle-order", "--poly", "x1^2+x2^3+x3^500"], 1501),
+    (["residue", "--g", "x1", "--system", "x1^2; x2^2; x3^2",
+      "--trunc", "1000"], 1000)])
+def test_truncation_above_the_monomial_cap_is_refused(monkeypatch, argv, D):
+    # C(D+3, 3) monomials, far above the cap: nothing may be enumerated
+    def no_build(gens, D):
+        raise AssertionError("built a span at D=%d" % D)
+    monkeypatch.setattr(newton_socle.localalg, "build_ideal", no_build)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_json(argv)
+    assert code == 3
+    message = err.getvalue()
+    assert "D=%d" % D in message and "n=3" in message
+    assert "%d monomials" % math.comb(D + 3, 3) in message
+    assert "Traceback" not in message
 
 
 def test_detlemma_above_the_row_cap_is_refused(monkeypatch):

@@ -179,13 +179,13 @@ def test_quotient_simplicial_monomial_is_parallelepiped():
 def _collect_basis(sigma, grading, params):
     """All monomial classes of the quotient: non-pivot monomials degree by
     degree (matches the socle-basis construction at every degree)."""
-    from newton_socle.facering import _image_span, _parameter_degree
+    from newton_socle.facering import (_image_span, _parameter_degree,
+                                       _quotient_monomials)
     degs = [_parameter_degree(p, grading) for p in params]
     out = []
     for k in range(0, sum(degs) + 1):
-        ech, piece = _image_span(sigma, grading, params, k, degs)
-        out.extend(SparsePoly.monomial(m) for i, m in enumerate(piece)
-                   if i not in ech.rows)
+        ech, column = _image_span(sigma, grading, params, k, degs)
+        out.extend(map(SparsePoly.monomial, _quotient_monomials(ech, column)))
     return out
 
 

@@ -1,13 +1,11 @@
-"""The integer Gauss–Jordan kernel of ``linalg``, and its sparse
-``Echelon``, against the ``Fraction`` elimination they replaced
-(``linalg_oracles``).
+"""The integer Gauss–Jordan kernel of ``linalg``, its sparse ``Echelon``
+and its signed minors, against the ``Fraction`` elimination and the
+determinant-per-minor route they replaced (``linalg_oracles``).
 
 Results are compared by ``repr``, so a ``Fraction`` returned where an
 ``int`` was (or the reverse) counts as a difference."""
 
 from fractions import Fraction
-from operator import neg
-
 from hypothesis import given, settings, strategies as st
 
 from newton_socle import linalg
@@ -46,22 +44,31 @@ def same(got, want):
     assert repr(got) == repr(want)
 
 
-def sparse(vec):
-    """``vec`` as a {column: entry} dict."""
-    return {j: x for j, x in enumerate(vec) if x}
+def numbered(vec):
+    """``vec`` as a {column: entry} dict, its positions numbered right to
+    left, so that the echelon's largest-column pivots are the leftmost
+    positions."""
+    last = len(vec) - 1
+    return {last - j: x for j, x in enumerate(vec) if x}
 
 
 def echelon(rows):
-    """The sparse echelon span of ``rows``, pivoting on the leftmost
-    column."""
-    ech = linalg.Echelon(neg)
+    """The sparse echelon span of ``rows``, each cleared of denominators
+    before it is inserted."""
+    ech = linalg.Echelon()
     for r in rows:
-        ech.insert(sparse(r))
+        ech.insert(linalg._integral(numbered(r))[0])
     return ech
 
 
+def pivot_positions(rows):
+    """The positions of the echelon's pivots, left to right."""
+    last = len(rows[0]) - 1 if rows else 0
+    return sorted(last - c for c in echelon(rows).rows)
+
+
 def in_row_span(rows, vec):
-    return not echelon(rows).reduce(sparse(vec))
+    return not echelon(rows).reduce(numbered(vec))
 
 
 @given(matrices())
@@ -70,7 +77,7 @@ def test_rref_rank_and_kernel_match_the_fraction_oracle(rows):
     same(linalg.rref(rows), oracle.rref(rows))
     same(linalg.rank(rows), oracle.rank(rows))
     # the echelon's pivot set depends only on the span: the rref pivots
-    assert sorted(echelon(rows).rows) == oracle.rref(rows)[1]
+    assert pivot_positions(rows) == oracle.rref(rows)[1]
     ncols = len(rows[0]) if rows else 3
     same(linalg.kernel_basis(rows, ncols), oracle.kernel_basis(rows, ncols))
 
@@ -126,3 +133,42 @@ def test_edge_shapes():
     same(linalg.det([(Fraction(1, 2), 1), (Fraction(1, 3), 1)]),
          Fraction(1, 6))
     assert in_row_span([], (0, 0)) and not in_row_span([], (0, 1))
+
+
+@st.composite
+def minor_matrices(draw):
+    """Integer (k-1) x k matrices, k = 1..6, full rank or not: some rows
+    are zero or integer combinations of earlier rows."""
+    k = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(k - 1):
+        kind = draw(st.sampled_from(["random", "random", "random", "zero",
+                                     "combination"]))
+        if kind == "zero":
+            rows.append([0] * k)
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
+                         for j in range(k)])
+        else:
+            rows.append(draw(st.lists(st.integers(-9, 9), min_size=k,
+                                      max_size=k)))
+    return rows
+
+
+@given(minor_matrices())
+@settings(max_examples=400, deadline=None)
+def test_signed_minors_match_one_determinant_per_minor(rows):
+    got = linalg.signed_minors(rows)
+    same(got, oracle.signed_minors(rows))
+    # zero exactly when the rows are dependent
+    assert any(got) == (oracle.rank(rows) == len(rows))
+
+
+def test_signed_minors_edge_shapes():
+    same(linalg.signed_minors([]), [1])
+    same(linalg.signed_minors([[0, 0]]), [0, 0])
+    same(linalg.signed_minors([[0, 3]]), [3, 0])
+    same(linalg.signed_minors([[1, 2, 3], [2, 4, 6]]), [0, 0, 0])
+    same(linalg.signed_minors([[0, 1, 0], [1, 0, 0]]), [0, 0, -1])

@@ -11,11 +11,13 @@ from newton_socle import (INFINITY, SparsePoly, build_ideal, certified_ideal,
                           verify_interior_membership)
 from newton_socle.errors import InputError, TruncationError
 from newton_socle.grobner import degrevlex_key
-from newton_socle.linalg import Echelon, kernel_basis, rref
-from newton_socle.localalg import jacobian_multiplication_report
+from newton_socle.linalg import Echelon, _integral, kernel_basis, rref
+from newton_socle.localalg import (jacobian_multiplication_report,
+                                   monomials_of_degree,
+                                   socle_truncation_floor)
 
 from conftest import poly
-from residue_oracles import _Echelon as _TrackedEchelon
+from residue_oracles import _Echelon as _TrackedEchelon, _shifted_span
 
 
 def log_ideal(f_text, D=None):
@@ -281,15 +283,25 @@ def test_echelon_matches_rref_oracle(polys, target):
             expected[mc] = expected.get(mc, 0) - c * v
     expected = {m: c for m, c in expected.items() if c}
 
-    plain = Echelon(degrevlex_key)
+    # the plain echelon runs on the monomials numbered in ascending
+    # degrevlex order, the tracked one on the monomials under degrevlex_key
+    ascending = columns[::-1]
+    column = {m: i for i, m in enumerate(ascending)}
+
+    def numbered(terms):
+        return {column[m]: c for m, c in terms.items()}
+
+    plain = Echelon()
     tracked = _TrackedEchelon(degrevlex_key)
     for i, p in enumerate(polys):
-        plain.insert(p)
+        plain.insert(_integral(numbered(p))[0])
         tracked.insert(p, {i: Fraction(1)})
     originals = dict(enumerate(polys))
-    for ech in (plain, tracked):
-        assert set(ech.rows) == set(pivots)
-        assert ech.reduce(target) == expected
+    assert {ascending[i] for i in plain.rows} == set(pivots)
+    assert {ascending[i]: c for i, c in
+            plain.reduce(numbered(target)).items()} == expected
+    assert set(tracked.rows) == set(pivots)
+    assert tracked.reduce(target) == expected
     for m, row in tracked.rows.items():
         assert all(isinstance(c, int) for c in row.values())
         assert row[m] > 0
@@ -300,3 +312,107 @@ def test_echelon_matches_rref_oracle(polys, target):
     for m, c in _combine(comb, originals).items():
         lhs[m] = lhs.get(m, 0) - c
     assert {m: c for m, c in lhs.items() if c} == target
+
+
+# ---------------------------------------------------------------------------
+# Spans on numbered columns against the monomial-keyed route
+# ---------------------------------------------------------------------------
+
+def _oracle_bound(ech, nvars, D):
+    """The colength certificate of a monomial-keyed span."""
+    for k in range(1, D + 1):
+        if all(not ech.reduce({m: Fraction(1)})
+               for m in monomials_of_degree(nvars, k)):
+            return k
+    return None
+
+
+def _oracle_coset_order(h, ech, poly, D):
+    """``coset_newton_order`` as it was on monomial keys: the span's rows,
+    largest pivot first, re-inserted into an echelon under the key
+    (-level, degrevlex)."""
+    pos = poly.positive_facets()
+
+    def level(m):
+        return min(Fraction(sum(l * x for l, x in zip(fc.normal, m)),
+                            fc.offset) for fc in pos)
+
+    nu = _TrackedEchelon(lambda m: (-level(m), degrevlex_key(m)))
+    for pivot in sorted(ech.rows, key=degrevlex_key, reverse=True):
+        nu.insert(ech.rows[pivot])
+    red = nu.reduce({e: c for e, c in h.terms.items() if sum(e) <= D})
+    return min(map(level, red)) if red else INFINITY
+
+
+_PQ = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+@st.composite
+def _span_inputs(draw):
+    """1-3 generators in 2-3 variables with p/q coefficients on monomials of
+    degree 1-3, a truncation, targets reaching one degree past it, and a
+    Newton polyhedron to read coset orders against."""
+    n = draw(st.integers(2, 3))
+    D = draw(st.integers(2, 8 if n == 2 else 5))
+    monomial = st.tuples(*[st.integers(0, 3)] * n).filter(
+        lambda m: 1 <= sum(m) <= 3)
+    gens = draw(st.lists(st.dictionaries(monomial, _PQ, min_size=1,
+                                         max_size=4), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        # pure powers make the colength finite
+        gens += [{tuple(2 * int(i == j) for j in range(n)): Fraction(1)}
+                 for i in range(n)]
+    target = st.dictionaries(
+        st.tuples(*[st.integers(0, D + 1)] * n).filter(
+            lambda m: sum(m) <= D + 1), _PQ, max_size=5)
+    # a diagonal Newton polyhedron, whose levels order the coset echelon
+    powers = draw(st.lists(st.integers(2, 5), min_size=n, max_size=n))
+    diagonal = {tuple(p * int(i == j) for j in range(n)): 1
+                for i, p in enumerate(powers)}
+    return (n, D, gens, draw(st.lists(target, min_size=1, max_size=3)),
+            newton_polyhedron(SparsePoly(n, diagonal)))
+
+
+@given(_span_inputs())
+@settings(max_examples=150, deadline=None)
+def test_spans_on_columns_match_the_monomial_keyed_route(inputs):
+    n, D, gens, targets, poly = inputs
+    gens = [SparsePoly(n, g) for g in gens]
+    span = build_ideal(gens, D)
+    oracle = _shifted_span(gens, D)
+    ascending = span.algebra.ascending
+    assert ascending == sorted(ascending, key=degrevlex_key)
+    # the same elimination, so the same rows, not only the same pivots
+    assert {ascending[p]: {ascending[i]: c for i, c in row.items()}
+            for p, row in span.echelon.rows.items()} == oracle.rows
+    assert span.m_power_bound == _oracle_bound(oracle, n, D)
+    if span.m_power_bound is not None:
+        assert span.quotient_basis() == sorted(
+            (m for m in ascending
+             if m not in oracle.rows and sum(m) < span.m_power_bound),
+            key=degrevlex_key)
+    for t in targets:
+        assert span.reduce(t) == oracle.reduce(
+            {m: c for m, c in t.items() if sum(m) <= D})
+        assert span.reduce(SparsePoly(n, t)) == span.reduce(t)
+        h = SparsePoly(n, t)
+        assert coset_newton_order(h, span, poly) == \
+            _oracle_coset_order(h, oracle, poly, D)
+
+
+def test_coset_newton_order_matches_the_monomial_keyed_route(family):
+    for f in family:
+        poly = newton_polyhedron(f)
+        gens = ideal_generators(f)[0]
+        span = certified_ideal(gens, min_D=socle_truncation_floor(poly))
+        D = span.algebra.D
+        oracle = _shifted_span(gens, D)
+        reps = socle(span)
+        probes = reps + [SparsePoly.monomial(m) for k in range(4)
+                         for m in monomials_of_degree(f.nvars, k)]
+        probes.append(sum(probes[1:], SparsePoly.zero(f.nvars)))
+        # the same cosets through representatives of lower raw order
+        probes += [h + g for h in reps for g in gens]
+        for h in probes:
+            assert coset_newton_order(h, span, poly) == \
+                _oracle_coset_order(h, oracle, poly, D), (str(f), str(h))

@@ -137,6 +137,20 @@ def invocations():
               "x1^3+x2^3+x3^3+x4^3"):
         out.append(("verify-all " + f,
                     ["verify-all", "--poly", f, "--seed", "1"]))
+    # every path that reads a local-algebra span: the socle stage alone,
+    # plain and at a fixed truncation (below the floor it exits 3), the
+    # largest span, and a rational 3-variable residue at a given truncation
+    for item in SURFACES:
+        out.append(("socle-order " + item["poly"],
+                    ["socle-order", "--poly", item["poly"]]))
+        out.append(("socle-order --trunc 12 " + item["poly"],
+                    ["socle-order", "--poly", item["poly"], "--trunc", "12"]))
+    out.append(("verify-all x1^4+x2^4+x3^4+x4^4",
+                ["verify-all", "--poly", "x1^4+x2^4+x3^4+x4^4", "--seed", "1"]))
+    out.append(("residue p/q --trunc 8",
+                ["residue", "--g", "x1*x2*x3 + 2*x2^2", "--system",
+                 "1/2*x1^2 + 2/3*x2*x3; 3/5*x2^3 + x1*x3; x3^2 - 1/3*x1*x2",
+                 "--trunc", "8"]))
     out.append(("koszul negative trials", ["koszul", "--polytope", "triangle",
                                            "--trials", "-1"]))
     out.append(("fan --fan 2d", ["fan", "--poly", "x1*x2", "--fan",
