@@ -5,9 +5,9 @@ residues, with mechanical verification pipelines."""
 from .errors import (CapError, InputError, RegularizationError,
                      TruncationError, VerificationError)
 from .polylattice import (INFINITY, FaceDescriptor, NewtonPolyhedron,
-                          SparsePoly, compact_faces, face_part, faces,
-                          newton_order, newton_polyhedron, normalized_volume,
-                          support_function)
+                          SparsePoly, compact_faces, face_part, face_parts,
+                          faces, newton_order, newton_polyhedron,
+                          normalized_volume, support_function)
 from .fan import (Cone, Fan, RayData, check_face_duality, cone_from_rays,
                   dual_cone, dual_fan, fan_from_json, interior_rays,
                   is_regular, multiplicity, orbit_closure_intersection,

@@ -2,7 +2,14 @@
 systems have a common zero in the torus.
 
 Only the degree-reverse-lexicographic order is implemented; torus conditions
-go through a Rabinowitsch variable, and every answer is exact.
+go through a Rabinowitsch variable, and every answer is exact.  The ideal
+is over Q, but the arithmetic is over Z: generators are cleared of
+denominators and content once, S-polynomials and reductions cross-multiply
+by lead coefficients over their gcd (:func:`_reduce`), and every new basis
+element is divided by its content.  A scalar multiple has the same leading
+monomial, so the pairs, their order and the unit-ideal exit are those of
+the same loop over Q; ``Fraction`` appears only where the final basis is
+made monic and where :func:`normal_form` hands back its rational result.
 :func:`buchberger` applies the product and chain criteria, takes pairs by
 Buchberger's normal selection strategy, computes each leading monomial
 once, and stops as soon as an S-polynomial reduces to a nonzero constant:
@@ -15,11 +22,13 @@ variables (see :func:`nondegeneracy_report`); the stratum systems of
 
 import heapq
 from fractions import Fraction
+from math import gcd
 
 from ._record import record
 from .errors import InputError
-from .linalg import hermite_basis, solve, vec_sub
-from .polylattice import SparsePoly, compact_faces, face_part, newton_polyhedron
+from .linalg import _integral, hermite_basis, solve, vec_sub
+from .polylattice import (SparsePoly, compact_faces, face_parts,
+                          newton_polyhedron)
 
 
 def degrevlex_key(m):
@@ -30,21 +39,21 @@ def leading_monomial(poly_dict):
     return max(poly_dict, key=degrevlex_key)
 
 
-def _to_dict(poly):
-    return {e: Fraction(c) for e, c in poly.terms.items() if c != 0}
+def _primitive(f):
+    """The integer polynomial f divided by the gcd of its coefficients."""
+    g = gcd(*f.values())
+    return {e: v // g for e, v in f.items()} if g > 1 else f
 
 
 def _sub_scaled(f, g, c, mono):
-    """f - c * x^mono * g."""
-    out = dict(f)
+    """f -= c * x^mono * g, in place."""
     for e, v in g.items():
-        key = tuple(a + b for a, b in zip(e, mono))
-        w = out.get(key, 0) - c * v
-        if w == 0:
-            out.pop(key, None)
+        key = tuple(x + y for x, y in zip(e, mono))
+        w = f.get(key, 0) - c * v
+        if w:
+            f[key] = w
         else:
-            out[key] = w
-    return out
+            del f[key]
 
 
 def _divides(a, b):
@@ -52,27 +61,50 @@ def _divides(a, b):
 
 
 def normal_form(f, basis):
-    """Full reduction of f modulo the basis (leading-term division)."""
-    return _reduce(f, basis, [leading_monomial(g) for g in basis])
+    """Full reduction of f modulo the basis (leading-term division), with
+    rational coefficients, exactly.  A basis element's scale does not change
+    the normal form, so each is taken as a primitive integer polynomial."""
+    ints = [_primitive(_integral(g)[0]) for g in basis]
+    work, d = _integral(f)
+    rem, mult = _reduce(work, ints, [leading_monomial(g) for g in ints])
+    return {e: Fraction(v, mult * d) for e, v in rem.items()}
 
 
 def _reduce(f, basis, leads):
-    """:func:`normal_form`, with ``leads[i]`` the leading monomial of
-    ``basis[i]``."""
+    """Fraction-free full reduction of the integer polynomial f by the
+    integer polynomials ``basis``, with ``leads[i]`` the leading monomial of
+    ``basis[i]``.
+
+    Before the term c x^m is cancelled by g (lead coefficient a), the
+    work and the remainder are multiplied by a / gcd(a, c), and
+    (c / gcd(a, c)) x^(m - lead) g is subtracted.  Returns ``(rem, mult)``:
+    the integer remainder and the positive product of those factors, with
+    rem = mult * (the normal form of f over Q)."""
     rem = {}
     work = dict(f)
+    mult = 1
     while work:
         m = leading_monomial(work)
         c = work[m]
         for g, lg in zip(basis, leads):
             if _divides(lg, m):
-                quot = tuple(a - b for a, b in zip(m, lg))
-                work = _sub_scaled(work, g, c / g[lg], quot)
+                a = g[lg]
+                h = gcd(a, c)
+                a, c = a // h, c // h
+                if a < 0:
+                    a, c = -a, -c
+                if a != 1:
+                    mult *= a
+                    for e in work:
+                        work[e] *= a
+                    for e in rem:
+                        rem[e] *= a
+                _sub_scaled(work, g, c, tuple(x - y for x, y in zip(m, lg)))
                 break
         else:
             rem[m] = c
             del work[m]
-    return rem
+    return rem, mult
 
 
 @record
@@ -88,7 +120,7 @@ class GB:
 
     def reduce(self, h):
         if isinstance(h, SparsePoly):
-            h = _to_dict(h)
+            h = h.terms
         return normal_form(h, self._polys())
 
     def contains(self, h):
@@ -117,7 +149,7 @@ def buchberger(gens):
     nvars = gens[0].nvars
     if any(g.nvars != nvars for g in gens):
         raise InputError("coefficient ring mismatch: differing nvars")
-    basis = [d for d in (_to_dict(g) for g in gens) if d]
+    basis = [_primitive(_integral(g.terms)[0]) for g in gens if g.terms]
     if not basis:
         raise InputError("all generators are zero")
     leads = [leading_monomial(g) for g in basis]
@@ -130,11 +162,14 @@ def buchberger(gens):
             heapq.heappush(pairs, (degrevlex_key(l), i, j, l))
 
     def spoly(i, j, l):
+        # (b/h) x^(l - lf) f - (a/h) x^(l - lg) g, with a, b the lead
+        # coefficients of f, g and h = gcd(a, b)
         f, g, lf, lg = basis[i], basis[j], leads[i], leads[j]
-        sf = _sub_scaled({}, f, -1 / f[lf],
-                         tuple(a - b for a, b in zip(l, lf)))
-        return _sub_scaled(sf, g, 1 / g[lg],
-                           tuple(a - b for a, b in zip(l, lg)))
+        h = gcd(f[lf], g[lg])
+        s = {}
+        _sub_scaled(s, f, -(g[lg] // h), tuple(a - b for a, b in zip(l, lf)))
+        _sub_scaled(s, g, f[lf] // h, tuple(a - b for a, b in zip(l, lg)))
+        return s
 
     for i in range(len(basis)):
         add_pairs(i)
@@ -149,12 +184,12 @@ def buchberger(gens):
                and (max(j, k), min(j, k)) in done
                for k in range(len(basis))):
             continue  # chain criterion
-        r = _reduce(spoly(i, j, l), basis, leads)
+        r = _reduce(spoly(i, j, l), basis, leads)[0]
         if r:
             lead = leading_monomial(r)
             if not any(lead):
                 return GB(tuple(gens), (((lead, Fraction(1)),),), nvars)
-            basis.append(r)
+            basis.append(_primitive(r))
             leads.append(lead)
             add_pairs(len(basis) - 1)
 
@@ -170,9 +205,10 @@ def buchberger(gens):
     for i in keep:
         others = [k for k in keep if k != i]
         r = _reduce(basis[i], [basis[k] for k in others],
-                    [leads[k] for k in others])
+                    [leads[k] for k in others])[0]
         c = r[leads[i]]
-        reduced.append(tuple(sorted((e, v / c) for e, v in r.items())))
+        reduced.append(tuple(sorted((e, Fraction(v, c))
+                                    for e, v in r.items())))
     return GB(tuple(gens), tuple(reduced), nvars)
 
 
@@ -248,7 +284,9 @@ def nondegeneracy_report_of_faces(f, compact):
     """The report of :func:`nondegeneracy_report`; ``compact()`` gives the
     compact faces of the Newton polyhedron of f and is called only once the
     order and axis checks have passed."""
-    if not isinstance(f.order(), int) or f.order() < 2:
+    if f.is_zero():
+        raise InputError("empty support")
+    if f.order() < 2:
         raise InputError("order too small: f must lie in the square of the maximal ideal")
     n = f.nvars
     report = {"nvars": n, "axis_condition": True, "faces": [], "nondegenerate": True}
@@ -258,8 +296,8 @@ def nondegeneracy_report_of_faces(f, compact):
             report["nondegenerate"] = False
             report["faces"] = []
             return report
-    for face in compact():
-        fs = face_part(f, face)
+    faces = compact()
+    for face, fs in zip(faces, face_parts(f, faces)):
         entry = {"vertices": [list(v) for v in face.vertices()], "dim": face.dim}
         if _monomial_system([fs.x_ddx(i) for i in range(n)]):
             entry["method"] = "monomial"

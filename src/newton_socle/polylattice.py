@@ -4,7 +4,12 @@ support function, Newton order and normalized volume.
 All geometry is done in exact rational arithmetic.  The one nontrivial
 primitive is the double description computation in :func:`polar_generators`,
 which converts between the generator and inequality views of a rational cone;
-hulls of Newton polyhedra are obtained from it by homogenization.
+hulls of Newton polyhedra are obtained from it by homogenization.  Its
+rays are primitive integer vectors, and two rays are adjacent by a
+comparison of the bitmasks of the rows tight on them, with no rank
+computed.  Face membership is read the same way: :func:`face_parts` takes
+each term's tight facets once, as a bitmask, and a term lies on a face when
+the face's facets are among them.
 """
 
 from fractions import Fraction
@@ -302,8 +307,13 @@ def _dd_extreme_rays(rows, dim):
     Requires rank(rows) == dim (pointedness).  Incremental double description:
     start from a simplicial subcone given by ``dim`` independent rows, insert
     the remaining inequalities one at a time, combining adjacent positive and
-    negative rays.  Adjacency is the algebraic test: the constraints tight on
-    both rays have rank dim - 2.
+    negative rays.  Each ray carries its zero set, the bitmask of the rows
+    inserted so far that are tight on it.  Adjacency is the combinatorial
+    test (Fukuda and Prodon, "Double description method revisited", 1996,
+    Prop. 7): the common zero set of two rays has at least dim - 2 rows and
+    lies in the zero set of no third ray.  The current cone stays pointed
+    and its rays are exactly its extreme rays, so this is the algebraic
+    test (the rows tight on both rays have rank dim - 2) without a rank.
     """
     if dim == 0:
         return []
@@ -316,38 +326,37 @@ def _dd_extreme_rays(rows, dim):
             rest.append(r)
     if len(base) < dim:
         raise ValueError("cone is not pointed")
-    rays = []
+    # ray i is tight on every base row but row i; base rows are bits 0..dim-1
+    everything = (1 << dim) - 1
+    zeros = {}
     for i in range(dim):
         rhs = [int(j == i) for j in range(dim)]
-        rays.append(primitive(solve(base, rhs)))
-    processed = list(base)
+        zeros[primitive(solve(base, rhs))] = everything ^ (1 << i)
 
-    for a in rest:
-        vals = {r: dot(a, r) for r in rays}
-        if all(v >= 0 for v in vals.values()):
-            processed.append(a)
-            continue
-        pos = [r for r in rays if vals[r] > 0]
-        zero = [r for r in rays if vals[r] == 0]
-        neg = [r for r in rays if vals[r] < 0]
-        new = []
+    for bit, a in enumerate(rest, dim):
+        bit = 1 << bit
+        vals = {r: dot(a, r) for r in zeros}
+        masks = list(zeros.values())
+        pos = [r for r, v in vals.items() if v > 0]
+        neg = [r for r, v in vals.items() if v < 0]
+        new = {}
         for rp in pos:
+            zp = zeros[rp]
             for rn in neg:
-                tight = [p for p in processed
-                         if dot(p, rp) == 0 and dot(p, rn) == 0]
-                if rank(tight) != dim - 2:
+                common = zp & zeros[rn]
+                if common.bit_count() < dim - 2 or \
+                        sum(z & common == common for z in masks) > 2:
                     continue
                 w = tuple(vals[rp] * x - vals[rn] * y
                           for x, y in zip(rn, rp))
-                new.append(primitive(w))
-        seen = set()
-        rays = []
-        for r in pos + zero + new:
-            if r not in seen:
-                seen.add(r)
-                rays.append(r)
-        processed.append(a)
-    return sorted(rays)
+                new[primitive(w)] = common | bit
+        for r, v in vals.items():
+            if v < 0:
+                del zeros[r]
+            elif v == 0:
+                zeros[r] |= bit
+        zeros.update(new)
+    return sorted(zeros)
 
 
 def polar_generators(ineqs, equations=(), *, dim):
@@ -651,10 +660,39 @@ def compact_faces(poly):
     return [f for f in faces(poly) if f.compact]
 
 
+def face_parts(g, faces):
+    """The restriction of g to each face: the terms whose exponents lie on
+    it, as :meth:`FaceDescriptor.contains` decides.
+
+    Each term's facet values are taken once per polyhedron: a term lies on
+    a face when it is inside the polyhedron and every facet tight on the
+    face is tight on the term (the face's facet bitmask is a subset of the
+    term's)."""
+    tight = {}  # id(polyhedron) -> [(exponent, coefficient, facet bitmask)]
+    out = []
+    for face in faces:
+        poly = face.polyhedron
+        if id(poly) not in tight:
+            tight[id(poly)] = terms = []
+            for e, c in g.terms.items():
+                mask = 0
+                for j, fc in enumerate(poly.facets):
+                    v = dot(fc.normal, e)
+                    if v < fc.offset:
+                        break
+                    if v == fc.offset:
+                        mask |= 1 << j
+                else:
+                    terms.append((e, c, mask))
+        need = sum(1 << j for j in face.tight_facets)
+        out.append(SparsePoly(g.nvars, {e: c for e, c, mask in tight[id(poly)]
+                                        if mask & need == need}))
+    return out
+
+
 def face_part(g, face):
     """Restriction of g to the terms whose exponents lie on the face."""
-    return SparsePoly(g.nvars, {e: c for e, c in g.terms.items()
-                                if face.contains(e)})
+    return face_parts(g, [face])[0]
 
 
 def newton_order(g, poly):

@@ -16,7 +16,10 @@ builds a face's normal cone from the vertex differences of the polyhedron,
 where ``fan.face_normal_cone`` spans it by the normals of the facets that
 hold the face.  ``hull_hj_chain`` reads a 2D cone's regular subdivision off
 the convex hull of its parallelepiped points, where ``fan._hj_chain`` walks
-the continued fraction.
+the continued fraction.  ``rank_dd_extreme_rays`` is the double
+description with the algebraic adjacency test (the rows tight on two rays
+have rank dim - 2), where ``polylattice._dd_extreme_rays`` compares the
+rays' zero-set bitmasks.
 """
 
 from functools import cmp_to_key
@@ -26,7 +29,7 @@ from newton_socle.fan import (Cone, _angle_cmp, _cone_ambient, _generators,
                               _intersect_cones, _polar_cone, _std_basis,
                               zero_cone)
 from newton_socle.errors import InputError
-from newton_socle.linalg import dot, primitive, rank, vec_sub
+from newton_socle.linalg import dot, primitive, rank, solve, vec_sub
 from newton_socle.polylattice import (FaceDescriptor, parallelepiped_points,
                                       polar_generators, polyhedron_hull)
 
@@ -46,6 +49,58 @@ def double_polar_cone(rays):
     d = rank(gens)
     return Cone(tuple(sorted(set(allrays))), tuple(sorted(normals)),
                 equations, d)
+
+
+def rank_dd_extreme_rays(rows, dim):
+    """Extreme rays of the pointed cone {x : r.x >= 0 for all r in rows},
+    sorted; ValueError("cone is not pointed") when rank(rows) < dim.
+
+    Incremental double description from a simplicial subcone of ``dim``
+    independent rows; a positive and a negative ray are combined when the
+    processed rows tight on both have rank dim - 2."""
+    if dim == 0:
+        return []
+    base = []
+    rest = []
+    for r in rows:
+        if len(base) < dim and rank(base + [r]) > len(base):
+            base.append(r)
+        else:
+            rest.append(r)
+    if len(base) < dim:
+        raise ValueError("cone is not pointed")
+    rays = []
+    for i in range(dim):
+        rhs = [int(j == i) for j in range(dim)]
+        rays.append(primitive(solve(base, rhs)))
+    processed = list(base)
+
+    for a in rest:
+        vals = {r: dot(a, r) for r in rays}
+        if all(v >= 0 for v in vals.values()):
+            processed.append(a)
+            continue
+        pos = [r for r in rays if vals[r] > 0]
+        zero = [r for r in rays if vals[r] == 0]
+        neg = [r for r in rays if vals[r] < 0]
+        new = []
+        for rp in pos:
+            for rn in neg:
+                tight = [p for p in processed
+                         if dot(p, rp) == 0 and dot(p, rn) == 0]
+                if rank(tight) != dim - 2:
+                    continue
+                w = tuple(vals[rp] * x - vals[rn] * y
+                          for x, y in zip(rn, rp))
+                new.append(primitive(w))
+        seen = set()
+        rays = []
+        for r in pos + zero + new:
+            if r not in seen:
+                seen.add(r)
+                rays.append(r)
+        processed.append(a)
+    return sorted(rays)
 
 
 def brute_faces(poly):

@@ -144,6 +144,18 @@ def test_fan_file_with_a_degenerate_entry_exits_2(obj, message, tmp_path):
     assert message in err.getvalue()
 
 
+@pytest.mark.parametrize("command", ["polyhedron", "nondeg", "verify-all"])
+@pytest.mark.parametrize("text", ["0", '{"nvars":2,"terms":[]}'],
+                         ids=["literal", "json"])
+def test_zero_polynomial_has_empty_support(command, text):
+    # 0 lies in the square of the maximal ideal; what it lacks is a support
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([command, "--poly", text])
+    assert code == 2
+    assert err.getvalue() == "input error: empty support\n"
+
+
 def test_nu_command():
     code, rep = run_json(["nu", "--poly", "x1^2 + x2^3", "--g", "x1*x2"])
     assert code == 0 and rep["nu"] == "5/6"

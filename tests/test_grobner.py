@@ -80,6 +80,50 @@ def test_torus_has_zero_matches_the_oracle(gens):
     assert torus_has_zero(gens) == oracle.torus_has_zero(gens)
 
 
+@st.composite
+def reductions(draw):
+    """A system of :func:`systems` and h in its variables: up to 6 terms
+    with exponents at most 3 and p/q coefficients."""
+    gens = draw(systems())
+    coeff = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                      st.integers(1, 4))
+    mono = st.tuples(*[st.integers(0, 3)] * gens[0].nvars)
+    h = SparsePoly(gens[0].nvars, draw(st.dictionaries(mono, coeff,
+                                                       max_size=6)))
+    return gens, h
+
+
+@given(reductions())
+@settings(max_examples=100, deadline=None)
+def test_reduce_matches_the_oracle_normal_form(problem):
+    gens, h = problem
+    gb = buchberger(gens)
+    basis = [dict(g) for g in gb.basis]
+    expected = oracle.normal_form(h.terms, basis)
+    assert gb.reduce(h) == expected
+    assert gb.contains(h) == (not expected)
+    # any basis of rational polynomials, not only a reduced monic one
+    raw = [g.terms for g in gens]
+    assert grobner.normal_form(h.terms, raw) == \
+        oracle.normal_form(h.terms, raw)
+
+
+# A dense system whose reduction in Fractions spent most of its time in gcds
+# and Fraction arithmetic.
+DENSE_SYSTEM = [
+    "-x3^2 - x1*x3 + 3*x1^2 + 2*x1^2*x2*x3",
+    "1/2*x1 + 1/2*x1*x2*x3 + 3*x1^2*x3 + 1/3*x1^2*x3^2",
+    "-3/2*x1 + 1/2*x1*x2*x3 - 1/3*x1*x2^2 - x1^2*x2^2",
+    "2/3*x2*x3 - x2^2 + 3/2*x2^2*x3^2 + 2/3*x1*x2^2*x3",
+]
+
+
+def test_dense_system_has_no_torus_zero():
+    gens = [poly(text, nvars=3) for text in DENSE_SYSTEM]
+    assert not torus_has_zero(gens)
+    assert buchberger(gens).basis == oracle.buchberger(gens).basis
+
+
 def test_buchberger_stops_at_the_unit_ideal():
     # x2 * x1 - (x1*x2 - 1) = 1: the constant appears only in the S-pair
     gens = [poly("x1*x2 - 1"), poly("x1", nvars=2)]

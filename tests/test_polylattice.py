@@ -1,18 +1,20 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from newton_socle import (INFINITY, SparsePoly, face_part, faces,
-                          newton_order, newton_polyhedron, normalized_volume,
-                          support_function)
+from newton_socle import (INFINITY, SparsePoly, face_part, face_parts,
+                          faces, newton_order, newton_polyhedron,
+                          normalized_volume, support_function)
+from newton_socle import polylattice
 from newton_socle.errors import InputError
 from newton_socle.linalg import dot
-from newton_socle.polylattice import incidence_closures
+from newton_socle.polylattice import _dd_extreme_rays, incidence_closures
 
-from conftest import poly, supports
-from face_oracles import brute_faces
+from conftest import FAMILY, poly, supports
+from face_oracles import brute_faces, rank_dd_extreme_rays
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +270,85 @@ def test_face_part_examples():
             and not fc.in_coordinate_hyperplane][0]
     assert face_part(g, vert) == poly("x1*x2")
     assert face_part(poly("x1^2"), vert).is_zero()
+
+
+def _face_part_by_contains(g, face):
+    return SparsePoly(g.nvars, {e: c for e, c in g.terms.items()
+                                if face.contains(e)})
+
+
+def _with_box_terms(f, top):
+    """f plus every monomial with exponents at most ``top``, coefficient
+    1/2: terms outside the polyhedron, on its faces and inside it."""
+    box = SparsePoly(f.nvars, {e: Fraction(1, 2) for e in product(
+        range(top + 1), repeat=f.nvars)})
+    return f + box
+
+
+@pytest.mark.parametrize("text", FAMILY + ["K=10"])
+def test_face_parts_match_face_contains(text):
+    f = k_support(10) if text == "K=10" else poly(text)
+    D = newton_polyhedron(f)
+    every = faces(D)
+    assert any(not fc.compact for fc in every)
+    for g in (f, _with_box_terms(f, 3)):
+        expected = [_face_part_by_contains(g, fc) for fc in every]
+        assert face_parts(g, every) == expected
+        assert [face_part(g, fc) for fc in every] == expected
+        assert face_parts(g, []) == []
+
+
+def test_face_parts_of_faces_of_two_polyhedra():
+    f, h = poly("x1^2 + x2^3"), poly("x1^3 + x1*x2 + x2^4")
+    mixed = faces(newton_polyhedron(f)) + faces(newton_polyhedron(h))
+    for g in (f, h, _with_box_terms(h, 4)):
+        assert face_parts(g, mixed) == [_face_part_by_contains(g, fc)
+                                        for fc in mixed]
+
+
+# ---------------------------------------------------------------------------
+# Double description
+# ---------------------------------------------------------------------------
+
+@st.composite
+def cone_rows(draw):
+    """Inequality rows of a cone in 2-5 dimensions, shuffled: random rows,
+    half the time with the coordinate rows (a pointed cone), plus
+    duplicates, positive multiples and sums of rows (redundant rows)."""
+    dim = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim),
+                         min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rows += [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    index = st.integers(0, len(rows) - 1)
+    for i, j, k in draw(st.lists(st.tuples(index, index, st.integers(1, 3)),
+                                 max_size=4)):
+        rows.append(tuple(k * x for x in rows[i]))
+        rows.append(tuple(x + y for x, y in zip(rows[i], rows[j])))
+    return dim, draw(st.permutations(rows))
+
+
+def _rays_or_error(dd, rows, dim):
+    try:
+        return dd(rows, dim)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(cone_rows())
+@settings(max_examples=300, deadline=None)
+def test_dd_extreme_rays_match_the_rank_adjacency_oracle(problem):
+    dim, rows = problem
+    assert _rays_or_error(_dd_extreme_rays, rows, dim) == \
+        _rays_or_error(rank_dd_extreme_rays, rows, dim)
+
+
+@pytest.mark.parametrize("K", [10, 14])
+def test_newton_polyhedra_match_the_rank_adjacency_dd(K, monkeypatch):
+    f = k_support(K)
+    D = newton_polyhedron(f)
+    monkeypatch.setattr(polylattice, "_dd_extreme_rays", rank_dd_extreme_rays)
+    assert newton_polyhedron(f) == D
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,20 @@ def invocations():
     for i, cubic in enumerate(load_expected("geometry")["cubic_pool"]):
         out.append(("nondeg cubic %d" % i,
                     ["nondeg", "--poly", cubic, "--seed", "1"]))
+    # face lattices, dual fans and face systems of other sizes
+    for K in (6, 8, 12, 16, 20):
+        kK = k_support(K)
+        out.append(("polyhedron K=%d" % K, ["polyhedron", "--poly", kK]))
+        out.append(("fan K=%d" % K, ["fan", "--poly", kK]))
+        out.append(("nondeg K=%d" % K, ["nondeg", "--poly", kK, "--seed", "1"]))
+    # x1^2*x2 + x2^3 fails the axis condition before any face system is
+    # built; the other two have a degenerate face, whose system Buchberger
+    # runs to a full basis
+    for f in ("x1^2*x2+x2^3", "x1^4+2*x1^2*x2^2+x2^4",
+              "2*x1^3+7*x1^2*x3+8*x1*x3^2+3*x3^3+x2^3"):
+        out.append(("nondeg " + f, ["nondeg", "--poly", f, "--seed", "1"]))
+        out.append(("verify-all " + f,
+                    ["verify-all", "--poly", f, "--seed", "1"]))
     out.append(("fractional exponent",
                 ["polyhedron", "--poly",
                  '{"nvars": 1, "terms": [{"e": [1.5], "c": "1"}]}']))
