@@ -134,8 +134,12 @@ def emit_report(report, fmt="json", out=None):
     else:
         raise InputError("unknown format %r" % fmt)
     if out:
-        with open(out, "w") as handle:
-            handle.write(payload)
+        try:
+            with open(out, "w") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise InputError("cannot write %s: %s"
+                             % (out, exc.strerror)) from None
     else:
         sys.stdout.write(payload)
 
@@ -479,6 +483,7 @@ def main(argv=None):
             raise InputError("the truncation must be >= 1, got %d"
                              % args.trunc)
         report, code = args.func(args)
+        emit_report(report, fmt=args.format, out=args.out)
     except InputError as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
@@ -488,7 +493,6 @@ def main(argv=None):
     except VerificationError as exc:
         sys.stderr.write("verification failure: %s\n" % exc)
         return EXIT_CHECK_FAILED
-    emit_report(report, fmt=args.format, out=args.out)
     return code
 
 

@@ -1,13 +1,14 @@
 """The invariants of one polynomial that a verification run reads, each
 computed on first use and then kept: the Newton polyhedron and its faces,
-the graded quotient of each admissible face, the certified spans of the log
-ideal (x_i f_xi) and of the Jacobian ideal (f_xi), and the trace functional
-of the log span.
+the graded quotient of each admissible face, one span store
+(:class:`localalg.CertifiedSpans`) for each of the log ideal (x_i f_xi) and
+the Jacobian ideal (f_xi), and the trace functional of the log span.
 
-The stages call the same compute halves as the public functions
-(``localalg.socle_order_report``, ``residue.nonvanishing_residue``, ...), on
-these objects instead of rebuilt ones, so their reports and the order in
-which they raise are those of the public functions.
+Each stage makes the span requests its public function makes, on these
+stores, which build each certified span once; it then calls the same compute
+half (``localalg.socle_order_report``, ``residue.nonvanishing_residue``,
+...), so its report and the order in which it raises are those of the public
+function.
 """
 
 from functools import cached_property
@@ -64,20 +65,17 @@ class RunContext:
         return self._quotients[index]
 
     @cached_property
-    def generators(self):
-        """The log generators (x_i f_xi) and the Jacobian generators."""
-        return localalg.ideal_generators(self.f)
-
-    @cached_property
-    def log_span(self):
-        """The span the residues are read on: escalated from ``trunc``."""
-        return localalg.certified_ideal(self.generators[0],
-                                        min_D=self.trunc or 0)
+    def spans(self):
+        """The span stores of the log ideal (x_i f_xi) and of the Jacobian
+        ideal (f_xi)."""
+        return tuple(map(localalg.CertifiedSpans,
+                         localalg.ideal_generators(self.f)))
 
     @cached_property
     def log_trace(self):
-        return residue.trace_functional(list(self.generators[0]),
-                                        self.log_span)
+        """The trace functional of the span the residues are read on."""
+        span = self.spans[0].certified(min_D=self.trunc or 0)
+        return residue.trace_functional(list(span.generators), span)
 
     def residue(self, index, h):
         """The residue of f^r h dx of :func:`residue.verify_residue_nonvanishing`
@@ -87,34 +85,12 @@ class RunContext:
         return residue.nonvanishing_residue(
             self.f, h, fc.r, g, quotient, lambda p: self.log_trace.residue(p))
 
-    @cached_property
-    def exact_log_span(self):
-        """The log span at exactly ``trunc``, which the socle stage and the
-        Jacobian check share."""
-        return localalg.certified_ideal(self.generators[0], D=self.trunc)
-
     def socle_order(self):
-        """The report of :func:`localalg.socle_newton_order`.  Without
-        ``trunc`` the escalation it would run settles on the log span
-        whenever that span reaches its floor, so the span is reused then."""
         floor = localalg.socle_truncation_floor(self.polyhedron)
-        if self.trunc is not None:
-            localalg.check_truncation_floor(self.trunc, floor)
-            span = self.exact_log_span
-        elif self.log_span.algebra.D >= floor:
-            span = self.log_span
-        else:
-            span = localalg.certified_ideal(self.generators[0], min_D=floor)
+        span = self.spans[0].certified(self.trunc, min_D=floor)
         return localalg.socle_order_report(self.polyhedron, span)
 
-    @cached_property
-    def jacobian_spans(self):
-        """The spans of :func:`localalg.jacobian_multiplication_check`: the
-        log span at exactly ``trunc`` (without it, the residues' span), and
-        the Jacobian span at the same truncation."""
-        span_i = self.log_span if self.trunc is None else self.exact_log_span
-        return span_i, localalg.certified_ideal(self.generators[1],
-                                                D=span_i.algebra.D)
-
     def jacobian_multiplication(self):
-        return localalg.jacobian_multiplication_report(*self.jacobian_spans)
+        span_i = self.spans[0].certified(self.trunc)
+        span_j = self.spans[1].certified(span_i.algebra.D)
+        return localalg.jacobian_multiplication_report(span_i, span_j)

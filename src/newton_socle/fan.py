@@ -29,10 +29,11 @@ import json
 
 from ._record import record
 from .errors import InputError, RegularizationError, VerificationError
-from .linalg import det, dot, primitive, rank, signed_minors, solve
+from .linalg import det, dot, primitive, rank, solve
 from .polylattice import (INFINITY, exact_int, faces, incidence_closures,
                           newton_order, newton_polyhedron,
-                          parallelepiped_points, polar_generators)
+                          parallelepiped_points, polar_generators,
+                          _simplicial_normals)
 
 # Stellar subdivisions _regularize_3d makes before RegularizationError.
 STELLAR_STEPS = 400
@@ -97,23 +98,6 @@ def cone_from_rays(rays):
         allrays = _generators(*polar_generators(normals, equations, dim=n))
     return Cone(tuple(sorted(set(allrays))), tuple(sorted(normals)),
                 tuple(equations), n - len(equations))
-
-
-def _simplicial_normals(rays):
-    """Facet normals of the cone over n vectors in n-space, the one opposite
-    each ray in turn, or None when the vectors are dependent.  Each is the
-    primitive vector C with C.x = +-det[x; other rays], which vanishes on
-    the other rays, signed by its value on its own ray: that value is
-    +-det of all the rays, so it is zero for one ray exactly when it is
-    zero for all."""
-    normals = []
-    for i, ray in enumerate(rays):
-        c = signed_minors(rays[:i] + rays[i + 1:])
-        side = dot(c, ray)
-        if not side:
-            return None
-        normals.append(primitive(c if side > 0 else [-x for x in c]))
-    return normals
 
 
 def _generators(lineality, extreme):

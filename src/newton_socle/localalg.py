@@ -4,7 +4,9 @@ socles, and the Newton order of socle cosets.
 An ideal is represented by an echelon basis of the span of all shifted
 generators inside C[x]/m^(D+1).  Once every monomial of some degree D0 lies in
 the span, Nakayama promotes truncated answers to honest local-ring answers,
-and D0 is recorded as the certificate.
+and D0 is recorded as the certificate.  A :class:`CertifiedSpans` store owns
+the truncation policy of one ideal and builds each of its certified spans
+once.
 """
 
 from fractions import Fraction
@@ -142,67 +144,95 @@ def build_ideal(gens, D):
     return IdealSpan(alg, gens, ech, bound)
 
 
-def check_truncation_floor(D, min_D):
-    """Refuse a given truncation D below the floor ``min_D``."""
-    if D < min_D:
-        raise TruncationError(
-            "truncation D=%d below the required minimum %d" % (D, min_D))
+class CertifiedSpans:
+    """The certified spans of one ideal, each kept under its truncation D.
 
+    The span at D certifies exactly when D >= k0, the least k with m^k in
+    the ideal, and then reads k0 (Nakayama: m^k in I + m^(D+1) with k <= D
+    gives m^k in I).  So once the store has read k0 it builds a truncation
+    only when its span is asked for, and each one once."""
 
-def certified_ideal(gens, D=None, min_D=0):
-    """Build an ideal span whose finite colength is certified.
+    def __init__(self, gens):
+        self.gens = tuple(gens)
+        if not self.gens:
+            raise InputError("no generators")
+        self.nvars = self.gens[0].nvars
+        self.spans = {}
+        self.k0 = None
 
-    With D given, that truncation must already certify.  Otherwise escalate
-    from twice the largest generator degree until a certificate appears, then
-    settle at m_power_bound + 4 (never below ``min_D``).  The escalation cap
-    (40 in up to two variables, else 20) shrinks with the variable count to
-    keep hopeless inputs from grinding; a ``min_D`` beyond the cap is still
-    tried, once.  So is a start from the generator degrees one step (2)
-    beyond the cap in two variables, where that build costs about what one
-    at the cap does; any other start beyond the cap is refused before
-    building, naming the truncation it needs.  A truncation whose algebra
-    is above ``MAX_ALGEBRA_MONOMIALS`` is refused (CapError) before it is
-    built."""
-    gens = tuple(gens)
-    if not gens:
-        raise InputError("no generators")
-    nvars = gens[0].nvars
-    cap = 40 if nvars <= 2 else 20
-
-    def build(D):
-        count = comb(D + nvars, nvars)
+    def _check_cap(self, D):
+        count = comb(D + self.nvars, self.nvars)
         if count > MAX_ALGEBRA_MONOMIALS:
             raise CapError(
                 "truncation D=%d in n=%d variables has %d monomials, above "
-                "the cap of %d" % (D, nvars, count, MAX_ALGEBRA_MONOMIALS))
-        return build_ideal(gens, D)
+                "the cap of %d" % (D, self.nvars, count, MAX_ALGEBRA_MONOMIALS))
 
-    if D is not None:
-        check_truncation_floor(D, min_D)
-        span = build(D)
-        if span.m_power_bound is None:
-            raise TruncationError("increase truncation: no certificate at D=%d" % D)
-        return span
-    start = max(4, 2 * max(g.total_degree() for g in gens))
-    if start > max(cap, min_D) and (nvars > 2 or start > cap + 2):
+    def _certifies(self, D):
+        """Whether the span at D certifies; built only while k0 is unknown
+        (or for D < 1, which :func:`build_ideal` refuses)."""
+        self._check_cap(D)
+        if D < 1 or self.k0 is None:
+            span = build_ideal(self.gens, D)
+            if span.m_power_bound is not None:
+                self.k0 = span.m_power_bound
+                self.spans[D] = span
+        return self.k0 is not None and D >= self.k0
+
+    def _span(self, D):
+        """The span at a truncation D >= k0."""
+        self._check_cap(D)
+        if D not in self.spans:
+            self.spans[D] = build_ideal(self.gens, D)
+        return self.spans[D]
+
+    def certified(self, D=None, min_D=0):
+        """A span whose finite colength is certified.
+
+        With D given, that truncation must already certify.  Otherwise
+        escalate from twice the largest generator degree until a certificate
+        appears, then settle at m_power_bound + 4 (never below ``min_D``).
+        The escalation cap (40 in up to two variables, else 20) shrinks with
+        the variable count to keep hopeless inputs from grinding; a
+        ``min_D`` beyond the cap is still tried, once.  So is a start from
+        the generator degrees one step (2) beyond the cap in two variables,
+        where that build costs about what one at the cap does; any other
+        start beyond the cap is refused before building, naming the
+        truncation it needs.  A truncation whose algebra is above
+        ``MAX_ALGEBRA_MONOMIALS`` is refused (CapError) before it is
+        built."""
+        if D is not None:
+            if D < min_D:
+                raise TruncationError("truncation D=%d below the required "
+                                      "minimum %d" % (D, min_D))
+            if not self._certifies(D):
+                raise TruncationError(
+                    "increase truncation: no certificate at D=%d" % D)
+            return self._span(D)
+        cap = 40 if self.nvars <= 2 else 20
+        start = max(4, 2 * max(g.total_degree() for g in self.gens))
+        if start > max(cap, min_D) and (self.nvars > 2 or start > cap + 2):
+            raise TruncationError(
+                "the escalation would start at D=%d, beyond the cap %d: give "
+                "a truncation of at least %d (--trunc) to try it"
+                % (start, cap, start))
+        start = max(start, min_D)
+        d = start
+        while d <= max(cap, start):
+            if self._certifies(d):
+                return self._span(max(d, self.k0 + 4))
+            d += 2
+        if start > cap:
+            raise TruncationError(
+                "no finite-colength certificate at D=%d: the required "
+                "truncation exceeds the cap %d" % (start, cap))
         raise TruncationError(
-            "the escalation would start at D=%d, beyond the cap %d: give a "
-            "truncation of at least %d (--trunc) to try it" % (start, cap, start))
-    start = max(start, min_D)
-    d = start
-    while d <= max(cap, start):
-        span = build(d)
-        if span.m_power_bound is not None:
-            target = max(span.m_power_bound + 4, min_D)
-            if target > d:
-                span = build(target)
-            return span
-        d += 2
-    if start > cap:
-        raise TruncationError(
-            "no finite-colength certificate at D=%d: the required truncation "
-            "exceeds the cap %d" % (start, cap))
-    raise TruncationError("no finite-colength certificate up to D=%d" % (d - 2))
+            "no finite-colength certificate up to D=%d" % (d - 2))
+
+
+def certified_ideal(gens, D=None, min_D=0):
+    """A certified span of the ideal generated by ``gens``:
+    :meth:`CertifiedSpans.certified` on a new store."""
+    return CertifiedSpans(gens).certified(D, min_D)
 
 
 def member(h, span):

@@ -19,8 +19,8 @@ import re
 
 from ._record import record
 from .errors import InputError
-from .linalg import (det, dot, kernel_basis, primitive, rank, rref, solve,
-                     vec_sub)
+from .linalg import (det, dot, kernel_basis, primitive, rank, rref,
+                     signed_minors, solve, vec_sub)
 
 
 class _Infinity:
@@ -301,14 +301,34 @@ class SparsePoly:
 # Double description: generators of a cone cut out by inequalities
 # ---------------------------------------------------------------------------
 
+def _simplicial_normals(rays):
+    """Facet normals of the cone over n vectors in n-space, the one opposite
+    each ray in turn, or None when the vectors are dependent.  Each is the
+    primitive vector C with C.x = +-det[x; other rays], which vanishes on
+    the other rays, signed by its value on its own ray: that value is
+    +-det of all the rays, so it is zero for one ray exactly when it is
+    zero for all.  The vectors must be integers, as ``signed_minors``
+    divides exactly: :func:`_dd_extreme_rays` passes integer rows and
+    ``fan.cone_from_rays`` primitive ones."""
+    normals = []
+    for i, ray in enumerate(rays):
+        c = signed_minors(rays[:i] + rays[i + 1:])
+        side = dot(c, ray)
+        if not side:
+            return None
+        normals.append(primitive(c if side > 0 else [-x for x in c]))
+    return normals
+
+
 def _dd_extreme_rays(rows, dim):
     """Extreme rays of the pointed cone {x : r.x >= 0 for all r in rows}.
 
-    Requires rank(rows) == dim (pointedness).  Incremental double description:
-    start from a simplicial subcone given by ``dim`` independent rows, insert
-    the remaining inequalities one at a time, combining adjacent positive and
-    negative rays.  Each ray carries its zero set, the bitmask of the rows
-    inserted so far that are tight on it.  Adjacency is the combinatorial
+    Requires integer rows of rank dim (pointedness).  Incremental double
+    description: start from the simplicial cone of ``dim`` independent rows,
+    whose rays are their :func:`_simplicial_normals`, insert the remaining
+    inequalities one at a time, combining adjacent positive and negative
+    rays.  Each ray carries its zero set, the bitmask of the rows inserted
+    so far that are tight on it.  Adjacency is the combinatorial
     test (Fukuda and Prodon, "Double description method revisited", 1996,
     Prop. 7): the common zero set of two rays has at least dim - 2 rows and
     lies in the zero set of no third ray.  The current cone stays pointed
@@ -328,10 +348,8 @@ def _dd_extreme_rays(rows, dim):
         raise ValueError("cone is not pointed")
     # ray i is tight on every base row but row i; base rows are bits 0..dim-1
     everything = (1 << dim) - 1
-    zeros = {}
-    for i in range(dim):
-        rhs = [int(j == i) for j in range(dim)]
-        zeros[primitive(solve(base, rhs))] = everything ^ (1 << i)
+    zeros = {ray: everything ^ (1 << i)
+             for i, ray in enumerate(_simplicial_normals(base))}
 
     for bit, a in enumerate(rest, dim):
         bit = 1 << bit
@@ -429,22 +447,19 @@ def polyhedron_hull(points, recession=()):
     return equations, facets
 
 
+def _vertices(points, equations, facets):
+    """The points at which the equation normals and the normals of the
+    tight facets have full rank: the vertices of the polyhedron with these
+    ``(normal, offset)`` equations and facets, among ``points``."""
+    normals = [e for e, _ in equations]
+    return [p for p in points if rank(
+        normals + [l for l, c in facets if dot(l, p) == c]) == len(p)]
+
+
 def hull_vertices(points):
     """Vertices of conv(points), as a sublist of ``points``."""
-    n = len(points[0])
-    equations, facets = polyhedron_hull(points)
-    verts = []
-    seen = set()
-    for p in points:
-        p = tuple(map(Fraction, p))
-        if p in seen:
-            continue
-        seen.add(p)
-        tight = [eq[0] for eq in equations]
-        tight += [f[0] for f in facets if dot(f[0], p) == f[1]]
-        if rank(tight) == n:
-            verts.append(p)
-    return verts
+    distinct = dict.fromkeys(tuple(map(Fraction, p)) for p in points)
+    return _vertices(list(distinct), *polyhedron_hull(points))
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +529,8 @@ def newton_polyhedron(f):
         facets.append(Facet(tuple(int(x) for x in normal), int(offset),
                             all(x > 0 for x in normal)))
     facets.sort(key=lambda fc: (fc.normal, fc.offset))
-    verts = []
-    for p in minimal:
-        tight = [fc.normal for fc in facets if dot(fc.normal, p) == fc.offset]
-        if rank(tight) == n:
-            verts.append(tuple(int(x) for x in p))
-    verts.sort()
+    verts = sorted(tuple(int(x) for x in p)
+                   for p in _vertices(minimal, (), raw_facets))
     return NewtonPolyhedron(n, tuple(verts), tuple(facets))
 
 
@@ -729,12 +740,7 @@ def _triangulate(points):
     if len(pts) == d + 1:
         return [pts]
     equations, facets = polyhedron_hull(pts)
-    verts = []
-    for p in pts:
-        tight = [eq[0] for eq in equations]
-        tight += [fn for fn, c in facets if dot(fn, p) == c]
-        if rank(tight) == len(p0):
-            verts.append(p)
+    verts = _vertices(pts, equations, facets)
     if len(verts) == d + 1:
         return [verts]
     v0 = verts[0]

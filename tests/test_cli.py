@@ -505,22 +505,39 @@ def count_calls(monkeypatch, module, name, calls):
                 monkeypatch.setattr(mod, attr, wrapper)
 
 
-@pytest.mark.parametrize("poly", ["x1^4 + x1^2*x2^2 + x2^5",
-                                  "x1^2+x2^3+x3^4"])
-def test_verify_all_computes_each_invariant_once(monkeypatch, poly):
+@pytest.mark.parametrize("args", [
+    ["x1^4 + x1^2*x2^2 + x2^5"], ["x1^2+x2^3+x3^4"],
+    # with --trunc the residues' escalation from D and the socle and
+    # Jacobian stages all read the log span at D
+    ["x1^2 + x2^3", "--trunc", "12"], ["x1^2+x2^3+x3^4", "--trunc", "14"]],
+    ids=" ".join)
+def test_verify_all_computes_each_invariant_once(monkeypatch, args):
     calls = {"polyhedron": [], "quotient": [], "span": []}
     count_calls(monkeypatch, newton_socle.polylattice, "newton_polyhedron",
                 calls["polyhedron"])
     count_calls(monkeypatch, newton_socle.facering, "canonical_quotient",
                 calls["quotient"])
-    count_calls(monkeypatch, newton_socle.localalg, "certified_ideal",
+    count_calls(monkeypatch, newton_socle.localalg, "build_ideal",
                 calls["span"])
-    code, rep = run_json(["verify-all", "--poly", poly])
+    code, rep = run_json(["verify-all", "--poly"] + args)
     assert code == 0
     assert len(calls["polyhedron"]) == 1
     assert len(calls["quotient"]) == len(rep["faces"])
-    requests = [(tuple(a["gens"]), a["D"], a["min_D"]) for a in calls["span"]]
-    assert len(set(requests)) == len(requests)
+    builds = [(tuple(a["gens"]), a["D"]) for a in calls["span"]]
+    assert len({gens for gens, _ in builds}) == 2
+    assert len(set(builds)) == len(builds)
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_is_an_input_error(tmp_path, target):
+    # a missing directory, or a directory itself
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+        code = main(["polyhedron", "--poly", "x1^2+x2^3",
+                     "--out", str(tmp_path / target)])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("input error: cannot write ")
+    assert "Traceback" not in err.getvalue()
 
 
 def test_residue_escalation_start_far_beyond_the_cap_is_refused(monkeypatch):

@@ -2,21 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from newton_socle import (INFINITY, SparsePoly, build_ideal, certified_ideal,
                           coset_newton_order, ideal_generators,
                           jacobian_multiplication_check, member,
                           newton_polyhedron, socle, socle_newton_order,
                           verify_interior_membership)
-from newton_socle.errors import InputError, TruncationError
+from newton_socle import localalg
+from newton_socle.errors import CapError, InputError, TruncationError
 from newton_socle.grobner import degrevlex_key
 from newton_socle.linalg import Echelon, _integral, kernel_basis, rref
-from newton_socle.localalg import (jacobian_multiplication_report,
+from newton_socle.localalg import (CertifiedSpans,
+                                   jacobian_multiplication_report,
                                    monomials_of_degree,
                                    socle_truncation_floor)
 
-from conftest import poly
+from conftest import FAMILY, poly
 from residue_oracles import _Echelon as _TrackedEchelon, _shifted_span
 
 
@@ -136,6 +138,56 @@ def test_truncation_stability(family):
         for h in probes:
             assert member(h, span_a) == member(h, span_b)
         assert sorted(map(str, socle(span_a))) == sorted(map(str, socle(span_b)))
+
+
+# the log and Jacobian ideals of the regression family, one of infinite
+# colength, and (3*x1^3, 3*x2^3, 3*x3^3), whose k0 = 7 lies just under a cap
+# of 150 monomials (D <= 7 in three variables)
+CUBES = ideal_generators(poly("x1^3+x2^3+x3^3"))[0]
+STORE_IDEALS = [gens for text in FAMILY
+                for gens in ideal_generators(poly(text))] + [
+    (poly("x1^2", nvars=2), poly("x1*x2", nvars=2)), CUBES]
+# 10^4 is above the monomial cap in two or more variables
+_TRUNCATIONS = st.integers(1, 20) | st.just(10 ** 4)
+
+
+def _answer(call):
+    try:
+        span = call()
+    except (CapError, InputError, TruncationError) as exc:
+        return type(exc), str(exc)
+    return span.algebra.D, span.m_power_bound, span.echelon.rows
+
+
+@given(st.sampled_from(STORE_IDEALS),
+       st.lists(st.tuples(st.none() | _TRUNCATIONS,
+                          st.integers(0, 20) | st.just(10 ** 4)),
+                min_size=1, max_size=6),
+       st.booleans())
+# the escalation from 8 is refused at 8, not at k0 + 4 = 11
+@example(CUBES, [(7, 0), (None, 8)], True)
+@settings(max_examples=200, deadline=None)
+def test_span_store_answers_as_a_new_store(gens, requests, small_cap):
+    # under a cap of 150 monomials, D >= 16 in two variables and D >= 8 in
+    # three are refused; a certified span is built once
+    store = CertifiedSpans(gens)
+    built = []
+
+    def counted(gens, D):
+        span = build_ideal(gens, D)
+        if span.m_power_bound is not None:
+            built.append(D)
+        return span
+
+    with pytest.MonkeyPatch.context() as patch:
+        if small_cap:
+            patch.setattr(localalg, "MAX_ALGEBRA_MONOMIALS", 150)
+        for D, min_D in requests:
+            patch.setattr(localalg, "build_ideal", counted)
+            answer = _answer(lambda: store.certified(D, min_D))
+            patch.setattr(localalg, "build_ideal", build_ideal)
+            assert answer == _answer(lambda: certified_ideal(gens, D, min_D))
+    assert len(set(built)) == len(built)
 
 
 def test_socle_newton_order_cusp():

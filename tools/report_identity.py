@@ -26,6 +26,7 @@ sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
 
 from newton_socle.cli import read_polynomial  # noqa: E402
 from newton_socle.context import RunContext  # noqa: E402
+from newton_socle.localalg import socle_truncation_floor  # noqa: E402
 from perfbench.workloads import (CURVES, SURFACES, k_support,  # noqa: E402
                                  load_expected)
 
@@ -189,6 +190,30 @@ def invocations():
         out.append(("nondeg " + f, ["nondeg", "--poly", f, "--seed", "1"]))
         out.append(("verify-all " + f,
                     ["verify-all", "--poly", f, "--seed", "1"]))
+    # with --trunc every stage reads the log span at it: the residues
+    # escalate from it, the socle and Jacobian stages build at exactly it
+    # (below the socle floor the run exits 3)
+    for items, D in ((SURFACES, 14), (CURVES, 12)):
+        for item in items:
+            out.append(("verify-all --trunc %d %s" % (D, item["poly"]),
+                        ["verify-all", "--poly", item["poly"], "--trunc",
+                         str(D), "--seed", "1"]))
+    for item in CURVES + SURFACES:
+        run = RunContext(read_polynomial(item["poly"], None))
+        floor = str(socle_truncation_floor(run.polyhedron))
+        out.append(("socle-order --trunc %s %s" % (floor, item["poly"]),
+                    ["socle-order", "--poly", item["poly"], "--trunc", floor]))
+    out.append(("verify-thm1 --trunc 9",
+                ["verify-thm1", "--poly", "x1^2 + x2^3", "--h", "x1^2*x2^2",
+                 "--trunc", "9"]))
+    out.append(("verify-thm2 --trunc 9",
+                ["verify-thm2", "--poly", "x1^2 + x2^3", "--h", "x1*x2^2",
+                 "--face", "0", "--r", "0", "--trunc", "9"]))
+    # the escalation on 2*x1^2; 3*x2^3 starts at D=6
+    for D in ("3", "10"):
+        out.append(("residue value --trunc " + D,
+                    ["residue", "--g", "x1*x2^2", "--system",
+                     "2*x1^2; 3*x2^3", "--vars", "2", "--trunc", D]))
     out.append(("fractional exponent",
                 ["polyhedron", "--poly",
                  '{"nvars": 1, "terms": [{"e": [1.5], "c": "1"}]}']))
