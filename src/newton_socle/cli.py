@@ -279,10 +279,9 @@ def cmd_verify_all(args):
     report["polyhedron"] = run.polyhedron.to_json()
     fan = run.dual_fan()
     report["fan"] = fan.to_json()
-    if n <= 3:
-        reg = fanmod.regularize(fan)
-        report["regular_fan"] = reg.to_json()
-        report["checks"]["regularization"] = fanmod.is_regular(reg)
+    reg = fanmod.regularize(fan)
+    report["regular_fan"] = reg.to_json()
+    report["checks"]["regularization"] = fanmod.is_regular(reg)
 
     ok = True
     face_reports = []
@@ -365,7 +364,7 @@ def _fan_args(p):
     _common(p)
     p.add_argument("--regular", action="store_true")
     p.add_argument("--fan", default=None,
-                   help="externally supplied fan JSON (needed for n >= 4)")
+                   help="fan JSON to use in place of the dual fan")
 
 
 def _nu_args(p):

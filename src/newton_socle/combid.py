@@ -506,19 +506,14 @@ def choose_weights(face, f, seed=0):
     """Random rational weights adapted to the face, resampled until the
     spanning, normalization, vertex-nonvanishing and slice-basis conditions
     all hold, for at most ``WEIGHT_ATTEMPTS`` draws.  The face must be
-    compact and off the coordinate hyperplanes, in at most 3 variables:
-    the slices come from a regular subdivision of the dual fan, which
-    :func:`fan.regularize` builds only for n <= 3."""
+    compact and off the coordinate hyperplanes.  The slices come from the
+    regular subdivision of the dual fan that :func:`fan.regularize` builds."""
     if not face.compact:
         raise InputError("weights need a compact face")
     if face.in_coordinate_hyperplane:
         raise InputError("face lies in a coordinate hyperplane")
     poly = face.polyhedron
     n = poly.nvars
-    if n > 3:
-        raise InputError("weight systems need a regular subdivision of the "
-                         "dual fan, which is built only for n <= 3 "
-                         "variables; the face has n = %d" % n)
     normal = face_normal_cone(poly, face)
     r = normal.dim - 1
     fan = regularize(dual_fan(poly))

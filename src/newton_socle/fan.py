@@ -1,7 +1,7 @@
 """Cone and fan combinatorics on the positive orthant: dual cones, face
 lattices, the coarsest fan on which the support function is linear, exact
-regular subdivision (continued fractions in 2D, stellar subdivision in 3D),
-ray multiplicities and pole components.
+regular subdivision (continued fractions in 2D, stellar subdivision in every
+other dimension), ray multiplicities and pole components.
 
 Closed forms replace the double description where one exists.
 :func:`cone_from_rays` gives a full-dimensional simplicial cone its facet
@@ -23,19 +23,19 @@ any other fan, and one the criterion rejects, pairwise by
 """
 
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import combinations
 import json
 
 from ._record import record
 from .errors import InputError, RegularizationError, VerificationError
-from .linalg import det, dot, primitive, rank, solve
+from .linalg import det, dot, primitive, rank
 from .polylattice import (INFINITY, exact_int, faces, incidence_closures,
                           newton_order, newton_polyhedron,
                           parallelepiped_points, polar_generators,
                           _simplicial_normals)
 
-# Stellar subdivisions _regularize_3d makes before RegularizationError.
+# Stellar subdivisions _regularize_stellar makes before RegularizationError.
 STELLAR_STEPS = 400
 
 
@@ -511,81 +511,73 @@ def _regularize_2d(fan):
     return fan_from_cones(2, max_cones)
 
 
-def _coeffs_in_cone(point, rays):
-    """Coefficients of ``point`` over linearly independent rays, or None when
-    the point is outside their span."""
-    n = len(point)
-    rows = [tuple(r[k] for r in rays) for k in range(n)]
-    return solve(rows, point)
+def _pulling_triangulation(cone, n, built):
+    """Pulling triangulation of the cone as sorted ray tuples (De Loera,
+    Rambau & Santos, *Triangulations*, 2010, §4.3): a simplicial cone is its
+    own; any other is its least ray joined to that of each facet missing
+    the ray.  One global ray order cuts a face shared by two cones the same
+    way from both.  ``built`` is the :func:`cone_faces` memo."""
+    if len(cone.rays) == cone.dim:
+        return [cone.rays]
+    apex = cone.rays[0]
+    return [tuple(sorted((apex,) + s))
+            for f in cone_faces(cone, n, built)
+            if f.dim == cone.dim - 1 and apex not in f.rays
+            for s in _pulling_triangulation(f, n, built)]
 
 
-def _regularize_3d(fan):
-    n = 3
-    # star-triangulate non-simplicial maximal cones without new rays
-    triangles = []
-    for c in fan.maximal_cones():
-        if len(c.rays) == n:
-            triangles.append(tuple(sorted(c.rays)))
-            continue
-        apex = c.rays[0]
-        for f in cone_faces(c, n):
-            if f.dim == n - 1 and not f.contains(apex):
-                if len(f.rays) != 2:
-                    raise VerificationError("2-face of a 3-cone with != 2 rays")
-                triangles.append(tuple(sorted((apex,) + f.rays)))
-    triangles = sorted(set(triangles))
+def _regularize_stellar(fan):
+    """Pulling triangulation, then stellar subdivision until every cone is
+    unimodular (Kempf, Knudsen, Mumford & Saint-Donat, *Toroidal Embeddings
+    I*, 1973) at w, the shortest point of the half-open parallelepiped of
+    the cone of largest multiplicity (least rays on ties).  A simplex with a
+    facet normal l and l.w < 0 stays; any other simplex t becomes t - v_i + w
+    for each ray v_i whose opposite normal is positive on w.  Each simplex's
+    facet normals and multiplicity are computed once."""
+    n = fan.nvars
+    built = {}
 
+    @cache
+    def simplex(t):
+        return _simplicial_normals(list(t)), abs(det(list(t)))
+
+    cones = {t for c in fan.maximal_cones()
+             for t in _pulling_triangulation(c, n, built)}
     for _ in range(STELLAR_STEPS):
-        worst = None
-        worst_det = 1
-        for t in triangles:
-            d = abs(det(list(t)))
-            if d > worst_det or (d == worst_det > 1 and (worst is None or t < worst)):
-                worst, worst_det = t, d
-        if worst_det == 1:
-            max_cones = [cone_from_rays(list(t)) for t in triangles]
-            return fan_from_cones(3, max_cones)
+        worst = min(cones, key=lambda t: (-simplex(t)[1], t))
+        if simplex(worst)[1] == 1:
+            return fan_from_cones(n, [cone_from_rays(list(t)) for t in cones])
         pts = parallelepiped_points(worst, True, False)
-        center = primitive(min(pts, key=lambda p: (sum(x * x for x in p), p)))
-        new_triangles = []
-        for t in triangles:
-            coeffs = _coeffs_in_cone(center, list(t))
-            if coeffs is None or any(x < 0 for x in coeffs):
-                new_triangles.append(t)
+        w = primitive(min(pts, key=lambda p: (sum(x * x for x in p), p)))
+        new = set()
+        for t in cones:
+            sides = [dot(l, w) for l in simplex(t)[0]]
+            if min(sides) < 0:
+                new.add(t)
                 continue
-            for pair in combinations(t, 2):
-                cpair = _coeffs_in_cone(center, list(pair))
-                if cpair is not None and all(x >= 0 for x in cpair):
-                    continue  # center lies on this face; keep it undivided
-                new_triangles.append(tuple(sorted(pair + (center,))))
-        triangles = sorted(set(new_triangles))
-    partial = fan_from_cones(3, [cone_from_rays(list(t)) for t in triangles],
+            new.update(tuple(sorted(t[:i] + (w,) + t[i + 1:]))
+                       for i, side in enumerate(sides) if side > 0)
+        cones = new
+    singular = [simplex(t)[1] for t in cones if simplex(t)[1] > 1]
+    partial = fan_from_cones(n, [cone_from_rays(list(t)) for t in cones],
                              validate=False)
-    raise RegularizationError("stellar subdivision hit the iteration cap",
-                              partial_fan=partial)
+    raise RegularizationError(
+        "stellar subdivision stopped at its cap of %d steps with %d singular "
+        "cones left, of multiplicity up to %d"
+        % (STELLAR_STEPS, len(singular), max(singular)), partial_fan=partial)
 
 
 def regularize(fan):
-    """A regular subdivision of the fan: exact continued-fraction insertion in
-    2D, iterated stellar subdivision at a shortest parallelepiped lattice
-    point in 3D.  The output refines the input, keeps the support and the
-    coordinate rays, and passes is_regular."""
-    n = fan.nvars
-    if n == 1:
-        return fan
-    if n == 2:
-        out = _regularize_2d(fan)
-    elif n == 3:
-        out = _regularize_3d(fan)
-    else:
-        raise InputError("regularization not implemented; supply fan")
+    """A regular subdivision of the fan: the continued-fraction walk in 2D,
+    stellar subdivision of a pulling triangulation in every other dimension.
+    The output refines the input, keeps the support and every input ray,
+    and passes is_regular."""
+    out = _regularize_2d(fan) if fan.nvars == 2 else _regularize_stellar(fan)
     if not is_regular(out):
         raise VerificationError("regularization produced a singular cone")
     _check_refines(out, fan)
-    out_rays = set(out.rays)
-    for r in fan.rays:
-        if r not in out_rays:
-            raise VerificationError("regularization dropped a ray")
+    if not set(fan.rays) <= set(out.rays):
+        raise VerificationError("regularization dropped a ray")
     return out
 
 

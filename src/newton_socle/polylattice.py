@@ -13,14 +13,15 @@ the face's facets are among them.
 """
 
 from fractions import Fraction
+from itertools import product
 import json
 import math
 import re
 
 from ._record import record
 from .errors import InputError
-from .linalg import (det, dot, kernel_basis, primitive, rank, rref,
-                     signed_minors, solve, vec_sub)
+from .linalg import (det, dot, hermite_basis, kernel_basis, primitive, rank,
+                     rref, signed_minors, vec_sub)
 
 
 class _Infinity:
@@ -308,8 +309,9 @@ def _simplicial_normals(rays):
     the other rays, signed by its value on its own ray: that value is
     +-det of all the rays, so it is zero for one ray exactly when it is
     zero for all.  The vectors must be integers, as ``signed_minors``
-    divides exactly: :func:`_dd_extreme_rays` passes integer rows and
-    ``fan.cone_from_rays`` primitive ones."""
+    divides exactly: :func:`_dd_extreme_rays` and
+    :func:`parallelepiped_points` pass integer rows, ``fan.cone_from_rays``
+    primitive ones."""
     normals = []
     for i, ray in enumerate(rays):
         c = signed_minors(rays[:i] + rays[i + 1:])
@@ -837,26 +839,34 @@ def lattice_points(lo, hi, ineqs=(), eqs=()):
 
 
 def parallelepiped_points(rays, low_closed, high_closed):
-    """Nonzero lattice points sum(t_i * r_i) over linearly independent rays
-    with every t_i between 0 and 1; each end of that interval is included
-    when its flag is set.
+    """Nonzero lattice points sum(t_i * r_i) over linearly independent
+    integer rays with every t_i between 0 and 1, sorted; each end of that
+    interval is included when its flag is set.
 
-    The coefficient t_i is the dual-basis covector d_i (d_i.r_j = 1 if
-    i = j, else 0) applied to the point, and the equations confine the
-    points to the span of the rays."""
-    rays = list(rays)
-    n = len(rays[0])
-    ineqs = []
-    for i in range(len(rays)):
-        d = solve(rays, [int(i == j) for j in range(len(rays))])
-        if d is None:
-            raise ValueError("parallelepiped rays are not independent")
-        ineqs.append((d, 0, not low_closed))
-        ineqs.append((tuple(-x for x in d), -1, not high_closed))
-    eqs = [(w, 0) for w in kernel_basis(rays)]
-    lo = [sum(min(0, r[k]) for r in rays) for k in range(n)]
-    hi = [sum(max(0, r[k]) for r in rays) for k in range(n)]
-    return [m for m in lattice_points(lo, hi, ineqs, eqs) if any(m)]
+    The points with t in [0, 1)^k are one per coset of the rays' lattice.
+    On k pivot columns (:func:`linalg.rref`) the rays form a square S, and
+    the box 0 <= y_i < H_ii of S's Hermite basis holds one y per coset of
+    the lattice of S.  The facet normals of S give t = y S^-1 mod 1 in
+    integers over a common denominator, a t_i of 0 stands for each closed
+    end, and a point is kept when sum(t_i * r_i) is integral."""
+    _, pivots = rref(rays)
+    if len(pivots) < len(rays):
+        raise ValueError("parallelepiped rays are not independent")
+    square = [[r[c] for c in pivots] for r in rays]
+    normals = _simplicial_normals(square)
+    sides = [dot(l, s) for l, s in zip(normals, square)]
+    den = math.lcm(*sides)
+    ends = [e for e, closed in ((0, low_closed), (den, high_closed)) if closed]
+    out = []
+    for y in product(*(range(row[i])
+                       for i, row in enumerate(hermite_basis(square)))):
+        t = [dot(l, y) % side * (den // side)
+             for l, side in zip(normals, sides)]
+        for c in product(*((ti,) if ti else ends for ti in t)):
+            scaled = [dot(c, col) for col in zip(*rays)]
+            if any(scaled) and not any(x % den for x in scaled):
+                out.append(tuple(x // den for x in scaled))
+    return sorted(out)
 
 
 def polytope_lattice_points(points, interior=False, dilation=1):

@@ -19,19 +19,28 @@ the convex hull of its parallelepiped points, where ``fan._hj_chain`` walks
 the continued fraction.  ``rank_dd_extreme_rays`` is the double
 description with the algebraic adjacency test (the rows tight on two rays
 have rank dim - 2), where ``polylattice._dd_extreme_rays`` compares the
-rays' zero-set bitmasks.
+rays' zero-set bitmasks.  ``box_parallelepiped_points`` scans the bounding
+box of a parallelepiped, where ``polylattice.parallelepiped_points`` lists
+one point per lattice coset.  ``regularize_3d`` is the 3D stellar
+subdivision that solves for every coefficient, where
+``fan._regularize_stellar`` reads them off facet normals computed once.
 """
 
 from functools import cmp_to_key
 from itertools import combinations
 
+from newton_socle import fan as fanmod
 from newton_socle.fan import (Cone, _angle_cmp, _cone_ambient, _generators,
                               _intersect_cones, _polar_cone, _std_basis,
+                              cone_faces, cone_from_rays, fan_from_cones,
                               zero_cone)
-from newton_socle.errors import InputError
-from newton_socle.linalg import dot, primitive, rank, solve, vec_sub
-from newton_socle.polylattice import (FaceDescriptor, parallelepiped_points,
-                                      polar_generators, polyhedron_hull)
+from newton_socle.errors import (InputError, RegularizationError,
+                                 VerificationError)
+from newton_socle.linalg import det, dot, kernel_basis, primitive, rank, \
+    solve, vec_sub
+from newton_socle.polylattice import (FaceDescriptor, lattice_points,
+                                      parallelepiped_points, polar_generators,
+                                      polyhedron_hull)
 
 
 def double_polar_cone(rays):
@@ -200,3 +209,82 @@ def hull_hj_chain(u, v):
                 if dot(normal, p) == c:
                     chain.add(p)
     return sorted(chain, key=cmp_to_key(_angle_cmp))
+
+
+def box_parallelepiped_points(rays, low_closed, high_closed):
+    """Nonzero lattice points sum(t_i * r_i) over linearly independent rays
+    with every t_i between 0 and 1, each end included when its flag is set,
+    found by scanning the bounding box of the rays.
+
+    The coefficient t_i is the dual-basis covector d_i (d_i.r_j = 1 if
+    i = j, else 0) applied to the point, and the equations confine the
+    points to the span of the rays."""
+    rays = list(rays)
+    n = len(rays[0])
+    ineqs = []
+    for i in range(len(rays)):
+        d = solve(rays, [int(i == j) for j in range(len(rays))])
+        if d is None:
+            raise ValueError("parallelepiped rays are not independent")
+        ineqs.append((d, 0, not low_closed))
+        ineqs.append((tuple(-x for x in d), -1, not high_closed))
+    eqs = [(w, 0) for w in kernel_basis(rays)]
+    lo = [sum(min(0, r[k]) for r in rays) for k in range(n)]
+    hi = [sum(max(0, r[k]) for r in rays) for k in range(n)]
+    return [m for m in lattice_points(lo, hi, ineqs, eqs) if any(m)]
+
+
+def _coeffs_in_cone(point, rays):
+    """Coefficients of ``point`` over linearly independent rays, or None when
+    the point is outside their span."""
+    n = len(point)
+    rows = [tuple(r[k] for r in rays) for k in range(n)]
+    return solve(rows, point)
+
+
+def regularize_3d(fan):
+    """Regular subdivision of a 3D fan: star triangulation of each
+    non-simplicial maximal cone from its least ray, then stellar subdivision
+    at the shortest point of the half-open parallelepiped of the cone of
+    largest multiplicity (least rays on ties), with every determinant and
+    coefficient recomputed at every step.  A triangle that holds the point
+    is replaced by the point joined to each of its edges that misses it."""
+    n = 3
+    triangles = []
+    for c in fan.maximal_cones():
+        if len(c.rays) == n:
+            triangles.append(tuple(sorted(c.rays)))
+            continue
+        apex = c.rays[0]
+        for f in cone_faces(c, n):
+            if f.dim == n - 1 and not f.contains(apex):
+                if len(f.rays) != 2:
+                    raise VerificationError("2-face of a 3-cone with != 2 rays")
+                triangles.append(tuple(sorted((apex,) + f.rays)))
+    triangles = sorted(set(triangles))
+
+    for _ in range(fanmod.STELLAR_STEPS):
+        worst = None
+        worst_det = 1
+        for t in triangles:
+            d = abs(det(list(t)))
+            if d > worst_det or (d == worst_det > 1 and (worst is None or t < worst)):
+                worst, worst_det = t, d
+        if worst_det == 1:
+            max_cones = [cone_from_rays(list(t)) for t in triangles]
+            return fan_from_cones(3, max_cones)
+        pts = box_parallelepiped_points(worst, True, False)
+        center = primitive(min(pts, key=lambda p: (sum(x * x for x in p), p)))
+        new_triangles = []
+        for t in triangles:
+            coeffs = _coeffs_in_cone(center, list(t))
+            if coeffs is None or any(x < 0 for x in coeffs):
+                new_triangles.append(t)
+                continue
+            for pair in combinations(t, 2):
+                cpair = _coeffs_in_cone(center, list(pair))
+                if cpair is not None and all(x >= 0 for x in cpair):
+                    continue  # center lies on this face; keep it undivided
+                new_triangles.append(tuple(sorted(pair + (center,))))
+        triangles = sorted(set(new_triangles))
+    raise RegularizationError("stellar subdivision hit the iteration cap")

@@ -331,12 +331,13 @@ def test_choose_weights_on_every_face_of_the_cusp():
                 choose_weights(face, f)
 
 
-def test_choose_weights_states_the_regularization_limit():
+def test_choose_weights_in_four_variables():
     f = poly("x1^2 + x2^2 + x3^2 + x4^2")
     facet = [fc for fc in compact_faces(newton_polyhedron(f))
              if fc.dim == 3][0]
-    with pytest.raises(InputError, match=r"n <= 3 variables.*n = 4"):
-        choose_weights(facet, f)
+    ws = choose_weights(facet, f)
+    assert ws.r == 0 and ws.fan.nvars == 4
+    assert check_resolution_assumptions(f, ws)["ok"]
 
 
 @functools.lru_cache(maxsize=None)

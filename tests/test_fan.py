@@ -26,13 +26,13 @@ from newton_socle.fan import (_triangulates_orthant, cone_faces,
 from newton_socle.linalg import det, dot, solve
 from newton_socle.polylattice import faces
 
-from conftest import poly, supports
+from conftest import FAMILY, poly, supports
 from face_oracles import (brute_cone_faces, brute_meets_in_faces,
                           double_polar_cone, hull_hj_chain,
-                          inequality_normal_cone)
+                          inequality_normal_cone, regularize_3d)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
-from perfbench.workloads import k_support  # noqa: E402
+from perfbench.workloads import SURFACES, k_support  # noqa: E402
 
 
 ORTHANT_2 = cone_from_rays([(1, 0), (0, 1)])
@@ -490,12 +490,71 @@ def test_regularize_3d_stellar():
     assert set(fan.rays) <= set(reg.rays)
 
 
-def test_regularize_refuses_high_dimension():
-    fan = fan_from_json({
-        "rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        "cones": [[0, 1, 2, 3]]})
-    with pytest.raises(InputError):
-        regularize(fan)
+@pytest.mark.parametrize("text", [f for f in FAMILY if "x3" in f]
+                         + [item["poly"] for item in SURFACES]
+                         + ["x1^5+x2^6+x3^7"])
+def test_regularize_3d_matches_the_stellar_oracle(text):
+    fan = dual_fan(newton_polyhedron(poly(text)))
+    assert regularize(fan).to_json() == regularize_3d(fan).to_json()
+
+
+@st.composite
+def convenient_3var(draw):
+    """x1^a + x2^b + x3^c with a, b, c in 2..7, plus at most 3 other terms
+    of degree >= 2; about a quarter have a non-simplicial maximal cone."""
+    terms = {tuple(draw(st.integers(2, 7)) * (i == j) for j in range(3)): 1
+             for i in range(3)}
+    others = st.tuples(*[st.integers(0, 4)] * 3).filter(lambda e: sum(e) >= 2)
+    terms.update({e: 1 for e in draw(st.lists(others, max_size=3))})
+    return SparsePoly(3, terms)
+
+
+@given(convenient_3var())
+@settings(max_examples=40, deadline=None)
+def test_regularize_3d_matches_the_stellar_oracle_on_random_inputs(f):
+    fan = dual_fan(newton_polyhedron(f))
+    assert regularize(fan).to_json() == regularize_3d(fan).to_json()
+
+
+@pytest.mark.parametrize("text", [
+    "x1^2+x2^2+x3^3+x4^3",
+    "x1^3+x2^4+x3^5+x4^6",
+    # non-simplicial maximal cones that share a non-simplicial facet
+    "x1^2+x2^3+x3^3+x4^2+x2*x3",
+    "x1^5+x2^2+x3^5+x4^2+x1*x3*x4",
+    "x1^2+x2^2+x3^3+x4^3+x5^4",
+])
+def test_regularize_beyond_three_variables(text):
+    f = poly(text)
+    n = f.nvars
+    fan = dual_fan(newton_polyhedron(f))
+    reg = regularize(fan)
+    maxs = reg.maximal_cones()
+    assert all(abs(det(list(c.rays))) == 1 for c in maxs)
+    assert _triangulates_orthant(n, maxs)
+    for c in maxs:
+        assert any(all(big.contains(r) for r in c.rays)
+                   for big in fan.maximal_cones())
+    assert set(fan.rays) <= set(reg.rays)
+
+
+def test_fan_regular_in_four_variables_exits_0():
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["fan", "--poly", "x1^2+x2^2+x3^3+x4^3",
+                     "--regular"]) == 0
+    rep = json.loads(out.getvalue())
+    assert len(rep["regular_fan"]["cones"]) == 12
+
+
+def test_stellar_cap_exits_3_and_names_the_cap(monkeypatch, capsys):
+    # x1^2 + x2^3 + x3^4 needs 5 stellar steps
+    monkeypatch.setattr(fanmod, "STELLAR_STEPS", 2)
+    assert main(["fan", "--poly", "x1^2+x2^3+x3^4", "--regular"]) == 3
+    err = capsys.readouterr().err
+    assert "cap of 2 steps" in err and "singular cones left" in err
+    with pytest.raises(RegularizationError) as info:
+        regularize(dual_fan(newton_polyhedron(poly("x1^2+x2^3+x3^4"))))
+    assert not is_regular(info.value.partial_fan)
 
 
 def test_is_regular_examples():

@@ -10,11 +10,12 @@ from newton_socle import (INFINITY, SparsePoly, face_part, face_parts,
                           normalized_volume, support_function)
 from newton_socle import polylattice
 from newton_socle.errors import InputError
-from newton_socle.linalg import dot
+from newton_socle.linalg import dot, rank
 from newton_socle.polylattice import _dd_extreme_rays, incidence_closures
 
 from conftest import FAMILY, poly, supports
-from face_oracles import brute_faces, rank_dd_extreme_rays
+from face_oracles import (box_parallelepiped_points, brute_faces,
+                          rank_dd_extreme_rays)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +342,26 @@ def test_dd_extreme_rays_match_the_rank_adjacency_oracle(problem):
     dim, rows = problem
     assert _rays_or_error(_dd_extreme_rays, rows, dim) == \
         _rays_or_error(rank_dd_extreme_rays, rows, dim)
+
+
+@st.composite
+def independent_rays(draw):
+    """1 to n linearly independent integer rays in n = 2..4 dimensions,
+    entries in -3..6."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n))
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 6)] * n),
+                         min_size=k, max_size=k))
+    assume(rank(rays) == k)
+    return rays
+
+
+@given(independent_rays())
+@settings(max_examples=300, deadline=None)
+def test_parallelepiped_cosets_match_the_box_scan(rays):
+    for flags in product((False, True), repeat=2):
+        assert polylattice.parallelepiped_points(rays, *flags) == \
+            box_parallelepiped_points(rays, *flags)
 
 
 @pytest.mark.parametrize("K", [10, 14])

@@ -83,6 +83,11 @@ def invocations():
     for f in ("x1^2 + x2^13", "x1^13 + x1^5*x2^2 + x2^17",
               "x1^11 + x1^3*x2^4 + x2^19"):
         out.append(("fan --regular " + f, ["fan", "--poly", f, "--regular"]))
+    # long stellar subdivisions in 3D and 4D
+    for f in ("x1^5+x2^6+x3^7", "x1^3+x2^4+x3^5+x1*x2*x3", "x1^2+x2^3+x3^5",
+              "x1^2+x2^2+x3^3+x4^3", "x1^3+x2^4+x3^5+x4^6",
+              "x1^2+x2^3+x3^4+x4^5"):
+        out.append(("fan --regular " + f, ["fan", "--poly", f, "--regular"]))
     # the graded quotient of every admissible face
     for item in CURVES + SURFACES:
         count = len(RunContext(read_polynomial(item["poly"], None))
@@ -133,7 +138,7 @@ def invocations():
                                          "x1^2 + x2^3", "--trunc", "7"]))
     out.append(("verify-all --trunc 3", ["verify-all", "--poly",
                                          "x1^2 + x2^3", "--trunc", "3"]))
-    # several residues per face, and four variables without a regular fan
+    # several residues per face, and a regular fan in four variables
     for f in ("x1^2+x2^3+x3^5", "x1^3+x2^4+x3^5+x1*x2*x3",
               "x1^3+x2^3+x3^3+x4^3"):
         out.append(("verify-all " + f,
