@@ -3,21 +3,18 @@ deterministic JSON (or plain-text) reports.
 
 Exit codes: 0 all checks pass, 1 a verification check failed, 2 malformed
 input, 3 a truncation, subdivision or size cap was hit.
+
+Start-up is most of a short launch, so each command imports the modules it
+runs inside its own function and only the dispatched command's parser is
+built: ``--help`` loads no compute module at all.
 """
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 
-from . import combid, fan as fanmod, grobner, localalg, residue
-from .context import RunContext
 from .errors import (CapError, InputError, RegularizationError,
                      TruncationError, VerificationError)
-from .linalg import rank, vec_sub
-from .polylattice import (INFINITY, SparsePoly, exact_int, faces,
-                          newton_order, newton_polyhedron)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -34,6 +31,9 @@ _POLYTOPE_PRESETS = {
 
 
 def _rat(x):
+    from fractions import Fraction
+
+    from .polylattice import INFINITY
     if x is INFINITY:
         return "inf"
     f = Fraction(x)
@@ -50,6 +50,7 @@ def _read_text(spec):
 
 
 def _parse_polynomial(text, nvars=None):
+    from .polylattice import SparsePoly
     if text.startswith("{"):
         return SparsePoly.from_json(text)
     return SparsePoly.parse(text, nvars=nvars)
@@ -57,6 +58,9 @@ def _parse_polynomial(text, nvars=None):
 
 def _parse_system(text, nvars=None):
     """A list of polynomials from a JSON array or ';'-joined literals."""
+    import json
+
+    from .polylattice import SparsePoly
     if text.startswith("["):
         try:
             objs = json.loads(text)
@@ -75,6 +79,10 @@ def read_polynomial(spec, nvars=None):
 def read_polytope(spec):
     """Lattice points spanning a full-dimensional polytope: a preset name, a
     JSON file or a JSON literal."""
+    import json
+
+    from .linalg import rank, vec_sub
+    from .polylattice import exact_int
     if spec in _POLYTOPE_PRESETS:
         return _POLYTOPE_PRESETS[spec]
     text = _read_text(spec)
@@ -93,13 +101,14 @@ def read_polytope(spec):
 
 def read_fan(path):
     """A fan from a JSON file."""
+    from .fan import fan_from_json
     try:
         with open(path) as handle:
             text = handle.read()
     except OSError as exc:
         raise InputError("cannot read fan file %s: %s"
                          % (path, exc.strerror)) from None
-    return fanmod.fan_from_json(text)
+    return fan_from_json(text)
 
 
 def _face_entry(face, idx):
@@ -115,6 +124,7 @@ def _face_entry(face, idx):
 
 def emit_report(report, fmt="json", out=None):
     """Serialize a report deterministically; ``text`` gives a flat summary."""
+    import json
     if fmt == "json":
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     elif fmt == "text":
@@ -149,6 +159,7 @@ def emit_report(report, fmt="json", out=None):
 # ---------------------------------------------------------------------------
 
 def cmd_polyhedron(args):
+    from .polylattice import faces, newton_polyhedron
     f = read_polynomial(args.poly, args.vars)
     poly = newton_polyhedron(f)
     report = poly.to_json()
@@ -158,6 +169,8 @@ def cmd_polyhedron(args):
 
 
 def cmd_fan(args):
+    from . import fan as fanmod
+    from .polylattice import newton_polyhedron
     f = read_polynomial(args.poly, args.vars)
     poly = newton_polyhedron(f)
     if args.fan:
@@ -179,6 +192,7 @@ def cmd_fan(args):
 
 
 def cmd_nu(args):
+    from .polylattice import newton_order, newton_polyhedron
     f = read_polynomial(args.poly, args.vars)
     g = read_polynomial(args.g, f.nvars)
     poly = newton_polyhedron(f)
@@ -186,12 +200,14 @@ def cmd_nu(args):
 
 
 def cmd_nondeg(args):
+    from . import grobner
     f = read_polynomial(args.poly, args.vars)
     report = grobner.nondegeneracy_report(f)
     return report, EXIT_OK if report["nondegenerate"] else EXIT_CHECK_FAILED
 
 
 def cmd_socle_order(args):
+    from . import localalg
     f = read_polynomial(args.poly, args.vars)
     report = localalg.socle_newton_order(f, D=args.trunc)
     report["nu_socle"] = _rat(report["nu_socle"])
@@ -200,6 +216,7 @@ def cmd_socle_order(args):
 
 
 def cmd_kbar(args):
+    from .context import RunContext
     f = read_polynomial(args.poly, args.vars)
     fc, quotient = RunContext(f).face_quotient(args.face)
     report = quotient.to_json()
@@ -209,6 +226,7 @@ def cmd_kbar(args):
 
 
 def cmd_residue(args):
+    from . import residue
     g_text, system_text = _read_text(args.g), _read_text(args.system)
     nvars = args.vars
     if nvars is None:
@@ -222,6 +240,7 @@ def cmd_residue(args):
 
 
 def cmd_verify_thm1(args):
+    from . import localalg
     f = read_polynomial(args.poly, args.vars)
     h = read_polynomial(args.h, f.nvars)
     ok = localalg.verify_interior_membership(f, h, D=args.trunc)
@@ -229,6 +248,8 @@ def cmd_verify_thm1(args):
 
 
 def cmd_verify_thm2(args):
+    from . import residue
+    from .context import RunContext
     f = read_polynomial(args.poly, args.vars)
     h = read_polynomial(args.h, f.nvars)
     face = RunContext(f).admissible_face(args.face)
@@ -240,12 +261,14 @@ def cmd_verify_thm2(args):
 
 
 def cmd_detlemma(args):
+    from . import combid
     report = combid.random_minor_identity_trials(args.rows, args.cols,
                                                  args.trials, args.seed)
     return report, EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
 def cmd_koszul(args):
+    from . import residue
     if args.trials < 0:
         raise InputError("the trial count must be >= 0, got %d" % args.trials)
     pts = read_polytope(args.polytope)
@@ -261,6 +284,9 @@ def cmd_koszul(args):
 
 
 def cmd_verify_all(args):
+    from . import combid, fan as fanmod
+    from .context import RunContext
+    from .polylattice import SparsePoly
     combid.validate_trials(3, 5, args.detlemma_trials)
     f = read_polynomial(args.poly, args.vars)
     run = RunContext(f, trunc=args.trunc)
@@ -329,24 +355,29 @@ def cmd_verify_all(args):
     return report, EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
-class _LazySubParsers(argparse._SubParsersAction):
-    """Sub-parsers whose arguments are added when argparse dispatches to
-    them, so a launch builds the options of the one command it runs."""
+class _SubCommands(argparse._SubParsersAction):
+    """Sub-commands that cost a name and a help line each until argparse
+    dispatches to one: only that command's parser is built, so a launch
+    builds the parser of the one command it runs."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._populate = {}
+        self.choices = self._commands = {}
 
-    def add_command(self, name, func, populate, **kwargs):
-        """A sub-parser ``name`` that runs ``func``; ``populate(parser)``
-        adds its arguments on first dispatch."""
-        self.add_parser(name, **kwargs).set_defaults(func=func)
-        self._populate[name] = populate
+    def add_command(self, name, func, populate, help):
+        """A sub-command ``name`` that runs ``func``; ``populate(parser)``
+        adds its arguments when its parser is built."""
+        self._commands[name] = (func, populate)
+        self._choices_actions.append(
+            self._ChoicesPseudoAction(name, (), help))
 
     def __call__(self, parser, namespace, values, option_string=None):
-        populate = self._populate.pop(values[0], None)
-        if populate is not None:
-            populate(self._name_parser_map[values[0]])
+        name = values[0]
+        if name not in self._name_parser_map:
+            func, populate = self._commands[name]
+            sub = self.add_parser(name)
+            populate(sub)
+            sub.set_defaults(func=func)
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -438,7 +469,7 @@ def build_parser():
         description="Exact Newton-polyhedron invariants of polynomial "
                     "singularities and their mechanical verification.")
     sub = parser.add_subparsers(dest="command", required=True,
-                                action=_LazySubParsers)
+                                action=_SubCommands)
     sub.add_command("polyhedron", cmd_polyhedron, _common,
                     help="vertices, facets and faces")
     sub.add_command("fan", cmd_fan, _fan_args,
@@ -481,6 +512,9 @@ def main(argv=None):
         if getattr(args, "trunc", None) is not None and args.trunc < 1:
             raise InputError("the truncation must be >= 1, got %d"
                              % args.trunc)
+        if getattr(args, "vars", None) is not None and args.vars < 1:
+            raise InputError("the variable count must be >= 1, got %d"
+                             % args.vars)
         report, code = args.func(args)
         emit_report(report, fmt=args.format, out=args.out)
     except InputError as exc:

@@ -231,10 +231,6 @@ def torus_has_zero(polys):
     return not gb.is_unit_ideal()
 
 
-def _monomial_system(polys):
-    return all(len(g.terms) <= 1 for g in polys)
-
-
 def face_torus_polynomial(face_poly):
     """The F of f_sigma = x^m0 * y^a0 * F(y), y = x^B, for a face part
     f_sigma with at least two terms.
@@ -299,7 +295,8 @@ def nondegeneracy_report_of_faces(f, compact):
     faces = compact()
     for face, fs in zip(faces, face_parts(f, faces)):
         entry = {"vertices": [list(v) for v in face.vertices()], "dim": face.dim}
-        if _monomial_system([fs.x_ddx(i) for i in range(n)]):
+        # x_i d/dx_i f_sigma keeps the terms of f_sigma with e_i != 0
+        if all(sum(1 for e in fs.terms if e[i]) <= 1 for i in range(n)):
             entry["method"] = "monomial"
             entry["torus_zero"] = False
         else:

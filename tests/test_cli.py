@@ -474,6 +474,27 @@ def test_non_positive_truncation_is_an_input_error(command, trunc):
     assert err.getvalue().startswith("input error:")
 
 
+VARS_COMMANDS = {
+    **TRUNC_COMMANDS,
+    "polyhedron": ["polyhedron", "--poly", "1"],
+    "fan": ["fan", "--poly", "1"],
+    "nu": ["nu", "--poly", "x1^2 + x2^3", "--g", "x1"],
+    "nondeg": ["nondeg", "--poly", "x1^2 + x2^3"],
+    "kbar": ["kbar", "--poly", "x1^2 + x2^3", "--face", "0"],
+}
+
+
+@pytest.mark.parametrize("nvars", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(VARS_COMMANDS))
+def test_variable_count_below_one_is_an_input_error(command, nvars):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, rep = run_json(VARS_COMMANDS[command] + ["--vars", nvars])
+    assert code == 2 and rep is None
+    assert err.getvalue() == ("input error: the variable count must be "
+                              ">= 1, got %s\n" % nvars)
+
+
 def test_truncation_below_the_socle_floor_still_hits_the_cap():
     # the residues settle on their own escalated span; the socle stage needs
     # D >= 7 and was given D = 3

@@ -1,6 +1,7 @@
 """The record helper behind the package's value types, and the start-up it
 keeps small."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -106,11 +107,112 @@ def test_mutable_record_is_unhashable():
     assert span == IdealSpan(None, (), None, 4)
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+def fresh_interpreter(code):
+    """Run ``code`` in a new interpreter with this package on its path and
+    return its stdout; the run must exit 0."""
     src = os.path.dirname(os.path.dirname(newton_socle.__file__))
-    code = ("import sys, newton_socle.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    out = fresh_interpreter(
+        "import sys, newton_socle.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out.strip() == "[]"
+
+
+# Launches whose loaded modules are checked: argv, modules that must stay
+# unloaded, and package modules that must stay unloaded (None: any besides
+# the CLI and its errors).
+LAUNCHES = {
+    "help": (["--help"], {"fractions", "decimal", "json"}, None),
+    "polyhedron": (["polyhedron", "--poly", "x1^2 + x2^3"], set(),
+                   {"fan", "facering", "grobner", "localalg", "residue",
+                    "combid", "context"}),
+    "verify-all": (["verify-all", "--poly", "x1^2 + x2^3"], set(), set()),
+}
+
+
+@pytest.mark.parametrize("launch", sorted(LAUNCHES))
+def test_each_launch_loads_only_what_its_command_runs(launch):
+    argv, absent, absent_package = LAUNCHES[launch]
+    out = fresh_interpreter(
+        "import sys\n"
+        "from newton_socle import cli\n"
+        "try:\n"
+        "    code = cli.main(%r)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code)\n"
+        "print(' '.join(sorted(sys.modules)))\n" % argv)
+    code, modules = out.splitlines()[-2:]
+    assert code == "0"
+    modules = set(modules.split())
+    package = {m.split(".", 1)[1] for m in modules
+               if m.startswith("newton_socle.")}
+    assert not modules & (absent | {"dataclasses", "inspect"})
+    if absent_package is None:
+        assert package <= {"cli", "errors"}
+    else:
+        assert not package & absent_package
+
+
+# The names the package exported when its __init__ imported every module.
+EXPORTED = """
+    CSystem CanonicalQuotient CapError Cone FaceCone FaceDescriptor Fan GB
+    GradedPiece GradingForm INFINITY IdealSpan InputError LatticeSpace
+    MinorTable NewtonPolyhedron RayData RegularizationError ResidueResult
+    SparsePoly TruncatedLocalAlgebra TruncationError VerificationError
+    WeightSystem buchberger build_ideal canonical_quotient certified_ideal
+    check_face_duality check_minor_identity check_ones_column_identity
+    check_resolution_assumptions choose_weights class_nonzero compact_faces
+    cone_from_rays coset_newton_order dual_cone dual_fan face_cone
+    face_derivatives face_part face_parts faces fan_from_json graded_piece
+    grading_form grothendieck_residue ideal_generators interior_rays
+    is_regular jacobian_multiplication_check koszul_check
+    koszul_top_dimension lattice_space member monomial_residue multiplicity
+    newton_order newton_polyhedron nondegeneracy_report nondegenerate
+    normalized_volume orbit_closure_intersection poincare_series
+    pole_components random_minor_identity_trials regularize select_parameters
+    socle socle_newton_order solve_c_system support_function torus_has_zero
+    trace_volume_check verify_interior_membership verify_residue_nonvanishing
+    volume_by_lattice_count
+""".split()
+
+
+def test_package_exports_resolve_on_first_access():
+    assert sorted(newton_socle.__all__) == sorted(EXPORTED)
+    assert set(EXPORTED) <= set(dir(newton_socle))
+    out = fresh_interpreter(
+        "import sys, newton_socle\n"
+        "print([m for m in sys.modules if m.startswith('newton_socle.')])\n"
+        "print(newton_socle.localalg.__name__)\n"
+        "for name in %r:\n"
+        "    exec('from newton_socle import ' + name)\n"
+        "try:\n"
+        "    newton_socle.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n" % EXPORTED)
+    assert out.splitlines() == ["[]", "newton_socle.localalg",
+                                "AttributeError"]
+    from newton_socle.polylattice import SparsePoly
+    assert newton_socle.SparsePoly is SparsePoly
+    assert newton_socle.__version__ == "0.1.0"
+
+
+def test_one_launch_builds_two_argument_parsers(monkeypatch):
+    from newton_socle import cli
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    args = cli.build_parser().parse_args(["polyhedron", "--poly", "x1^2"])
+    assert built == ["newton-socle", "newton-socle polyhedron"]
+    assert args.func is cli.cmd_polyhedron and args.poly == "x1^2"

@@ -6,11 +6,12 @@ Each tree is a checkout of this repository.  Every invocation of a fixed
 list runs as ``python -m newton_socle.cli ...`` with ``PYTHONPATH`` set to
 ``<tree>/src``, once per tree (the two side by side), from a temporary
 directory that holds the fan files some invocations read.  One line is
-printed per invocation: ``same`` when stdout and the exit code agree byte
-for byte, else ``DIFF`` with both exit codes and the first line where
-stdout differs.  The exit status is 0 when every invocation agrees and 1
-otherwise.  Standard library only, besides this checkout's ``perfbench``
-inputs and ``src``, which gives the admissible faces ``kbar`` is run on.
+printed per invocation: ``same`` when stdout, stderr and the exit code
+agree byte for byte, else ``DIFF`` with both exit codes and the first line
+where stdout, and where stderr, differ.  The exit status is 0 when every
+invocation agrees and 1 otherwise.  Standard library only, besides this
+checkout's ``perfbench`` inputs and ``src``, which gives the admissible
+faces ``kbar`` is run on.
 """
 
 import json
@@ -69,6 +70,15 @@ def invocations():
     out = []
     # the launch that perfbench times as setup_s
     out.append(("--help", ["--help"]))
+    # usage errors and sub-command help, which argparse writes
+    out.append(("no arguments", []))
+    out.append(("unknown command", ["bogus"]))
+    out.append(("unknown option", ["fan", "--bogus", "1"]))
+    out.append(("missing --poly", ["polyhedron"]))
+    out.append(("bad --vars type", ["nu", "--poly", "x1^2", "--g", "x1",
+                                    "--vars", "two"]))
+    for command in ("fan", "verify-all", "residue", "detlemma", "koszul"):
+        out.append((command + " --help", [command, "--help"]))
     for item in CURVES + SURFACES:
         out.append(("verify-all " + item["poly"],
                     ["verify-all", "--poly", item["poly"], "--seed", "1"]))
@@ -230,7 +240,7 @@ def run(tree, argv, cwd):
     env.pop("NEWTON_SOCLE_SEED", None)
     proc = subprocess.run([sys.executable, "-m", "newton_socle.cli"] + argv,
                           capture_output=True, env=env, cwd=cwd)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def first_difference(a, b):
@@ -257,7 +267,10 @@ def main(argv):
                 print("same  %s (exit %d)" % (ident, a[0]))
                 continue
             differ += 1
-            note = "" if a[1] == b[1] else "; " + first_difference(a[1], b[1])
+            note = "".join("; %s %s" % (name, first_difference(x, y))
+                           for name, x, y in (("stdout", a[1], b[1]),
+                                              ("stderr", a[2], b[2]))
+                           if x != y)
             print("DIFF  %s (exit %d -> %d%s)" % (ident, a[0], b[0], note))
     print("%d differ" % differ)
     return 1 if differ else 0
