@@ -16,10 +16,9 @@ _EXPORTS = {
                     "SparsePoly", "compact_faces", "face_part", "face_parts",
                     "faces", "newton_order", "newton_polyhedron",
                     "normalized_volume", "support_function"),
-    "fan": ("Cone", "Fan", "RayData", "check_face_duality", "cone_from_rays",
-            "dual_cone", "dual_fan", "fan_from_json", "interior_rays",
-            "is_regular", "multiplicity", "orbit_closure_intersection",
-            "pole_components", "regularize"),
+    "fan": ("Cone", "Fan", "RayData", "cone_from_rays", "dual_cone",
+            "dual_fan", "fan_from_json", "interior_rays", "is_regular",
+            "multiplicity", "regularize"),
     "facering": ("CanonicalQuotient", "FaceCone", "GradedPiece",
                  "GradingForm", "canonical_quotient", "class_nonzero",
                  "face_cone", "face_derivatives", "graded_piece",
@@ -35,10 +34,8 @@ _EXPORTS = {
                 "koszul_check", "koszul_top_dimension", "lattice_space",
                 "monomial_residue", "trace_volume_check",
                 "verify_residue_nonvanishing", "volume_by_lattice_count"),
-    "combid": ("CSystem", "MinorTable", "WeightSystem",
-               "check_minor_identity", "check_ones_column_identity",
-               "check_resolution_assumptions", "choose_weights",
-               "random_minor_identity_trials", "solve_c_system"),
+    "combid": ("MinorTable", "check_minor_identity",
+               "check_ones_column_identity", "random_minor_identity_trials"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

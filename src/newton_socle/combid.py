@@ -1,6 +1,6 @@
-"""Weight-system selection and the determinant identities behind the residue
-computation: the signed-permutation sum of chain coefficients equals a minor,
-and for full index sets it collapses to the determinant with a ones column.
+"""The determinant identities behind the residue computation: the
+signed-permutation sum of chain coefficients equals a minor, and for full
+index sets it collapses to the determinant with a ones column.
 
 The identities run on one integer matrix M = s·A, where s is a common
 denominator of A; ``Fraction`` is built only in what the public functions
@@ -24,15 +24,7 @@ The signed sum over orderings of the chain products is one pass over
 subsets by size, T(∅) = 1 and
 T(P) = c^P_{|P|-1} · Σ_{i∈P} (-1)^{#{p∈P : p>i}} · T(P∖{i}),
 grouping the orderings of P by their last element: 2^r·r products instead
-of Σ_k C(r,k)·k!·k.  Minors are integer Bareiss determinants of M.
-
-A weight system w_0..w_{n-1} of a face runs its c-systems on the same
-kernel.  Each normalized ray covector is written in the weights,
-ρ_i = Σ_l a_il w_l, so in the coordinates y_l = w_l(x) the slice of a ray
-subset I is {A_I y = 1}, and the unit combination of the tail weights
-w_{k-1}..w_{n-1} on it is the chain coefficients of A_I: the Cramer
-coefficients, substituted into the slice parametrization for k >= 2.  The
-slice-basis condition fails exactly when the Cramer system is singular."""
+of Σ_k C(r,k)·k!·k.  Minors are integer Bareiss determinants of M."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -41,11 +33,7 @@ import random
 
 from ._record import DERIVED, record
 from .errors import CapError, InputError, VerificationError
-from .fan import dual_fan, face_normal_cone, interior_rays, multiplicity, \
-    regularize
-from .grobner import torus_has_zero
-from .linalg import _bareiss, _row_reduce, det, dot, signed_minors, solve
-from .polylattice import face_part, faces, support_function
+from .linalg import _bareiss, _row_reduce, signed_minors
 
 # The largest row count random trials accept.  A trial visits all 2^rows row
 # subsets, and the elimination for the Cramer cofactors of each subset
@@ -53,9 +41,6 @@ from .polylattice import face_part, faces, support_function
 # trial takes 1.2-1.7 s at 12 rows and 3.1-4.1 s at 13 (three runs each, a
 # shared two-core x86-64 host, Python 3.11).
 MAX_TRIAL_ROWS = 12
-
-# Weight draws :func:`choose_weights` makes before it gives up.
-WEIGHT_ATTEMPTS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -430,203 +415,3 @@ def random_minor_identity_trials(rows, cols, trials, seed):
                 return {"ok": False, "trial": t, "stochastic": True,
                         "report": rep2}
     return {"ok": True, "trials": ran, "degenerate_skipped": skipped}
-
-
-# ---------------------------------------------------------------------------
-# Weight systems on a face
-# ---------------------------------------------------------------------------
-
-@record
-class WeightSystem:
-    """Covectors w_1..w_n adapted to a face: the first r+1 span the normal
-    cone's span and restrict to 1 on the face, the whole family is a basis,
-    and every slice system from the fan's subcones is solvable."""
-
-    weights: tuple
-    face: object
-    normal_cone: object
-    r: int
-    fan: object
-    admissible_sets: tuple    # tuples of RayData, one per (r+1)-dim subcone
-
-    def derived_polynomials(self, f):
-        return [f.weighted_derivative(w) for w in self.weights]
-
-
-@record
-class CSystem:
-    ray_subset: tuple
-    coefficients: dict        # 0-based weight index -> Fraction
-
-    def to_json(self):
-        return {"rays": [list(r.generator) for r in self.ray_subset],
-                "coefficients": {str(k + 1): str(v)
-                                 for k, v in sorted(self.coefficients.items())}}
-
-
-def _admissible_subsets(fan, normal, f):
-    """Nonempty subsets of the interior-ray sets of the fan cones of the
-    dimension of the face's normal cone ``normal`` that lie inside it."""
-    rays = {rd.generator: rd for rd in interior_rays(fan, f)}
-    subsets = set()
-    for cone in fan.cones:
-        if cone.dim != normal.dim:
-            continue
-        if not all(normal.contains(r) for r in cone.rays):
-            continue
-        group = tuple(rays[r] for r in cone.rays)
-        for size in range(1, len(group) + 1):
-            for sub in combinations(group, size):
-                subsets.add(tuple(sorted(sub, key=lambda rd: rd.generator)))
-    return sorted(subsets, key=lambda s: (len(s), [r.generator for r in s]))
-
-
-def _c_coefficients(weights, ray_subset):
-    """The coefficients c_{k-1..n-1} (0-based weight index -> Fraction) making
-    the tail weights sum to 1 on the slice of the k rays, or None when the
-    Cramer system is singular.  ``weights`` must be a basis.
-
-    Row i of A_I solves sum_l a_il w_l = ρ_i, so in the coordinates
-    y_l = w_l(x) the slice is {A_I y = 1} and the coefficients are the chain
-    coefficients of A_I, checked on the slice for k >= 2."""
-    columns = tuple(zip(*weights))
-    table = MinorTable(tuple(solve(columns, rd.normalized)
-                             for rd in ray_subset))
-    k = len(ray_subset)
-    got = _cramer_coefficients(table.scaled, table.scale, list(range(k)))
-    if got is None:
-        return None
-    if k > 1 and not _on_slice(table.full_slice, k, *got):
-        raise VerificationError("unit combination fails on the slice")
-    nums, den = got
-    return {l: Fraction(x, den) for l, x in enumerate(nums, k - 1)}
-
-
-def choose_weights(face, f, seed=0):
-    """Random rational weights adapted to the face, resampled until the
-    spanning, normalization, vertex-nonvanishing and slice-basis conditions
-    all hold, for at most ``WEIGHT_ATTEMPTS`` draws.  The face must be
-    compact and off the coordinate hyperplanes.  The slices come from the
-    regular subdivision of the dual fan that :func:`fan.regularize` builds."""
-    if not face.compact:
-        raise InputError("weights need a compact face")
-    if face.in_coordinate_hyperplane:
-        raise InputError("face lies in a coordinate hyperplane")
-    poly = face.polyhedron
-    n = poly.nvars
-    normal = face_normal_cone(poly, face)
-    r = normal.dim - 1
-    fan = regularize(dual_fan(poly))
-    admissible = _admissible_subsets(fan, normal, f)
-    rng = random.Random(seed)
-    basis_v = [tuple(map(Fraction, ray)) for ray in normal.rays]
-    last_failure = "no attempt run"
-    for _ in range(WEIGHT_ATTEMPTS):
-        weights = []
-        ok = True
-        for _ in range(r + 1):
-            # one coefficient per ray keeps w in the normal cone's span
-            coeffs = [rng.randint(-4, 4) for _ in basis_v]
-            w = tuple(sum(c * b[k] for c, b in zip(coeffs, basis_v))
-                      for k in range(n))
-            c = dot(w, face.vertices()[0])
-            if c == 0:
-                ok = False
-                last_failure = "weight vanished on the face"
-                break
-            weights.append(tuple(x / c for x in w))
-        if not ok:
-            continue
-        for _ in range(n - r - 1):
-            weights.append(tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)))
-        # full Newton polyhedron of every derived polynomial: nonvanishing on
-        # all vertices of the polyhedron
-        if any(dot(w, v) == 0 for w in weights for v in poly.vertices):
-            last_failure = "a weight vanishes on a vertex"
-            continue
-        if det(weights) == 0:
-            last_failure = "weights are not a basis"
-            continue
-        # normalization on the face (spanning weights are constant there)
-        if any(dot(w, v) != 1 for w in weights[:r + 1]
-               for v in face.vertices()):
-            last_failure = "weight not constant 1 on the face"
-            continue
-        # slice-basis condition for every admissible ray subset
-        if any(_c_coefficients(weights, sub) is None for sub in admissible):
-            last_failure = "restricted weights not a slice basis"
-            continue
-        return WeightSystem(tuple(weights), face, normal, r, fan,
-                            tuple(admissible))
-    raise InputError("weight sampling failed after %d attempts: %s"
-                     % (WEIGHT_ATTEMPTS, last_failure))
-
-
-def solve_c_system(ws, ray_subset):
-    """Exact coefficients making the tail weights sum to 1 on the slice of
-    the given rays; singularity means the slice-basis condition failed."""
-    if not det(ws.weights):
-        raise InputError("weights are not a basis")
-    c = _c_coefficients(ws.weights, ray_subset)
-    if c is None:
-        raise InputError("slice-basis condition violated")
-    return CSystem(tuple(ray_subset), c)
-
-
-def check_resolution_assumptions(f, ws):
-    """The computable parts of the resolution hypotheses for the derived
-    system g_j: equal ray multiplicities, no common torus zero of the tail
-    face systems on each stratum (decided exactly over Q by
-    :func:`grobner.torus_has_zero`), and solvable slice systems."""
-    n = f.nvars
-    fan = ws.fan
-    poly = ws.face.polyhedron
-    gs = ws.derived_polynomials(f)
-    report = {"multiplicities_ok": True, "strata": [], "slices": [],
-              "ok": True}
-    rays = interior_rays(fan, f)
-    for rd in rays:
-        for j, g in enumerate(gs):
-            if g.is_zero() or multiplicity(rd, g) != rd.multiplicity:
-                report["multiplicities_ok"] = False
-                report.setdefault("multiplicity_failures", []).append(
-                    {"ray": list(rd.generator), "weight": j + 1})
-    all_faces = faces(poly)
-    for cone in fan.cones:
-        if not any(all(x > 0 for x in r) for r in cone.rays):
-            continue
-        k = cone.dim
-        carrier = None
-        for face in all_faces:
-            verts = [poly.vertices[i] for i in face.vertex_indices]
-            if all(dot(r, v) == support_function(poly, r)
-                   for r in cone.rays for v in verts) \
-                    and set(face.recession_axes) == {
-                        i for i in range(n)
-                        if all(r[i] == 0 for r in cone.rays)}:
-                if carrier is None or face.dim > carrier.dim:
-                    carrier = face
-        if carrier is None:
-            report["ok"] = False
-            report["strata"].append({"cone": [list(r) for r in cone.rays],
-                                     "error": "no carrier face"})
-            continue
-        systems = [face_part(g, carrier) for g in gs[k - 1:]]
-        has_zero = torus_has_zero(systems)
-        entry = {"cone": [list(r) for r in cone.rays], "dim": k,
-                 "torus_zero": has_zero}
-        if has_zero:
-            report["ok"] = False
-        report["strata"].append(entry)
-    for sub in ws.admissible_sets:
-        entry = {"rays": [list(r.generator) for r in sub]}
-        try:
-            solve_c_system(ws, sub)
-            entry["solvable"] = True
-        except InputError:
-            entry["solvable"] = False
-            report["ok"] = False
-        report["slices"].append(entry)
-    if not report["multiplicities_ok"]:
-        report["ok"] = False
-    return report

@@ -1,7 +1,7 @@
 """Cone and fan combinatorics on the positive orthant: dual cones, face
 lattices, the coarsest fan on which the support function is linear, exact
 regular subdivision (continued fractions in 2D, stellar subdivision in every
-other dimension), ray multiplicities and pole components.
+other dimension) and ray multiplicities.
 
 Closed forms replace the double description where one exists.
 :func:`cone_from_rays` gives a full-dimensional simplicial cone its facet
@@ -30,8 +30,7 @@ import json
 from ._record import record
 from .errors import InputError, RegularizationError, VerificationError
 from .linalg import det, dot, primitive, rank
-from .polylattice import (INFINITY, exact_int, faces, incidence_closures,
-                          newton_order, newton_polyhedron,
+from .polylattice import (exact_int, faces, incidence_closures,
                           parallelepiped_points, polar_generators,
                           _simplicial_normals)
 
@@ -161,40 +160,6 @@ def cone_faces(cone, nvars=None, built=None):
     return sorted(out, key=lambda c: (c.dim, c.rays))
 
 
-def check_face_duality(cone, nvars=None):
-    """Verify that tau -> tau-perp intersected with the dual cone is a dimension
-    complementing bijection between the face lattices of a cone and its dual."""
-    n = nvars if nvars is not None else _cone_ambient(cone)
-    dual = dual_cone(cone, n)
-    faces_c = cone_faces(cone, n)
-    faces_d = {c: i for i, c in enumerate(cone_faces(dual, n))}
-    pairs = []
-    hit = set()
-    ok = True
-    notes = []
-    for tau in faces_c:
-        image = _polar_cone(cone.rays, tau.rays, n)
-        if image not in faces_d:
-            ok = False
-            notes.append("image of a face is not a face of the dual: %r" % (tau.rays,))
-            continue
-        if image.dim != n - tau.dim:
-            ok = False
-            notes.append("dimension mismatch on face %r" % (tau.rays,))
-        idx = faces_d[image]
-        if idx in hit:
-            ok = False
-            notes.append("map is not injective at %r" % (tau.rays,))
-        hit.add(idx)
-        pairs.append({"face_rays": [list(r) for r in tau.rays],
-                      "dual_face_rays": [list(r) for r in image.rays],
-                      "dims": [tau.dim, image.dim]})
-    if len(hit) != len(faces_d):
-        ok = False
-        notes.append("map is not surjective")
-    return {"ok": ok, "n_faces": len(faces_c), "pairs": pairs, "notes": notes}
-
-
 # ---------------------------------------------------------------------------
 # Fans
 # ---------------------------------------------------------------------------
@@ -209,16 +174,6 @@ class Fan:
 
     def maximal_cones(self):
         return [c for c in self.cones if c.dim == self.nvars]
-
-    def incidence(self):
-        """Map cone index -> sorted indices of its proper faces within the fan."""
-        out = {}
-        for i, c in enumerate(self.cones):
-            rset = set(c.rays)
-            out[i] = tuple(j for j, d in enumerate(self.cones)
-                           if j != i and set(d.rays) <= rset
-                           and all(c.contains(r) for r in d.rays))
-        return out
 
     def to_json(self):
         ray_index = {r: i for i, r in enumerate(self.rays)}
@@ -611,10 +566,9 @@ class RayData:
 
 def multiplicity(ray, h):
     """min of the ray covector over the support of h."""
-    gen = ray.generator if isinstance(ray, RayData) else tuple(ray)
     if h.is_zero():
         raise InputError("multiplicity of the zero polynomial is undefined")
-    return min(dot(gen, m) for m in h.support())
+    return min(dot(ray, m) for m in h.support())
 
 
 def interior_rays(fan, f):
@@ -637,55 +591,3 @@ def interior_rays(fan, f):
         normalized = tuple(Fraction(x, v) for x in r) if v > 0 else None
         out.append(RayData(r, v, normalized))
     return out
-
-
-def pole_components(g, f, r, fan):
-    """Rays along which the pullback of g vanishes to exactly (n-r) times the
-    order of f.  When the support of g sits in the relative interior of the
-    (n-r)-dilate of a face, each returned ray is checked to lie in that face's
-    normal cone."""
-    n = f.nvars
-    poly = newton_polyhedron(f)
-    nu_g = newton_order(g, poly)
-    if nu_g is not INFINITY and nu_g < n - r:
-        raise InputError("g is not supported in the (n-r)-dilate")
-    rays = interior_rays(fan, f)
-    if g.is_zero():
-        return []
-    qualifying = [rd for rd in rays
-                  if multiplicity(rd, g) == (n - r) * rd.multiplicity]
-    # carrier face of supp(g) inside the (n-r)-dilate
-    tight = tuple(j for j, fc in enumerate(poly.facets)
-                  if all(dot(fc.normal, m) == (n - r) * fc.offset
-                         for m in g.support()))
-    carrier = None
-    for face in faces(poly):
-        if face.tight_facets == tight:
-            carrier = face
-            break
-    if carrier is not None and all(
-            carrier.relative_interior_contains(m, n - r) for m in g.support()):
-        normal_cone = face_normal_cone(poly, carrier)
-        for rd in qualifying:
-            if not normal_cone.contains(rd.generator):
-                raise VerificationError(
-                    "pole ray %r outside the normal cone of the carrier face"
-                    % (rd.generator,))
-    return qualifying
-
-
-def orbit_closure_intersection(fan, cone1, cone2):
-    """Smallest fan cone containing both cones, or None when the corresponding
-    orbit closures do not meet."""
-    cone_set = set(fan.cones)
-    if cone1 not in cone_set or cone2 not in cone_set:
-        raise InputError("cones are not members of the fan")
-    need = list(cone1.rays) + list(cone2.rays)
-    candidates = [c for c in fan.cones if all(c.contains(r) for r in need)]
-    if not candidates:
-        return None
-    best = min(candidates, key=lambda c: c.dim)
-    for c in candidates:
-        if not all(c.contains(r) for r in best.rays):
-            raise VerificationError("minimal containing cone is not unique")
-    return best

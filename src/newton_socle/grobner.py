@@ -16,9 +16,7 @@ once, and stops as soon as an S-polynomial reduces to a nonzero constant:
 the reduced basis is then {1}, the basis of the unit ideal, which is what
 every nondegenerate face's torus system reaches.
 Nondegeneracy decides each compact face on its own torus in dim(face) + 1
-variables (see :func:`nondegeneracy_report`); the stratum systems of
-:func:`combid.check_resolution_assumptions` go through
-:func:`torus_has_zero` in all n variables."""
+variables (see :func:`nondegeneracy_report`)."""
 
 import heapq
 from fractions import Fraction

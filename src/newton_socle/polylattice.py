@@ -252,12 +252,6 @@ class SparsePoly:
         return SparsePoly(self.nvars,
                           {e: c * e[i] for e, c in self.terms.items()})
 
-    def weighted_derivative(self, w):
-        """Apply the degree-zero derivation with weight covector ``w``:
-        each term x^m is scaled by <w, m>."""
-        return SparsePoly(self.nvars,
-                          {e: c * dot(w, e) for e, c in self.terms.items()})
-
     def restrict_to_axis(self, i):
         """Terms supported on the i-th coordinate axis only."""
         return SparsePoly(self.nvars,

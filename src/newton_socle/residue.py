@@ -14,7 +14,7 @@ import math
 import random
 
 from ._record import record
-from .errors import InputError, VerificationError
+from .errors import CapError, InputError, VerificationError
 from .facering import canonical_quotient, class_nonzero, face_cone, \
     face_derivatives, select_parameters
 from .linalg import Echelon, _integral, rank, solve
@@ -24,6 +24,14 @@ from .polylattice import (SparsePoly, hull_vertices, lattice_points,
 
 # Random section tuples :func:`koszul_check` draws before it reports failure.
 KOSZUL_ATTEMPTS = 5
+
+# The most lattice points of the (n+1)-dilate interior that
+# :func:`koszul_top_dimension` takes.  Its echelon work grows steeply with
+# that count: one trial on the triangle of side S takes 2.1 s at S = 7
+# (190 points) and 8.7 s at S = 8 (253), and one on the 3-simplex of side 3
+# (165 points) takes 0.8 s (one run each, a shared two-core x86-64 host,
+# Python 3.11).
+MAX_KOSZUL_MONOMIALS = 200
 
 
 @record
@@ -160,10 +168,10 @@ def verify_residue_nonvanishing(f, face, h, r, D=None):
     """The residue of f^r h dx against (x_i f_xi) for h with x1...xn*h
     supported in the relative interior of the (n-r)-dilated face and with a
     nonzero class in the quotient module; the value is checked nonzero."""
-    g = interior_class(f, face, h, r)
     fcone = face_cone(face)
     if fcone.r != r:
         raise InputError("face has r = %d, got %d" % (fcone.r, r))
+    g = interior_class(f, face, h, r)
     params = select_parameters(face_derivatives(f, face), fcone)
     quotient = canonical_quotient(fcone, params)
     log_gens, _ = ideal_generators(f)
@@ -233,7 +241,9 @@ def lattice_space(polytope_points, dilation, interior=False):
 
 def koszul_top_dimension(polytope_points, gs):
     """Dimension of L((n+1)*interior) modulo the images of the g_i from
-    L(n*interior); equals 1 for generic tuples with full Newton polytope."""
+    L(n*interior); equals 1 for generic tuples with full Newton polytope.
+    An (n+1)-dilate interior of more than ``MAX_KOSZUL_MONOMIALS`` points is
+    refused (CapError) before any elimination."""
     pts = [tuple(p) for p in polytope_points]
     n = len(pts[0])
     if len(gs) != n + 1:
@@ -247,6 +257,10 @@ def koszul_top_dimension(polytope_points, gs):
         if not verts <= supp:
             raise InputError("section does not have the full Newton polytope")
     big = lattice_space(pts, n + 1, interior=True).points
+    if len(big) > MAX_KOSZUL_MONOMIALS:
+        raise CapError("the %d-dilate interior has %d lattice points, above "
+                       "the cap of %d" % (n + 1, len(big),
+                                          MAX_KOSZUL_MONOMIALS))
     small = lattice_space(pts, n, interior=True).points
     image = Echelon()
     image_dim = 0

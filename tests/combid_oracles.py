@@ -9,11 +9,6 @@ the signed chain sum runs over every ordering of a subset, so they serve
 only the small tables of the tests.  The package's functions of the same
 names must return the same values, of the same types.  Tables are
 ``newton_socle.MinorTable``s.
-
-:func:`c_system` is the ``Fraction`` route ``solve_c_system`` took before it
-read its coefficients from the det-lemma kernel: it restricts the tail
-weights to a point and a direction basis of the slice where the ray
-covectors equal 1, and solves for the unit combination there.
 """
 
 from fractions import Fraction
@@ -23,7 +18,6 @@ import random
 from linalg_oracles import det, kernel_basis, rank, solve
 from newton_socle.combid import MinorTable
 from newton_socle.errors import InputError, VerificationError
-from newton_socle.linalg import dot
 
 
 def _sign_of_sequence(seq):
@@ -200,43 +194,3 @@ def random_minor_identity_trials(rows, cols, trials, seed):
                 return {"ok": False, "trial": t, "stochastic": True,
                         "report": rep2}
     return {"ok": True, "trials": ran, "degenerate_skipped": skipped}
-
-
-def _slice_of_rays(ray_subset):
-    """Base point and direction basis of the affine slice where every
-    normalized ray covector equals 1, or ``(None, None)`` when it is
-    empty."""
-    covs = [r.normalized for r in ray_subset]
-    x0 = solve(covs, [Fraction(1)] * len(covs))
-    if x0 is None:
-        return None, None
-    return x0, tuple(kernel_basis(covs, ncols=len(covs[0])))
-
-
-def _restriction_matrix(weights, start, x0, dirs):
-    """Values of the weights w_start..w_n on (base point, directions)."""
-    return [tuple([dot(w, x0)] + [dot(w, v) for v in dirs])
-            for w in weights[start:]]
-
-
-def c_system(weights, ray_subset):
-    """The coefficients (0-based weight index -> Fraction) making the tail
-    weights w_{k-1}..w_n sum to 1 on the slice of the k rays, or None when
-    the slice is empty or the restricted weights are not a basis of its
-    affine functions (the slice-basis condition)."""
-    x0, dirs = _slice_of_rays(ray_subset)
-    if x0 is None:
-        return None
-    k = len(ray_subset)
-    rows = _restriction_matrix(weights, k - 1, x0, dirs)
-    if len(rows) != len(rows[0]) or rank(rows) < len(rows):
-        return None
-    c = solve(list(zip(*rows)), [Fraction(1)] + [Fraction(0)] * len(dirs))
-    coefficients = {k - 1 + i: x for i, x in enumerate(c)}
-    # defining identity on a spanning set of the slice
-    for point, want in [(x0, 1)] + [(v, 0) for v in dirs]:
-        got = sum(x * dot(weights[j], point)
-                  for j, x in coefficients.items())
-        if got != want:
-            raise VerificationError("unit combination fails on the slice")
-    return coefficients

@@ -218,6 +218,18 @@ def test_verify_thm2_command():
     assert rep["value"] == "1/6" and rep["nonzero"]
 
 
+@pytest.mark.parametrize("r", ["1", "2"])
+def test_verify_thm2_names_a_wrong_r_before_the_support(r):
+    # face 0 of the cusp has r = 0, and x1*x2^2 is valid there: the message
+    # must blame --r, not the support of x1*x2*h
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_json(["verify-thm2", "--poly", "x1^2 + x2^3",
+                            "--h", "x1*x2^2", "--face", "0", "--r", r])
+    assert code == 2
+    assert err.getvalue() == "input error: face has r = 0, got %s\n" % r
+
+
 def test_detlemma_command():
     code, rep = run_json(["detlemma", "--rows", "3", "--cols", "5",
                           "--trials", "20", "--seed", "1"])
@@ -228,6 +240,20 @@ def test_koszul_command():
     code, rep = run_json(["koszul", "--polytope", "triangle", "--trials", "2"])
     assert code == 0 and rep["ok"]
     assert rep["trace"]["trace_expected"] == 6
+
+
+def test_koszul_above_the_lattice_point_cap_exits_3():
+    # the 3-dilate interior of the side-15 triangle has 946 lattice points;
+    # without the cap one trial runs for minutes
+    src = os.path.dirname(os.path.dirname(newton_socle.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "newton_socle.cli", "koszul", "--polytope",
+         "[[0,0],[15,0],[0,15]]", "--trials", "1"],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 3 and not proc.stdout
+    assert proc.stderr == ("resource limit: the 3-dilate interior has 946 "
+                           "lattice points, above the cap of 200\n")
 
 
 def test_verify_all_deterministic():

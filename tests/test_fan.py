@@ -11,11 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from newton_socle import (SparsePoly, check_face_duality, cone_from_rays,
-                          dual_cone, dual_fan, fan_from_json, interior_rays,
-                          is_regular, multiplicity, newton_polyhedron,
-                          orbit_closure_intersection, pole_components,
-                          regularize, support_function)
+from newton_socle import (SparsePoly, cone_from_rays, dual_cone, dual_fan,
+                          fan_from_json, interior_rays, is_regular,
+                          multiplicity, newton_polyhedron, regularize,
+                          support_function)
 from newton_socle import fan as fanmod
 from newton_socle.cli import main
 from newton_socle.errors import (InputError, RegularizationError,
@@ -73,22 +72,6 @@ def test_dual_involution_random():
             if c.dim != n:
                 continue
             assert dual_cone(dual_cone(c)) == c
-
-
-def test_face_duality_reports():
-    rep = check_face_duality(ORTHANT_2)
-    assert rep["ok"] and rep["n_faces"] == 4
-    assert check_face_duality(cone_from_rays([(1, 0), (3, 2)]))["ok"]
-    assert check_face_duality(cone_from_rays([(1, 0), (0, 1), (1, 1, )]))["ok"]
-    c3 = cone_from_rays([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
-    assert check_face_duality(c3)["ok"]
-
-
-def test_face_duality_zero_cone_pairs_with_full_space():
-    from newton_socle.fan import zero_cone
-    rep = check_face_duality(zero_cone(2), nvars=2)
-    assert rep["ok"] and rep["n_faces"] == 1
-    assert rep["pairs"][0]["dims"] == [0, 2]
 
 
 @given(supports(max_vars=3, convenient=True))
@@ -330,21 +313,6 @@ def test_fan_routes_make_few_double_descriptions(monkeypatch):
     fan = dual_fan(D)
     assert len(calls) <= 46
     assert len(fan.cones) == len(faces(D))
-
-
-def test_fan_incidence_matches_face_relation():
-    fan = dual_fan(newton_polyhedron(poly("x1^2 + x2^3")))
-    inc = fan.incidence()
-    for i, c in enumerate(fan.cones):
-        for j in inc[i]:
-            d = fan.cones[j]
-            assert d.dim < c.dim or d == c
-            assert all(c.contains(r) for r in d.rays)
-    # the zero cone is a face of everything else
-    zero_idx = [i for i, c in enumerate(fan.cones) if c.dim == 0][0]
-    for i in range(len(fan.cones)):
-        if i != zero_idx:
-            assert zero_idx in inc[i]
 
 
 # ---------------------------------------------------------------------------
@@ -615,52 +583,6 @@ def test_normalized_covector_cuts_out_face(family_polyhedra):
                        if sorted(face.vertices()) == sorted(mins)
                        and face.compact]
             assert len(matches) == 1
-
-
-# ---------------------------------------------------------------------------
-# Pole components and orbit closures
-# ---------------------------------------------------------------------------
-
-def test_pole_components_cusp():
-    f = poly("x1^2 + x2^3")
-    reg = regularize(dual_fan(newton_polyhedron(f)))
-    qual = pole_components(poly("x1^2*x2^3"), f, 0, reg)
-    assert [q.generator for q in qual] == [(3, 2)]
-
-
-def test_pole_components_strictly_interior_is_empty():
-    f = poly("x1^2 + x2^3")
-    reg = regularize(dual_fan(newton_polyhedron(f)))
-    assert pole_components(poly("x1^3*x2^3"), f, 0, reg) == []
-
-
-def test_pole_components_r1_vertex_face():
-    f = poly("x1^2 + x1*x2 + x2^3")
-    fan = dual_fan(newton_polyhedron(f))
-    qual = pole_components(poly("x1*x2"), f, 1, fan)
-    assert [q.generator for q in qual] == [(1, 1), (2, 1)]
-
-
-def test_pole_components_checks_support():
-    f = poly("x1^2 + x2^3")
-    reg = regularize(dual_fan(newton_polyhedron(f)))
-    with pytest.raises(InputError):
-        pole_components(poly("x1"), f, 0, reg)
-
-
-def test_orbit_closure_intersection():
-    f = poly("x1^2 + x2^3")
-    reg = regularize(dual_fan(newton_polyhedron(f)))
-    by_rays = {c.rays: c for c in reg.cones}
-    r10 = by_rays[((1, 0),)]
-    r21 = by_rays[((2, 1),)]
-    r01 = by_rays[((0, 1),)]
-    two = orbit_closure_intersection(reg, r10, r21)
-    assert two is not None and set(two.rays) == {(1, 0), (2, 1)}
-    assert orbit_closure_intersection(reg, r10, r10) == r10
-    assert orbit_closure_intersection(reg, r10, r01) is None
-    with pytest.raises(InputError):
-        orbit_closure_intersection(reg, cone_from_rays([(5, 1)]), r10)
 
 
 def test_fan_json_round_trip():

@@ -107,6 +107,12 @@ def invocations():
                         ["kbar", "--poly", item["poly"], "--face", str(i)]))
     for name in KOSZUL_PRESETS:
         out.append(("koszul " + name, ["koszul", "--polytope", name]))
+    # larger polytopes, under the lattice-point cap of koszul_top_dimension
+    for name, pts in (("triangle S=5", "[[0,0],[5,0],[0,5]]"),
+                      ("3-simplex side 2",
+                       "[[0,0,0],[2,0,0],[0,2,0],[0,0,2]]")):
+        out.append(("koszul " + name,
+                    ["koszul", "--polytope", pts, "--trials", "1"]))
     # the residue runs of tests/test_cli.py
     out.append(("residue value", ["residue", "--g", "x1*x2^2", "--system",
                                   "2*x1^2; 3*x2^3", "--vars", "2"]))
@@ -140,6 +146,10 @@ def invocations():
                                 "--h", "x1^2*x2^2"]))
     out.append(("verify-thm2", ["verify-thm2", "--poly", "x1^2 + x2^3",
                                 "--h", "x1*x2^2", "--face", "0", "--r", "0"]))
+    # face 0 has r = 0: a wrong --r is an input error
+    out.append(("verify-thm2 --r 1", ["verify-thm2", "--poly", "x1^2 + x2^3",
+                                      "--h", "x1*x2^2", "--face", "0",
+                                      "--r", "1"]))
     out.append(("verify-all --trunc 12", ["verify-all", "--poly",
                                           "x1^2 + x2^3", "--trunc", "12"]))
     # with --trunc the residues escalate from it while the Jacobian check
