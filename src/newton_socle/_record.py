@@ -13,8 +13,8 @@ class's annotated field names.
 
 ``@record(frozen=False)`` leaves assignment alone and makes the record
 unhashable.  A field declared ``= DERIVED`` is left out of ``__init__``,
-``==``, ``hash`` and ``repr``; ``__post_init__`` sets it with
-``object.__setattr__``.
+``==``, ``hash`` and ``repr``; ``__post_init__``, or the function that
+builds the record, sets it with ``object.__setattr__``.
 
 The methods are closures over the field names: building a class compiles no
 code, and this module imports nothing beyond ``operator``.

@@ -262,23 +262,27 @@ def _minor_identity(M, s, plan, full):
     """:func:`check_minor_identity` on the integer matrix ``M`` = s·A with
     independent rows, over the subsets of ``plan``; ``full`` is the slice
     parametrization of all rows."""
+    nrows = len(M)
     coeff = []
     skipped = []
     for rows, _, _ in plan:
+        k = len(rows)
+        if k == 1:
+            # one row is its own slice equation: c = M_i0 / s, and nothing
+            # to substitute
+            coeff.append((M[rows[0]][0], s))
+            continue
         cc = _cramer_coefficients(M, s, rows)
         if cc is None:
             coeff.append(None)
             skipped.append(list(rows))
             continue
-        # one row is its own slice equation: nothing to substitute
-        if len(rows) > 1:
-            param = (full if len(rows) == len(M)
-                     else _slice_parametrization(M, s, rows))
-            if not _on_slice(param, len(rows), *cc):
-                raise VerificationError(
-                    "coefficient routes disagree on %r" % (rows,))
+        param = full if k == nrows else _slice_parametrization(M, s, rows)
+        if not _on_slice(param, k, *cc):
+            raise VerificationError(
+                "coefficient routes disagree on %r" % (rows,))
         coeff.append((cc[0][0], cc[1]))
-    sums = _signed_chain_sums(coeff, plan, len(M))
+    sums = _signed_chain_sums(coeff, plan, nrows)
     checked = 0
     failures = []
     for rows, mask, _ in plan:
@@ -287,7 +291,8 @@ def _minor_identity(M, s, plan, full):
             continue
         checked += 1
         scale = s ** len(rows)
-        minor = _leading_minor(M, rows)
+        minor = (M[rows[0]][0] if len(rows) == 1
+                 else _leading_minor(M, rows))
         if total[0] * scale != minor * total[1]:
             failures.append({"rows": list(rows),
                              "sum": str(Fraction(*total)),
@@ -367,25 +372,42 @@ def validate_trials(rows, cols, trials):
                        % (rows, MAX_TRIAL_ROWS))
 
 
+def _draw_entries(bits, count):
+    """``count`` pairs (p, q) in lowest terms, with p from -9..9 and then q
+    from 1..3, as ``randint(-9, 9)`` and ``randint(1, 3)`` of the same
+    ``random.Random`` draw them: ``randint`` takes ``getrandbits`` of the
+    range's bit length (5 bits for 19 values, 2 for 3) and draws again
+    while the value is out of range, and so does this, without its
+    per-call checks."""
+    out = []
+    for _ in range(count):
+        p = bits(5)
+        while p >= 19:
+            p = bits(5)
+        q = bits(2)
+        while q == 3:
+            q = bits(2)
+        p -= 9
+        q += 1
+        g = gcd(p, q)
+        out.append((p // g, q // g))
+    return out
+
+
 def random_minor_identity_trials(rows, cols, trials, seed):
     """Seeded random matrices fed through the minor identity; returns the
     first counterexample if any (expected none).
 
-    Each entry is p/q with p drawn from -9..9, then q from 1..3, and kept
-    as the integer pair in lowest terms; ``Fraction`` is built only for the
-    matrix of a reported failure."""
+    Each entry is p/q with p drawn from -9..9, then q from 1..3
+    (:func:`_draw_entries`), and kept as the integer pair in lowest terms;
+    ``Fraction`` is built only for the matrix of a reported failure."""
     validate_trials(rows, cols, trials)
-    randint = random.Random(seed).randint
+    bits = random.Random(seed).getrandbits
     plan = _subset_plan(rows, rows)
     ran = 0
     skipped = 0
     for t in range(trials):
-        entries = []
-        for _ in range(rows * cols):
-            p = randint(-9, 9)
-            q = randint(1, 3)
-            g = gcd(p, q)
-            entries.append((p // g, q // g))
+        entries = _draw_entries(bits, rows * cols)
         s = lcm(*(q for _, q in entries))
         M = [[p * (s // q) for p, q in entries[i:i + cols]]
              for i in range(0, rows * cols, cols)]

@@ -2,7 +2,9 @@
 computed on first use and then kept: the Newton polyhedron and its faces,
 the graded quotient of each admissible face, one span store
 (:class:`localalg.CertifiedSpans`) for each of the log ideal (x_i f_xi) and
-the Jacobian ideal (f_xi), and the trace functional of the log span.
+the Jacobian ideal (f_xi), and the trace functional of the log span.  The
+log store makes one build, at a truncation read off the polyhedron, and
+derives the smaller truncations the stages read from it.
 
 Each stage makes the span requests its public function makes, on these
 stores, which build each certified span once; it then calls the same compute
@@ -67,9 +69,15 @@ class RunContext:
     @cached_property
     def spans(self):
         """The span stores of the log ideal (x_i f_xi) and of the Jacobian
-        ideal (f_xi)."""
-        return tuple(map(localalg.CertifiedSpans,
-                         localalg.ideal_generators(self.f)))
+        ideal (f_xi).  Without a requested truncation the log store builds
+        first at the truncation the polyhedron gives
+        (:func:`localalg.interior_truncation`), and reads every smaller one
+        off that span."""
+        log_gens, jac_gens = localalg.ideal_generators(self.f)
+        first = (localalg.interior_truncation(self.polyhedron)
+                 if self.trunc is None else None)
+        return (localalg.CertifiedSpans(log_gens, first),
+                localalg.CertifiedSpans(jac_gens))
 
     @cached_property
     def log_trace(self):
@@ -92,5 +100,6 @@ class RunContext:
 
     def jacobian_multiplication(self):
         span_i = self.spans[0].certified(self.trunc)
-        span_j = self.spans[1].certified(span_i.algebra.D)
+        span_j = self.spans[1].certified(
+            localalg.jacobian_truncation(span_i, self.trunc))
         return localalg.jacobian_multiplication_report(span_i, span_j)

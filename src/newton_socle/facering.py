@@ -14,7 +14,7 @@ from fractions import Fraction
 import math
 from operator import add
 
-from ._record import record
+from ._record import DERIVED, record
 from .errors import InputError, VerificationError
 from .fan import Cone, cone_from_rays
 from .linalg import Echelon, _integral, dot, solve
@@ -185,6 +185,9 @@ class CanonicalQuotient:
     graded_dims: dict
     socle_degree: Fraction
     socle_basis: tuple
+    # (echelon, column) of the image span at the socle degree, which
+    # canonical_quotient eliminates and class_nonzero reads
+    socle_span: tuple = DERIVED
 
     def to_json(self):
         return {
@@ -266,7 +269,7 @@ def canonical_quotient(fc, params, grading=None):
                                   pieces)
         q_dims[k] = len(column) - len(ech.rows)
         if k == expected_scaled:
-            socle_basis = _quotient_monomials(ech, column)
+            socle_span = ech, column
 
     # Poincare prediction: coefficients of P(K) * prod(1 - t^pd)
     predicted = dict(enumerate(map(len, pieces)))
@@ -288,10 +291,13 @@ def canonical_quotient(fc, params, grading=None):
     if not nonzero or max(nonzero) != expected_scaled:
         raise InputError("not a system of parameters: socle degree mismatch")
 
-    basis = [SparsePoly.monomial(m) for m in socle_basis]
+    basis = [SparsePoly.monomial(m)
+             for m in _quotient_monomials(*socle_span)]
     graded_dims = {Fraction(k, d): v for k, v in q_dims.items() if v > 0}
-    return CanonicalQuotient(sigma, grading, params, graded_dims,
-                             Fraction(expected_scaled, d), tuple(basis))
+    quotient = CanonicalQuotient(sigma, grading, params, graded_dims,
+                                 Fraction(expected_scaled, d), tuple(basis))
+    object.__setattr__(quotient, "socle_span", socle_span)
+    return quotient
 
 
 def select_parameters(derivs, fc):
@@ -396,7 +402,9 @@ def poincare_series(sigma, grading, truncation):
 
 def class_nonzero(g, quotient):
     """Whether g represents a nonzero class in the quotient module at its own
-    degree: its normal form against the parameter image is nonzero."""
+    degree: its normal form against the parameter image is nonzero.  At the
+    socle degree the image span is the one :func:`canonical_quotient`
+    eliminated; at any other degree it is built here."""
     if g.is_zero():
         return False
     sigma = quotient.sigma
@@ -408,7 +416,11 @@ def class_nonzero(g, quotient):
     for e in g.support():
         if not sigma.relative_interior_contains(e):
             raise InputError("g is not supported in the interior of the cone")
-    param_degrees = [_parameter_degree(p, grading) for p in quotient.parameters]
-    ech, column = _image_span(sigma, grading, quotient.parameters, k,
-                              param_degrees)
+    if k == quotient.socle_degree * grading.denominator:
+        ech, column = quotient.socle_span
+    else:
+        param_degrees = [_parameter_degree(p, grading)
+                         for p in quotient.parameters]
+        ech, column = _image_span(sigma, grading, quotient.parameters, k,
+                                  param_degrees)
     return bool(ech.reduce({column[e]: c for e, c in g.terms.items()}))

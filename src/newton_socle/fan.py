@@ -17,13 +17,15 @@ is spanned by the normals of the facets that hold it, one double description
 per face.  Other fans are closed under faces by :func:`cone_faces` with one
 memo, so a face shared by several cones is built once (for a simplicial cone
 the faces are its ray subsets).  A fan of full-dimensional simplicial cones
-is checked by the pseudomanifold and covering criterion for triangulations;
-any other fan, and one the criterion rejects, pairwise by
-:func:`validate_fan`.
+is checked by the pseudomanifold and covering criterion for triangulations
+from its maximal cones alone, and closed under faces only when its
+``cones`` are read; any other fan, and one the criterion rejects, is checked
+pairwise by :func:`validate_fan`.  Regularization starts its cone memo with
+the input fan's cones, so a cone it keeps is not built again.
 """
 
 from fractions import Fraction
-from functools import cache, cmp_to_key
+from functools import cache, cached_property, cmp_to_key
 from itertools import combinations
 import json
 
@@ -164,16 +166,52 @@ def cone_faces(cone, nvars=None, built=None):
 # Fans
 # ---------------------------------------------------------------------------
 
-@record
 class Fan:
-    """A fan supported on the positive orthant, closed under taking faces."""
+    """A fan supported on the positive orthant, closed under taking faces:
+    ``cones`` lists all of them, sorted by dimension and rays.
 
-    nvars: int
-    cones: tuple
-    rays: tuple
+    A fan assembled from full-dimensional simplicial cones keeps them as
+    its maximal cones, takes its rays from them, and closes them under
+    faces only when ``cones`` is first read."""
+
+    def __init__(self, nvars, cones, rays):
+        self.nvars = nvars
+        self.cones = cones
+        self.rays = rays
+        self._maximal = None
+
+    @classmethod
+    def of_simplices(cls, nvars, maximal):
+        """The fan of the full-dimensional simplicial cones ``maximal``,
+        distinct and sorted by rays, with its face closure left open."""
+        fan = cls.__new__(cls)
+        fan.nvars = nvars
+        fan.rays = tuple(sorted({r for c in maximal for r in c.rays}))
+        fan._maximal = tuple(maximal)
+        return fan
+
+    @cached_property
+    def cones(self):
+        return _face_closure(self.nvars, self._maximal)
 
     def maximal_cones(self):
+        if self._maximal is not None:
+            return list(self._maximal)
         return [c for c in self.cones if c.dim == self.nvars]
+
+    def _key(self):
+        return self.nvars, self.cones, self.rays
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Fan(nvars=%r, cones=%r, rays=%r)" % self._key()
 
     def to_json(self):
         ray_index = {r: i for i, r in enumerate(self.rays)}
@@ -182,26 +220,36 @@ class Fan:
         return {"rays": [list(r) for r in self.rays], "cones": cones}
 
 
-def fan_from_cones(nvars, max_cones, validate=True):
-    """Close the given cones under faces and assemble a fan.
-
-    All cones share one :func:`cone_faces` memo, seeded with the given
-    cones, so each distinct face is built once.  When the given cones are
-    all full-dimensional and simplicial, :func:`_triangulates_orthant`
-    validates the fan; any other fan, and one the criterion rejects, goes to
-    :func:`validate_fan`, which names the fault."""
+def _face_closure(nvars, max_cones):
+    """The cones and all their faces, sorted by dimension and rays.  One
+    :func:`cone_faces` memo, seeded with the given cones, serves them all,
+    so each distinct face is built once."""
     built = {c.rays: c for c in max_cones}
     for c in max_cones:
         cone_faces(c, nvars, built)
-    cones = sorted(set(built.values()), key=lambda c: (c.dim, c.rays))
-    rays = sorted({c.rays[0] for c in cones if c.dim == 1})
-    fan = Fan(nvars, tuple(cones), tuple(rays))
-    if validate:
-        simplicial = max_cones and all(len(c.rays) == c.dim == nvars
-                                       for c in max_cones)
-        if not (simplicial
-                and _triangulates_orthant(nvars, fan.maximal_cones())):
+    return tuple(sorted(set(built.values()), key=lambda c: (c.dim, c.rays)))
+
+
+def fan_from_cones(nvars, max_cones, validate=True):
+    """Close the given cones under faces and assemble a fan.
+
+    When the given cones are all full-dimensional and simplicial, they are
+    the maximal cones, the closure waits until ``Fan.cones`` is read, and
+    :func:`_triangulates_orthant` validates the fan from them alone; any
+    other fan, and one the criterion rejects, goes to :func:`validate_fan`,
+    which names the fault."""
+    if max_cones and all(len(c.rays) == c.dim == nvars for c in max_cones):
+        maxs = sorted({c.rays: c for c in max_cones}.values(),
+                      key=lambda c: c.rays)
+        fan = Fan.of_simplices(nvars, maxs)
+        if validate and not _triangulates_orthant(nvars, maxs):
             validate_fan(fan)
+        return fan
+    cones = _face_closure(nvars, max_cones)
+    rays = sorted({c.rays[0] for c in cones if c.dim == 1})
+    fan = Fan(nvars, cones, tuple(rays))
+    if validate:
+        validate_fan(fan)
     return fan
 
 
@@ -220,9 +268,12 @@ def _triangulates_orthant(n, maxs):
     for c in maxs:
         if any(x < 0 for r in c.rays for x in r):
             return False
-        for i, apex in enumerate(c.rays):
-            facet = c.rays[:i] + c.rays[i + 1:]
-            sides.setdefault(facet, []).append(det(list(facet) + [apex]) > 0)
+        # det[facet; apex] is det(rays) with row i moved last, after
+        # n - 1 - i transpositions
+        positive = det(list(c.rays)) > 0
+        for i in range(n):
+            side = positive == ((n - 1 - i) % 2 == 0)
+            sides.setdefault(c.rays[:i] + c.rays[i + 1:], []).append(side)
     for facet, signs in sides.items():
         if any(all(r[k] == 0 for r in facet) for k in range(n)):
             if len(signs) != 1:
@@ -456,14 +507,21 @@ def _regularize_2d(fan):
         raise InputError("fan must contain the coordinate rays")
     # distinct primitive rays of the quadrant span a cone with exactly
     # those rays, so cones are matched by their ray tuples
-    cone_rays = {c.rays for c in fan.cones}
+    built = {c.rays: c for c in fan.cones}
     new_rays = [rays[0]]
     for u, v in zip(rays, rays[1:]):
-        if tuple(sorted((u, v))) not in cone_rays:
+        if tuple(sorted((u, v))) not in built:
             raise InputError("2D fan is not a chain of adjacent cones")
         new_rays.extend(_hj_chain(u, v)[1:])
-    max_cones = [cone_from_rays([a, b]) for a, b in zip(new_rays, new_rays[1:])]
-    return fan_from_cones(2, max_cones)
+    return fan_from_cones(2, [_simplex_cone(tuple(sorted(pair)), built)
+                              for pair in zip(new_rays, new_rays[1:])])
+
+
+def _simplex_cone(t, built):
+    """The cone of the sorted independent rays ``t``: the one in ``built``
+    (a :func:`cone_faces` memo, keyed by rays), else a new one."""
+    cone = built.get(t)
+    return cone if cone is not None else cone_from_rays(list(t))
 
 
 def _pulling_triangulation(cone, n, built):
@@ -488,9 +546,11 @@ def _regularize_stellar(fan):
     the cone of largest multiplicity (least rays on ties).  A simplex with a
     facet normal l and l.w < 0 stays; any other simplex t becomes t - v_i + w
     for each ray v_i whose opposite normal is positive on w.  Each simplex's
-    facet normals and multiplicity are computed once."""
+    facet normals and multiplicity are computed once.  The cone memo starts
+    with the input fan's cones, so a fan that is already regular builds no
+    cone."""
     n = fan.nvars
-    built = {}
+    built = {c.rays: c for c in fan.cones}
 
     @cache
     def simplex(t):
@@ -501,7 +561,7 @@ def _regularize_stellar(fan):
     for _ in range(STELLAR_STEPS):
         worst = min(cones, key=lambda t: (-simplex(t)[1], t))
         if simplex(worst)[1] == 1:
-            return fan_from_cones(n, [cone_from_rays(list(t)) for t in cones])
+            return fan_from_cones(n, [_simplex_cone(t, built) for t in cones])
         pts = parallelepiped_points(worst, True, False)
         w = primitive(min(pts, key=lambda p: (sum(x * x for x in p), p)))
         new = set()
@@ -514,7 +574,7 @@ def _regularize_stellar(fan):
                        for i, side in enumerate(sides) if side > 0)
         cones = new
     singular = [simplex(t)[1] for t in cones if simplex(t)[1] > 1]
-    partial = fan_from_cones(n, [cone_from_rays(list(t)) for t in cones],
+    partial = fan_from_cones(n, [_simplex_cone(t, built) for t in cones],
                              validate=False)
     raise RegularizationError(
         "stellar subdivision stopped at its cap of %d steps with %d singular "

@@ -294,6 +294,14 @@ def _sub_multiple(dst, b, src):
             del dst[k]
 
 
+# Entry length in bits beyond which a lead-only elimination divides its work
+# row by its content.  CPython's ints hold 30 bits per digit: below that the
+# arithmetic is one digit per entry and the division would cost more than it
+# saves.  Rows whose entries grow past it (the Koszul rank's long chains of
+# pivots) are kept small.
+_CONTENT_BITS = 30
+
+
 class Echelon:
     """Sparse row-echelon span of integer dicts {column: entry}, pivoting on
     the largest column.
@@ -316,7 +324,10 @@ class Echelon:
         by the least factor that keeps it integral; the product of these
         factors is the scale.  Returns the entries split off as
         {column: (entry, scale then)}.  ``lead_only`` stops at the first
-        column that is not a pivot."""
+        column that is not a pivot, and divides ``work`` by its content
+        before cancelling an entry longer than ``_CONTENT_BITS``, so that
+        the entries do not grow with every pivot the row passes; the scale
+        it returns then means nothing."""
         out = {}
         scale = 1
         while work:
@@ -329,6 +340,12 @@ class Echelon:
                 if lead_only:
                     break
                 continue
+            if lead_only and c.bit_length() > _CONTENT_BITS:
+                h = gcd(*work.values())
+                if h > 1:
+                    for k in work:
+                        work[k] //= h
+                    c //= h
             p = row[m]
             g = gcd(c, p)
             a, b = p // g, c // g

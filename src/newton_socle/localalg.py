@@ -16,7 +16,6 @@ from operator import add, mul
 from ._record import record
 from .errors import (CapError, InputError, TruncationError,
                      VerificationError)
-from .grobner import degrevlex_key
 from .linalg import (Echelon, _integer_kernel, _integral,
                      _primitive_sparse_row)
 from .polylattice import (INFINITY, SparsePoly, newton_order,
@@ -40,24 +39,45 @@ def monomials_of_degree(nvars, degree):
 MAX_ALGEBRA_MONOMIALS = 500_000
 
 
+def _degrevlex_ascending(nvars, D):
+    """The monomials of degree <= D in ascending degrevlex order, listed
+    without a sort.  Degrevlex is degree-first, and within one degree a
+    larger last exponent comes first, then a larger next-to-last one, and
+    so on; so the monomials of degree d in k variables, in order, are
+    those of degree d - e in k - 1 variables followed by the last exponent
+    e, for e from d down to 0."""
+    levels = [[(d,)] for d in range(D + 1)]
+    for _ in range(nvars - 1):
+        levels = [[rest + (e,) for e in range(d, -1, -1)
+                   for rest in levels[d - e]] for d in range(D + 1)]
+    return [m for level in levels for m in level]
+
+
 class TruncatedLocalAlgebra:
     """The space of polynomials of total degree <= D.  Its monomials are
-    sorted once by degrevlex: ``ascending`` lists them in ascending order
-    and ``column`` numbers them by position there, so a larger column is a
-    larger monomial.  Spans of the algebra are :class:`Echelon` spans on
-    these columns."""
+    listed once in degrevlex order: ``ascending`` lists them in ascending
+    order and ``column`` numbers them by position there, so a larger column
+    is a larger monomial.  Spans of the algebra are :class:`Echelon` spans
+    on these columns."""
 
     def __init__(self, nvars, D):
         if D < 1:
             raise InputError("truncation degree must be at least 1")
         self.nvars = nvars
         self.D = D
-        monos = []
-        for d in range(D + 1):
-            monos.extend(monomials_of_degree(nvars, d))
-        monos.sort(key=degrevlex_key)
-        self.ascending = monos
-        self.column = {m: i for i, m in enumerate(monos)}
+        self.ascending = _degrevlex_ascending(nvars, D)
+        self.column = {m: i for i, m in enumerate(self.ascending)}
+
+    def prefix(self, D):
+        """The algebra at a truncation D <= self.D.  Degrevlex is
+        degree-first, so its monomials are the first C(D+n, n) of
+        ``ascending`` and keep their columns."""
+        alg = object.__new__(TruncatedLocalAlgebra)
+        alg.nvars = self.nvars
+        alg.D = D
+        alg.ascending = self.ascending[:comb(D + self.nvars, self.nvars)]
+        alg.column = {m: i for i, m in enumerate(alg.ascending)}
+        return alg
 
     def columns(self, poly):
         """{column: coefficient} of the terms of degree <= D of ``poly``, a
@@ -144,21 +164,78 @@ def build_ideal(gens, D):
     return IdealSpan(alg, gens, ech, bound)
 
 
+def truncated_span(span, D):
+    """The span at a truncation k0 <= D <= span.algebra.D, read off
+    ``span``, which certifies at k0.
+
+    Degrevlex is degree-first, so the algebra at D numbers a prefix of the
+    columns, and the span at D is the projection of ``span`` onto it: a
+    shift x^a * g with deg a + ord g > D has no term of degree <= D, and
+    the others are cut at D either way.  Rows that pivot inside the prefix
+    lie in it and are kept; the cut tails of the others are inserted
+    again.  Pivots, normal forms and the certificate are then
+    those of ``build_ideal(span.generators, D)``; only row tails differ."""
+    alg = span.algebra.prefix(D)
+    cut = len(alg.ascending)
+    ech = Echelon()
+    tails = []
+    for pivot, row in span.echelon.rows.items():
+        if pivot < cut:
+            ech.rows[pivot] = row
+        else:
+            tail = {c: v for c, v in row.items() if c < cut}
+            if tail:
+                tails.append(tail)
+    for tail in tails:
+        ech.insert(tail)
+    return IdealSpan(alg, span.generators, ech, span.m_power_bound)
+
+
+def interior_truncation(poly):
+    """A truncation at which the span of (x_i f_xi) should certify, read
+    off the Newton polyhedron before any elimination: b + 4, and at least
+    :func:`socle_truncation_floor`, or None when a facet of positive offset
+    has a zero normal entry.
+
+    b is the least k with k * min(l) + sum(l) > n * c on every facet (l, c)
+    of positive offset.  For nondegenerate f, x^m lies in (x_i f_xi) once
+    m + 1 is strictly inside n * Gamma_+, which every monomial of degree b
+    is, so k0 <= b (acceptance criterion 5).  The residues settle at
+    k0 + 4 <= b + 4 and the socle order at its floor, so a span at this
+    truncation holds every one a verification run reads."""
+    pos = poly.positive_facets()
+    if not pos or any(min(fc.normal) == 0 for fc in pos):
+        return None
+    n = poly.nvars
+    b = max((n * fc.offset - sum(fc.normal)) // min(fc.normal) + 1
+            for fc in pos)
+    return max(b + 4, socle_truncation_floor(poly))
+
+
 class CertifiedSpans:
     """The certified spans of one ideal, each kept under its truncation D.
 
     The span at D certifies exactly when D >= k0, the least k with m^k in
     the ideal, and then reads k0 (Nakayama: m^k in I + m^(D+1) with k <= D
     gives m^k in I).  So once the store has read k0 it builds a truncation
-    only when its span is asked for, and each one once."""
+    only when its span is asked for, and each one once.
 
-    def __init__(self, gens):
+    A store given ``first_D`` (a truncation read off the Newton polyhedron,
+    :func:`interior_truncation`) builds the span there, or at the
+    escalation start if that is larger, before its first escalation.  When
+    that span certifies, it gives k0 and every smaller truncation is read
+    off it (:func:`truncated_span`); when it does not, the store escalates
+    as one without ``first_D``."""
+
+    def __init__(self, gens, first_D=None):
         self.gens = tuple(gens)
         if not self.gens:
             raise InputError("no generators")
         self.nvars = self.gens[0].nvars
         self.spans = {}
         self.k0 = None
+        self.first_D = first_D
+        self.source = None
 
     def _check_cap(self, D):
         count = comb(D + self.nvars, self.nvars)
@@ -182,8 +259,24 @@ class CertifiedSpans:
         """The span at a truncation D >= k0."""
         self._check_cap(D)
         if D not in self.spans:
-            self.spans[D] = build_ideal(self.gens, D)
+            source = self.source
+            self.spans[D] = (truncated_span(source, D)
+                             if source is not None
+                             and D < source.algebra.D
+                             else build_ideal(self.gens, D))
         return self.spans[D]
+
+    def _build_first(self, start):
+        """The build at max(first_D, start), unless its algebra is above
+        the monomial cap; made once."""
+        D = max(self.first_D, start)
+        self.first_D = None
+        if comb(D + self.nvars, self.nvars) > MAX_ALGEBRA_MONOMIALS:
+            return
+        span = build_ideal(self.gens, D)
+        if span.m_power_bound is not None:
+            self.k0 = span.m_power_bound
+            self.spans[D] = self.source = span
 
     def certified(self, D=None, min_D=0):
         """A span whose finite colength is certified.
@@ -215,6 +308,8 @@ class CertifiedSpans:
                 "the escalation would start at D=%d, beyond the cap %d: give "
                 "a truncation of at least %d (--trunc) to try it"
                 % (start, cap, start))
+        if self.first_D is not None and self.k0 is None:
+            self._build_first(start)
         start = max(start, min_D)
         d = start
         while d <= max(cap, start):
@@ -386,14 +481,23 @@ def jacobian_multiplication_check(f, D=None):
     (x_i f_xi): well-definedness and injectivity on a truncated basis."""
     log_gens, jac_gens = ideal_generators(f)
     span_i = certified_ideal(log_gens, D=D)
-    span_j = certified_ideal(jac_gens, D=span_i.algebra.D)
+    span_j = certified_ideal(jac_gens, D=jacobian_truncation(span_i, D))
     return jacobian_multiplication_report(span_i, span_j)
+
+
+def jacobian_truncation(span_i, D):
+    """The truncation at which the Jacobian check reads (f_xi): a requested
+    D, else the certificate k0 of the certified log span ``span_i``.
+    (x_i f_xi) lies in (f_xi), so m^k0 does too and the Jacobian span
+    certifies there; its quotient basis, all the check reads of it, is the
+    same at every truncation that certifies."""
+    return span_i.m_power_bound if D is None else D
 
 
 def jacobian_multiplication_report(span_i, span_j):
     """The report of :func:`jacobian_multiplication_check` from the certified
-    spans of (x_i f_xi) and of (f_xi), the second at the first's
-    truncation."""
+    spans of (x_i f_xi) and of (f_xi), the second at
+    :func:`jacobian_truncation`."""
     n = span_i.algebra.nvars
     x_all = SparsePoly.monomial((1,) * n)
     well_defined = all(member(x_all * g, span_i) for g in span_j.generators)

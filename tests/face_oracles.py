@@ -24,16 +24,19 @@ box of a parallelepiped, where ``polylattice.parallelepiped_points`` lists
 one point per lattice coset.  ``regularize_3d`` is the 3D stellar
 subdivision that solves for every coefficient, where
 ``fan._regularize_stellar`` reads them off facet normals computed once.
+``eager_fan`` closes the given cones under faces at once, where
+``fan.fan_from_cones`` leaves the closure of full-dimensional simplicial
+cones until ``Fan.cones`` is read.
 """
 
 from functools import cmp_to_key
 from itertools import combinations
 
 from newton_socle import fan as fanmod
-from newton_socle.fan import (Cone, _angle_cmp, _cone_ambient, _generators,
-                              _intersect_cones, _polar_cone, _std_basis,
-                              cone_faces, cone_from_rays, fan_from_cones,
-                              zero_cone)
+from newton_socle.fan import (Cone, Fan, _angle_cmp, _cone_ambient,
+                              _generators, _intersect_cones, _polar_cone,
+                              _std_basis, cone_faces, cone_from_rays,
+                              fan_from_cones, zero_cone)
 from newton_socle.errors import (InputError, RegularizationError,
                                  VerificationError)
 from newton_socle.linalg import det, dot, kernel_basis, primitive, rank, \
@@ -288,3 +291,15 @@ def regularize_3d(fan):
                 new_triangles.append(tuple(sorted(pair + (center,))))
         triangles = sorted(set(new_triangles))
     raise RegularizationError("stellar subdivision hit the iteration cap")
+
+
+def eager_fan(nvars, max_cones):
+    """The fan of the given cones and all their faces, built at once: one
+    :func:`cone_faces` memo seeded with the cones, and the rays read off
+    the one-dimensional cones."""
+    built = {c.rays: c for c in max_cones}
+    for c in max_cones:
+        cone_faces(c, nvars, built)
+    cones = tuple(sorted(set(built.values()), key=lambda c: (c.dim, c.rays)))
+    rays = tuple(sorted({c.rays[0] for c in cones if c.dim == 1}))
+    return Fan(nvars, cones, rays)

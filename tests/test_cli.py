@@ -17,6 +17,9 @@ from newton_socle.cli import main
 
 from conftest import supports
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
+from perfbench.workloads import CURVES, SURFACES  # noqa: E402
+
 
 def run_cli(argv, env_seed=None):
     old = sys.stdout
@@ -573,6 +576,19 @@ def test_verify_all_computes_each_invariant_once(monkeypatch, args):
     builds = [(tuple(a["gens"]), a["D"]) for a in calls["span"]]
     assert len({gens for gens, _ in builds}) == 2
     assert len(set(builds)) == len(builds)
+
+
+@pytest.mark.parametrize("text", [item["poly"] for item in CURVES + SURFACES])
+def test_verify_all_builds_each_ideal_once(monkeypatch, text):
+    # the log span is built once, at the truncation the polyhedron gives,
+    # and the residue and Jacobian stages read smaller truncations off it;
+    # the Jacobian span is built once, at the log span's certificate
+    calls = []
+    count_calls(monkeypatch, newton_socle.localalg, "build_ideal", calls)
+    code, _ = run_json(["verify-all", "--poly", text, "--seed", "1"])
+    assert code == 0
+    gens = [tuple(a["gens"]) for a in calls]
+    assert len(gens) == len(set(gens)) == 2
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."])

@@ -200,6 +200,19 @@ def test_trial_reports_match_fraction_oracles(shape):
             repr(oracle.random_minor_identity_trials(*shape, 15, seed))
 
 
+def test_drawn_entries_are_the_randint_ones():
+    # 3 x 5 entries for 25 trials, as verify-all draws them
+    for seed in range(51):
+        rng = random.Random(seed)
+        want = []
+        for _ in range(375):
+            p, q = rng.randint(-9, 9), rng.randint(1, 3)
+            x = Fraction(p, q)
+            want.append((x.numerator, x.denominator))
+        assert combid._draw_entries(random.Random(seed).getrandbits,
+                                    375) == want
+
+
 def test_disagreeing_routes_are_caught(monkeypatch):
     # each corruption changes what the substitution compares: the last
     # Cramer numerator (which no chain sum reads, so only the slice check

@@ -8,14 +8,15 @@ from newton_socle import (SparsePoly, canonical_quotient, class_nonzero,
                           compact_faces, cone_from_rays, face_cone,
                           face_derivatives, grading_form, newton_polyhedron,
                           poincare_series, select_parameters)
+from newton_socle.context import RunContext
 from newton_socle.errors import InputError
-from newton_socle.facering import (graded_monomials, graded_pieces,
-                                   grading_from_covector)
-from newton_socle.linalg import det, dot, solve
+from newton_socle.facering import (_parameter_degree, graded_monomials,
+                                   graded_pieces, grading_from_covector)
+from newton_socle.linalg import det, dot, rref, solve
 from newton_socle.polylattice import parallelepiped_points
 
 from conftest import poly
-from facering_oracles import dense_quotient
+from facering_oracles import dense_quotient, image_rows
 
 
 def edge_face(f_text):
@@ -387,6 +388,29 @@ def test_class_nonzero_examples():
     assert not class_nonzero(SparsePoly.zero(2), q)
     with pytest.raises(InputError):
         class_nonzero(poly("x1*x2 + x1^2*x2^3"), q)  # inhomogeneous
+
+
+@pytest.mark.parametrize("text", ["x1^2 + x2^3", "x1^4 + x1^2*x2^2 + x2^5",
+                                  "x1^2+x2^3+x3^4",
+                                  "x1^3+x2^3+x3^3+x1*x2*x3"])
+def test_class_nonzero_at_the_socle_degree_matches_the_dense_image(text):
+    # at the socle degree class_nonzero reads the echelon canonical_quotient
+    # kept; the dense oracle eliminates the image afresh
+    f = poly(text)
+    rng = random.Random(5)
+    for face in RunContext(f).admissible_faces:
+        fc = face_cone(face)
+        params = select_parameters(face_derivatives(f, face), fc)
+        q = canonical_quotient(fc, params)
+        degs = [_parameter_degree(p, q.grading) for p in params]
+        rows, piece = image_rows(fc.sigma, q.grading, params, sum(degs), degs)
+        rank = len(rref(rows)[1])
+        for _ in range(12):
+            g = SparsePoly(f.nvars, {m: rng.choice((-2, -1, 1, 3))
+                                     for m in rng.sample(piece, 2)}
+                           if len(piece) > 1 else {piece[0]: 1})
+            row = tuple(Fraction(g.coeff(m)) for m in piece)
+            assert class_nonzero(g, q) == (len(rref(rows + [row])[1]) > rank)
 
 
 def test_class_nonzero_scalar_invariant():

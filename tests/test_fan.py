@@ -27,7 +27,7 @@ from newton_socle.polylattice import faces
 
 from conftest import FAMILY, poly, supports
 from face_oracles import (brute_cone_faces, brute_meets_in_faces,
-                          double_polar_cone, hull_hj_chain,
+                          double_polar_cone, eager_fan, hull_hj_chain,
                           inequality_normal_cone, regularize_3d)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
@@ -295,6 +295,34 @@ def test_simplicial_closure_matches_cone_faces():
     assert set(reg.cones) == closed and len(reg.cones) == len(closed)
 
 
+@pytest.mark.parametrize("text", ["x1^2 + x2^5", "x1^8 + x1^3*x2^2 + x2^9",
+                                  "x1^2 + x2^3 + x3^4", "x1^5+x2^6+x3^7",
+                                  "x1^2+x2^2+x3^3+x4^3"])
+def test_lazy_face_closure_matches_the_eager_one(text):
+    f = poly(text)
+    reg = regularize(dual_fan(newton_polyhedron(f)))
+    assert "cones" not in vars(reg)
+    eager = eager_fan(f.nvars, reg.maximal_cones())
+    assert reg.maximal_cones() == eager.maximal_cones()
+    assert reg.rays == eager.rays
+    assert reg.cones == eager.cones and reg == eager
+
+
+@pytest.mark.parametrize("text", ["x1^2 + x2^2", "x1^3 + x2^3",
+                                  "x1^2+x2^2+x3^2", "x1^3+x2^3+x3^3",
+                                  "x1^2+x2^2+x3^2+x4^2"])
+def test_regularizing_a_regular_dual_fan_builds_no_cone(monkeypatch, text):
+    fan = dual_fan(newton_polyhedron(poly(text)))
+    assert is_regular(fan)
+
+    def no_cone(rays):
+        raise AssertionError("built the cone of %r" % (rays,))
+
+    monkeypatch.setattr(fanmod, "cone_from_rays", no_cone)
+    reg = regularize(fan)
+    assert reg.to_json() == fan.to_json()
+
+
 def test_fan_routes_make_few_double_descriptions(monkeypatch):
     calls = []
     real = fanmod.polar_generators
@@ -307,7 +335,8 @@ def test_fan_routes_make_few_double_descriptions(monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert main(["verify-all", "--poly", "x1^2+x2^3+x3^4",
                      "--seed", "1"]) == 0
-    assert len(calls) <= 40
+    # the dual fan's 10 normal cones; the regular fan's faces are not built
+    assert len(calls) <= 10
     D = newton_polyhedron(SparsePoly.from_json(json.loads(k_support(10))))
     calls.clear()
     fan = dual_fan(D)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from newton_socle import (INFINITY, SparsePoly, build_ideal, certified_ideal,
                           coset_newton_order, ideal_generators,
@@ -13,12 +13,13 @@ from newton_socle import localalg
 from newton_socle.errors import CapError, InputError, TruncationError
 from newton_socle.grobner import degrevlex_key
 from newton_socle.linalg import Echelon, _integral, kernel_basis, rref
-from newton_socle.localalg import (CertifiedSpans,
+from newton_socle.localalg import (CertifiedSpans, TruncatedLocalAlgebra,
+                                   interior_truncation,
                                    jacobian_multiplication_report,
                                    monomials_of_degree,
-                                   socle_truncation_floor)
+                                   socle_truncation_floor, truncated_span)
 
-from conftest import FAMILY, poly
+from conftest import FAMILY, poly, supports
 from residue_oracles import _Echelon as _TrackedEchelon, _shifted_span
 
 
@@ -188,6 +189,61 @@ def test_span_store_answers_as_a_new_store(gens, requests, small_cap):
             patch.setattr(localalg, "build_ideal", build_ideal)
             assert answer == _answer(lambda: certified_ideal(gens, D, min_D))
     assert len(set(built)) == len(built)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+def test_algebra_lists_its_monomials_in_degrevlex_order(nvars):
+    for D in range(1, 9):
+        alg = TruncatedLocalAlgebra(nvars, D)
+        assert alg.ascending == sorted(
+            (m for d in range(D + 1) for m in monomials_of_degree(nvars, d)),
+            key=degrevlex_key)
+        assert alg.prefix(D - 1 or 1).ascending == \
+            TruncatedLocalAlgebra(nvars, D - 1 or 1).ascending
+
+
+def _normal_forms(span):
+    return [span.reduce({m: 1}) for m in span.algebra.ascending]
+
+
+@given(supports(min_vars=2, max_vars=3, convenient=True), st.integers(0, 1),
+       st.integers(2, 12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_derived_truncation_matches_a_fresh_build(f, which, top, data):
+    gens = ideal_generators(f)[which]
+    assume(all(not g.is_zero() and g.order() >= 1 for g in gens))
+    big = build_ideal(gens, top)
+    assume(big.m_power_bound is not None)
+    D = data.draw(st.integers(big.m_power_bound, top))
+    derived = truncated_span(big, D)
+    fresh = build_ideal(gens, D)
+    assert derived.algebra.ascending == fresh.algebra.ascending
+    assert derived.algebra.column == fresh.algebra.column
+    assert derived.echelon.rows.keys() == fresh.echelon.rows.keys()
+    assert derived.m_power_bound == fresh.m_power_bound
+    assert _normal_forms(derived) == _normal_forms(fresh)
+
+
+# the first build at the polyhedron's truncation certifies; one at 3 does
+# not, and one at 10^4 is above the monomial cap and skipped, so both
+# escalate as a store without a first build does
+@pytest.mark.parametrize("first", [None, 3, 10 ** 4])
+@pytest.mark.parametrize("min_D", [0, 9, 14])
+@pytest.mark.parametrize("text", ["x1^2 + x2^5", "x1^5 + x2^7",
+                                  "x1^2+x2^3+x3^4", "x1^3+x2^3+x3^3"])
+def test_a_store_with_a_first_build_answers_as_one_without(text, min_D,
+                                                           first):
+    f = poly(text)
+    gens = ideal_generators(f)[0]
+    if first is None:
+        first = interior_truncation(newton_polyhedron(f))
+    store = CertifiedSpans(gens, first)
+    span = store.certified(min_D=min_D)
+    fresh = certified_ideal(gens, min_D=min_D)
+    assert span.algebra.D == fresh.algebra.D
+    assert span.m_power_bound == fresh.m_power_bound
+    assert span.echelon.rows.keys() == fresh.echelon.rows.keys()
+    assert _normal_forms(span) == _normal_forms(fresh)
 
 
 def test_socle_newton_order_cusp():

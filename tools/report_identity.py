@@ -239,6 +239,20 @@ def invocations():
         out.append(("residue value --trunc " + D,
                     ["residue", "--g", "x1*x2^2", "--system",
                      "2*x1^2; 3*x2^3", "--vars", "2", "--trunc", D]))
+    # the log span is built once at the truncation the polyhedron gives
+    # (13 here, with k0 = 7) and the residues' D = 11 is read off it; with
+    # --trunc every stage builds as it did, below k0 and below the floor too
+    for D in ("6", "7", "11", "13"):
+        out.append(("verify-all --trunc %s x1^2+x2^3+x3^4" % D,
+                    ["verify-all", "--poly", "x1^2+x2^3+x3^4", "--trunc", D,
+                     "--seed", "1"]))
+    # an infinite-colength system in three variables escalates to its cap
+    out.append(("residue cap 3 variables",
+                ["residue", "--g", "x1", "--system", "x1^2; x1*x2; x1*x3"]))
+    # lead-only elimination on the largest triangle under the point cap
+    out.append(("koszul triangle S=7",
+                ["koszul", "--polytope", "[[0,0],[7,0],[0,7]]",
+                 "--trials", "1"]))
     out.append(("fractional exponent",
                 ["polyhedron", "--poly",
                  '{"nvars": 1, "terms": [{"e": [1.5], "c": "1"}]}']))
