@@ -16,13 +16,13 @@ _EXPORTS = {
                     "SparsePoly", "compact_faces", "face_part", "face_parts",
                     "faces", "newton_order", "newton_polyhedron",
                     "normalized_volume", "support_function"),
-    "fan": ("Cone", "Fan", "RayData", "cone_from_rays", "dual_cone",
-            "dual_fan", "fan_from_json", "interior_rays", "is_regular",
-            "multiplicity", "regularize"),
-    "facering": ("CanonicalQuotient", "FaceCone", "GradedPiece",
-                 "GradingForm", "canonical_quotient", "class_nonzero",
-                 "face_cone", "face_derivatives", "graded_piece",
-                 "grading_form", "poincare_series", "select_parameters"),
+    "fan": ("Cone", "Fan", "RayData", "cone_from_rays", "dual_fan",
+            "fan_from_json", "interior_rays", "is_regular", "multiplicity",
+            "regularize"),
+    "facering": ("CanonicalQuotient", "FaceCone", "GradingForm",
+                 "canonical_quotient", "class_nonzero", "face_cone",
+                 "face_derivatives", "grading_form", "poincare_series",
+                 "select_parameters"),
     "grobner": ("GB", "buchberger", "nondegeneracy_report", "nondegenerate",
                 "torus_has_zero"),
     "localalg": ("IdealSpan", "TruncatedLocalAlgebra", "build_ideal",

@@ -153,28 +153,6 @@ def graded_pieces(sigma, grading, top, interior):
 
 
 @record
-class GradedPiece:
-    degree: Fraction
-    monomials: tuple
-
-
-def graded_piece(sigma, grading, degree, interior=False):
-    """The lattice points of the cone (or its relative interior) at the given
-    rational degree, as a GradedPiece."""
-    if isinstance(sigma, FaceCone):
-        if grading is None:
-            grading = grading_form(sigma)
-        sigma = sigma.sigma
-    if isinstance(grading, (tuple, list)):
-        grading = grading_from_covector(grading, sigma)
-    scaled = Fraction(degree) * grading.denominator
-    if scaled.denominator != 1:
-        return GradedPiece(Fraction(degree), ())
-    monos = graded_monomials(sigma, grading, int(scaled), interior)
-    return GradedPiece(Fraction(degree), tuple(monos))
-
-
-@record
 class CanonicalQuotient:
     """The canonical module of the face ring modulo the chosen parameters:
     graded dimensions, socle degree and a monomial socle basis."""

@@ -1,5 +1,5 @@
-"""Cone and fan combinatorics on the positive orthant: dual cones, face
-lattices, the coarsest fan on which the support function is linear, exact
+"""Cone and fan combinatorics on the positive orthant: face lattices, the
+coarsest fan on which the support function is linear, exact
 regular subdivision (continued fractions in 2D, stellar subdivision in every
 other dimension) and ray multiplicities.
 
@@ -123,12 +123,6 @@ def _std_basis(n):
 
 def zero_cone(n):
     return Cone((), (), tuple(sorted(_std_basis(n))), 0)
-
-
-def dual_cone(cone, nvars=None):
-    """The dual {x : <a, x> >= 0 for all a in the cone}."""
-    n = nvars if nvars is not None else _cone_ambient(cone)
-    return _polar_cone(cone.rays, (), n)
 
 
 def _cone_ambient(cone):

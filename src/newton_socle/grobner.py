@@ -21,16 +21,17 @@ variables (see :func:`nondegeneracy_report`)."""
 import heapq
 from fractions import Fraction
 from math import gcd
+from operator import add, le, neg, sub
 
 from ._record import record
-from .errors import InputError
-from .linalg import _integral, hermite_basis, solve, vec_sub
+from .errors import InputError, VerificationError
+from .linalg import _integral, hermite_basis, vec_sub
 from .polylattice import (SparsePoly, compact_faces, face_parts,
                           newton_polyhedron)
 
 
 def degrevlex_key(m):
-    return (sum(m), tuple(-x for x in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
 
 
 def leading_monomial(poly_dict):
@@ -46,7 +47,7 @@ def _primitive(f):
 def _sub_scaled(f, g, c, mono):
     """f -= c * x^mono * g, in place."""
     for e, v in g.items():
-        key = tuple(x + y for x, y in zip(e, mono))
+        key = tuple(map(add, e, mono))
         w = f.get(key, 0) - c * v
         if w:
             f[key] = w
@@ -55,7 +56,7 @@ def _sub_scaled(f, g, c, mono):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def normal_form(f, basis):
@@ -73,19 +74,32 @@ def _reduce(f, basis, leads):
     integer polynomials ``basis``, with ``leads[i]`` the leading monomial of
     ``basis[i]``.
 
+    The terms are taken largest first from a heap on which each work
+    monomial is pushed once, when it enters the work, keyed by its negated
+    degrevlex key (:func:`degrevlex_key` is (sum m, -reversed m), so
+    (-sum m, reversed m) orders the other way).  A monomial cancelled
+    after it was pushed is skipped when it comes off the heap; one that
+    comes back is pushed again.  Every term a reduction adds lies below the
+    term it cancels, so nothing enters above the monomial just taken.
+
     Before the term c x^m is cancelled by g (lead coefficient a), the
     work and the remainder are multiplied by a / gcd(a, c), and
     (c / gcd(a, c)) x^(m - lead) g is subtracted.  Returns ``(rem, mult)``:
     the integer remainder and the positive product of those factors, with
-    rem = mult * (the normal form of f over Q)."""
+    rem = mult * (the normal form of f over Q).  The remainder's terms are
+    in decreasing order, so its first key is its leading monomial."""
     rem = {}
     work = dict(f)
+    heap = [(-sum(m), m[::-1], m) for m in work]
+    heapq.heapify(heap)
     mult = 1
-    while work:
-        m = leading_monomial(work)
-        c = work[m]
+    while heap:
+        m = heapq.heappop(heap)[2]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         for g, lg in zip(basis, leads):
-            if _divides(lg, m):
+            if all(map(le, lg, m)):
                 a = g[lg]
                 h = gcd(a, c)
                 a, c = a // h, c // h
@@ -97,11 +111,26 @@ def _reduce(f, basis, leads):
                         work[e] *= a
                     for e in rem:
                         rem[e] *= a
-                _sub_scaled(work, g, c, tuple(x - y for x, y in zip(m, lg)))
+                # a * (old c) x^m - c x^(m - lg) g cancels at m, which has
+                # left the work already
+                shift = tuple(map(sub, m, lg))
+                for e, v in g.items():
+                    if e == lg:
+                        continue
+                    key = tuple(map(add, e, shift))
+                    w = work.get(key)
+                    if w is None:
+                        work[key] = -c * v
+                        heapq.heappush(heap, (-sum(key), key[::-1], key))
+                    else:
+                        w -= c * v
+                        if w:
+                            work[key] = w
+                        else:
+                            del work[key]
                 break
         else:
             rem[m] = c
-            del work[m]
     return rem, mult
 
 
@@ -156,7 +185,7 @@ def buchberger(gens):
 
     def add_pairs(i):
         for j in range(i):
-            l = tuple(max(x, y) for x, y in zip(leads[i], leads[j]))
+            l = tuple(map(max, leads[i], leads[j]))
             heapq.heappush(pairs, (degrevlex_key(l), i, j, l))
 
     def spoly(i, j, l):
@@ -165,8 +194,8 @@ def buchberger(gens):
         f, g, lf, lg = basis[i], basis[j], leads[i], leads[j]
         h = gcd(f[lf], g[lg])
         s = {}
-        _sub_scaled(s, f, -(g[lg] // h), tuple(a - b for a, b in zip(l, lf)))
-        _sub_scaled(s, g, f[lf] // h, tuple(a - b for a, b in zip(l, lg)))
+        _sub_scaled(s, f, -(g[lg] // h), tuple(map(sub, l, lf)))
+        _sub_scaled(s, g, f[lf] // h, tuple(map(sub, l, lg)))
         return s
 
     for i in range(len(basis)):
@@ -184,7 +213,7 @@ def buchberger(gens):
             continue  # chain criterion
         r = _reduce(spoly(i, j, l), basis, leads)[0]
         if r:
-            lead = leading_monomial(r)
+            lead = next(iter(r))
             if not any(lead):
                 return GB(tuple(gens), (((lead, Fraction(1)),),), nvars)
             basis.append(_primitive(r))
@@ -216,17 +245,53 @@ def torus_has_zero(polys):
     """Whether the system has a common zero with all coordinates nonzero
     over the algebraic closure of Q.
 
-    Adjoins t*x1*...*xn - 1 and tests for the unit ideal; False is a proof of
-    emptiness over the closure."""
+    Adjoins t*x1*...*xn - 1 (:func:`_rabinowitsch_system`) and tests for
+    the unit ideal; False is a proof of emptiness over the closure."""
+    system = _rabinowitsch_system(polys)
+    return not system or not buchberger(system).is_unit_ideal()
+
+
+def _rabinowitsch_system(polys):
+    """The nonzero ``polys`` in one more variable t, followed by
+    t*x1*...*xn - 1; empty when every one of ``polys`` is zero.  Appending
+    a zero exponent keeps each polynomial's terms clean and in order."""
     polys = [g for g in polys if not g.is_zero()]
     if not polys:
-        return True
+        return []
     n = polys[0].nvars
-    extended = [SparsePoly(n + 1, {e + (0,): c for e, c in g.terms.items()})
-                for g in polys]
-    rabinowitsch = SparsePoly(n + 1, {(1,) * (n + 1): 1, (0,) * (n + 1): -1})
-    gb = buchberger(extended + [rabinowitsch])
-    return not gb.is_unit_ideal()
+    clean = SparsePoly._of_clean_terms
+    return [clean(n + 1, {e + (0,): c for e, c in g.terms.items()})
+            for g in polys] + [clean(n + 1, {(0,) * (n + 1): Fraction(-1),
+                                             (1,) * (n + 1): Fraction(1)})]
+
+
+def _hermite_coordinates(basis, vectors):
+    """The integer coordinates of each of ``vectors`` in the rows ``basis``
+    of a row Hermite normal form, by forward substitution.
+
+    Row k's first nonzero entry (its pivot) lies left of those of the rows
+    after it, so the entry of v at row k's pivot column, less what rows
+    0..k-1 put there, is a_k times the pivot.  Raises VerificationError when
+    that division leaves a remainder or something of v is left at the end:
+    v is then outside the lattice of ``basis``."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    out = []
+    for v in vectors:
+        rest = list(v)
+        coords = []
+        for row, j in zip(basis, pivots):
+            a, r = divmod(rest[j], row[j])
+            if r:
+                break
+            if a:
+                rest = [x - a * y for x, y in zip(rest, row)]
+            coords.append(a)
+        if len(coords) < len(basis) or any(rest):
+            raise VerificationError(
+                "%r is not in the lattice of the Hermite basis %r"
+                % (tuple(v), basis))
+        out.append(tuple(coords))
+    return out
 
 
 def face_torus_polynomial(face_poly):
@@ -234,17 +299,18 @@ def face_torus_polynomial(face_poly):
     f_sigma with at least two terms.
 
     m0 is the first support exponent, the rows of B are the Hermite basis of
-    the lattice spanned by the differences of the support exponents, and
-    F has d = rank B variables and exponents shifted to be >= 0 (a0 is the
-    shift), so F(0) != 0."""
-    m0 = next(iter(face_poly.terms))
-    diffs = {m: vec_sub(m, m0) for m in face_poly.terms}
-    columns = list(zip(*hermite_basis(list(diffs.values()))))
-    coords = {m: tuple(int(a) for a in solve(columns, v))
-              for m, v in diffs.items()}
-    low = [min(a) for a in zip(*coords.values())]
-    return SparsePoly(len(low), {vec_sub(coords[m], low): c
-                                 for m, c in face_poly.terms.items()})
+    the lattice spanned by the differences of the support exponents, read
+    by :func:`_hermite_coordinates`, and F has d = rank B variables and
+    exponents shifted to be >= 0 (a0 is the shift), so F(0) != 0.  Distinct
+    exponents have distinct coordinates, so F's terms are f_sigma's
+    coefficients, each once."""
+    terms = face_poly.terms
+    m0 = next(iter(terms))
+    diffs = [vec_sub(m, m0) for m in terms]
+    coords = _hermite_coordinates(hermite_basis(diffs), diffs)
+    low = [min(a) for a in zip(*coords)]
+    return SparsePoly._of_clean_terms(len(low), dict(sorted(
+        (vec_sub(a, low), c) for a, c in zip(coords, terms.values()))))
 
 
 def nondegeneracy_report(f):

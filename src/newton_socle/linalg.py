@@ -5,10 +5,11 @@ sequences of row tuples.  Sizes here are desk scale, so plain elimination
 with exact arithmetic is the right tool, but it never runs on ``Fraction``
 entries.  Each row is turned once into a primitive integer row: scaled by
 the lcm of its denominators and divided by the gcd of its entries (this
-keeps its span).  :func:`_row_reduce` is the one Gauss–Jordan routine behind
-``rref``, ``rank``, ``solve`` and ``kernel_basis``: it cancels each pivot by
-integer cross-multiplication and divides every row it changes by its gcd, so
-the rows stay primitive.  :func:`_bareiss`, behind ``det``, is Bareiss's
+keeps its span); a row of ``int`` entries skips the scaling.
+:func:`_row_reduce` is the one Gauss–Jordan routine behind ``rref``,
+``rank``, ``solve`` and ``kernel_basis``: it cancels each pivot by integer
+cross-multiplication and divides every row it changes by its gcd, so the
+rows stay primitive.  :func:`_bareiss`, behind ``det``, is Bareiss's
 fraction-free elimination on integer rows (E. H. Bareiss, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math. Comp.
 22 (1968)); ``signed_minors`` runs the same exact division by the previous
@@ -42,12 +43,22 @@ def _integer_row(v):
     return d, [x.numerator * (d // x.denominator) for x in v]
 
 
+def _all_int(v):
+    """Whether every entry of ``v`` is an ``int`` (``Fraction`` and ``bool``
+    entries are not)."""
+    for x in v:
+        if type(x) is not int:
+            return False
+    return True
+
+
 def primitive(v):
     """Primitive integer vector spanning the same ray as ``v`` (direction kept).
 
-    Accepts rational entries; returns the zero vector unchanged.
+    Accepts rational entries; returns the zero vector unchanged.  An integer
+    vector goes straight to its gcd; any other is first scaled to integers.
     """
-    w = _integer_row(v)[1]
+    w = v if _all_int(v) else _integer_row(v)[1]
     g = gcd(*w)
     if g <= 1:
         return tuple(w)
@@ -212,15 +223,20 @@ def _bareiss(mat):
 
 
 def det(rows):
-    """Exact determinant: each row is scaled to integers by the lcm of its
-    denominators and the integer matrix goes through :func:`_bareiss`."""
+    """Exact determinant, as a ``Fraction``: integer rows go to
+    :func:`_bareiss` as they are, and any other row is first scaled to
+    integers by the lcm of its denominators."""
     n = len(rows)
     scale = 1
     mat = []
     for r in rows:
-        d, w = _integer_row(r[:n])
-        scale *= d
-        mat.append(w)
+        r = r[:n]
+        if _all_int(r):
+            mat.append(list(r))
+        else:
+            d, w = _integer_row(r)
+            scale *= d
+            mat.append(w)
     return Fraction(_bareiss(mat), scale)
 
 

@@ -292,7 +292,12 @@ class CertifiedSpans:
         start beyond the cap is refused before building, naming the
         truncation it needs.  A truncation whose algebra is above
         ``MAX_ALGEBRA_MONOMIALS`` is refused (CapError) before it is
-        built."""
+        built.
+
+        A store whose first build certified has k0 in hand, and no degree
+        cap applies to it: it answers at the truncation the escalation
+        would reach without a cap, the first d from the start with
+        d >= k0, then max(d, k0 + 4)."""
         if D is not None:
             if D < min_D:
                 raise TruncationError("truncation D=%d below the required "
@@ -303,13 +308,18 @@ class CertifiedSpans:
             return self._span(D)
         cap = 40 if self.nvars <= 2 else 20
         start = max(4, 2 * max(g.total_degree() for g in self.gens))
+        if self.first_D is not None and self.k0 is None:
+            self._build_first(start)
+        if self.source is not None:
+            d = max(start, min_D)
+            while d < self.k0:
+                d += 2
+            return self._span(max(d, self.k0 + 4))
         if start > max(cap, min_D) and (self.nvars > 2 or start > cap + 2):
             raise TruncationError(
                 "the escalation would start at D=%d, beyond the cap %d: give "
                 "a truncation of at least %d (--trunc) to try it"
                 % (start, cap, start))
-        if self.first_D is not None and self.k0 is None:
-            self._build_first(start)
         start = max(start, min_D)
         d = start
         while d <= max(cap, start):

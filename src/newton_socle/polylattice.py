@@ -57,8 +57,11 @@ INFINITY = _Infinity()
 # Sparse polynomials
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"^\s*(?:(\d+(?:/\d+)?)\s*\*?\s*)?((?:x\d+(?:\^\d+)?(?:\s*\*\s*)?)*)\s*$")
-_VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
+# The term and variable patterns of :meth:`SparsePoly.parse`, compiled on the
+# first parse (``re`` caches them), so that a launch reading only JSON
+# polynomials compiles neither.
+_TERM_PATTERN = r"^\s*(?:(\d+(?:/\d+)?)\s*\*?\s*)?((?:x\d+(?:\^\d+)?(?:\s*\*\s*)?)*)\s*$"
+_VAR_PATTERN = r"x(\d+)(?:\^(\d+))?"
 
 
 def exact_int(x):
@@ -71,8 +74,8 @@ def exact_int(x):
 class SparsePoly:
     """Finitely supported exponent -> rational coefficient map.
 
-    Immutable; zero coefficients are never stored and every exponent tuple has
-    length ``nvars``.
+    Immutable; zero coefficients are never stored, every exponent tuple has
+    length ``nvars``, and the terms are in increasing exponent order.
     """
 
     __slots__ = ("nvars", "terms")
@@ -96,6 +99,18 @@ class SparsePoly:
         raise AttributeError("SparsePoly is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of_clean_terms(cls, nvars, terms):
+        """The polynomial with exactly these ``terms``, taken as they are:
+        ``Fraction`` coefficients, none zero, and exponent tuples of ``int``
+        >= 0 of length ``nvars``, in increasing order.  Only for terms
+        derived from an existing polynomial, whose exponents and
+        coefficients ``__init__`` has already checked."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     @classmethod
     def zero(cls, nvars):
@@ -138,10 +153,11 @@ class SparsePoly:
             raise InputError("trailing operator in %r" % text)
         chunks.append((sign, buf))
 
+        term_re, var_re = re.compile(_TERM_PATTERN), re.compile(_VAR_PATTERN)
         raw = []
         maxvar = 0
         for sign, chunk in chunks:
-            m = _TERM_RE.match(chunk)
+            m = term_re.match(chunk)
             if not m:
                 raise InputError("cannot parse term %r" % chunk.strip())
             try:
@@ -149,7 +165,7 @@ class SparsePoly:
             except ZeroDivisionError:
                 raise InputError("zero denominator in %r" % chunk.strip()) from None
             exps = {}
-            for vm in _VAR_RE.finditer(m.group(2) or ""):
+            for vm in var_re.finditer(m.group(2) or ""):
                 idx = int(vm.group(1))
                 if idx < 1:
                     raise InputError("variable indices start at x1")
@@ -249,8 +265,8 @@ class SparsePoly:
 
     def x_ddx(self, i):
         """The operator x_i * d/dx_i (keeps the support inside the original)."""
-        return SparsePoly(self.nvars,
-                          {e: c * e[i] for e, c in self.terms.items()})
+        return SparsePoly._of_clean_terms(
+            self.nvars, {e: c * e[i] for e, c in self.terms.items() if e[i]})
 
     def restrict_to_axis(self, i):
         """Terms supported on the i-th coordinate axis only."""
@@ -692,8 +708,9 @@ def face_parts(g, faces):
                 else:
                     terms.append((e, c, mask))
         need = sum(1 << j for j in face.tight_facets)
-        out.append(SparsePoly(g.nvars, {e: c for e, c, mask in tight[id(poly)]
-                                        if mask & need == need}))
+        out.append(SparsePoly._of_clean_terms(
+            g.nvars, {e: c for e, c, mask in tight[id(poly)]
+                      if mask & need == need}))
     return out
 
 

@@ -6,13 +6,17 @@ every reduction step, and ``buchberger`` takes the smallest index pair
 first and runs every S-pair to the end, also once the ideal is the unit
 ideal.  A reduced Groebner basis is unique, so the package's
 ``buchberger`` must return the same basis, and ``torus_has_zero`` built on
-this loop must give the same verdicts.
+this loop must give the same verdicts.  ``face_torus_polynomial`` is the
+per-term ``Fraction`` solve that the package's lattice substitution
+replaced, and ``rabinowitsch_system`` builds the torus system through the
+validating ``SparsePoly`` constructor.
 """
 
 from fractions import Fraction
 
 from newton_socle.errors import InputError
 from newton_socle.grobner import GB, degrevlex_key, leading_monomial
+from newton_socle.linalg import hermite_basis, solve, vec_sub
 from newton_socle.polylattice import SparsePoly
 
 
@@ -137,12 +141,33 @@ def torus_has_zero(polys):
 
     Adjoins t*x1*...*xn - 1 and tests for the unit ideal; False is a proof of
     emptiness over the closure."""
+    system = rabinowitsch_system(polys)
+    return not system or not buchberger(system).is_unit_ideal()
+
+
+def rabinowitsch_system(polys):
+    """The nonzero polys in one more variable t, and t*x1*...*xn - 1, each
+    through the validating ``SparsePoly`` constructor."""
     polys = [g for g in polys if not g.is_zero()]
     if not polys:
-        return True
+        return []
     n = polys[0].nvars
     extended = [SparsePoly(n + 1, {e + (0,): c for e, c in g.terms.items()})
                 for g in polys]
-    rabinowitsch = SparsePoly(n + 1, {(1,) * (n + 1): 1, (0,) * (n + 1): -1})
-    gb = buchberger(extended + [rabinowitsch])
-    return not gb.is_unit_ideal()
+    return extended + [SparsePoly(n + 1, {(1,) * (n + 1): 1,
+                                          (0,) * (n + 1): -1})]
+
+
+def face_torus_polynomial(face_poly):
+    """The F of ``newton_socle.grobner.face_torus_polynomial`` by the route
+    it took before its lattice substitution: one ``Fraction`` solve per term
+    against the columns of the Hermite basis, each coordinate then cut to
+    an ``int``, and F built through the validating constructor."""
+    m0 = next(iter(face_poly.terms))
+    diffs = {m: vec_sub(m, m0) for m in face_poly.terms}
+    columns = list(zip(*hermite_basis(list(diffs.values()))))
+    coords = {m: tuple(int(a) for a in solve(columns, v))
+              for m, v in diffs.items()}
+    low = [min(a) for a in zip(*coords.values())]
+    return SparsePoly(len(low), {vec_sub(coords[m], low): c
+                                 for m, c in face_poly.terms.items()})

@@ -482,6 +482,17 @@ def test_residue_escalation_start_beyond_the_cap_is_tried():
     assert code == 0 and rep["value"] == "1"
 
 
+# The log span's first build certifies, at D = 28 with k0 = 22 and at
+# D = 48 with k0 = 42, and the run answers from it; the escalation caps (20
+# in three variables, 40 in two) used to stop both with exit 3, the second
+# before that build.
+@pytest.mark.parametrize("text", ["x1^7+x2^8+x3^9", "x1^20+x2^23"])
+def test_verify_all_answers_from_a_certifying_first_build(text):
+    code, rep = run_json(["verify-all", "--poly", text, "--seed", "1"])
+    assert code == 0
+    assert rep["checks"] and all(rep["checks"].values())
+
+
 TRUNC_COMMANDS = {
     "socle-order": ["socle-order", "--poly", "x1^2 + x2^3"],
     "residue": ["residue", "--g", "x1*x2^2", "--system", "2*x1^2; 3*x2^3"],

@@ -309,18 +309,6 @@ def test_range_scan_matches_one_degree_scans(cone, top, interior):
 # Poincare series
 # ---------------------------------------------------------------------------
 
-def test_graded_piece_accessor():
-    from newton_socle import graded_piece
-    face = edge_face("x1^2 + x2^3")
-    fc = face_cone(face)
-    piece = graded_piece(fc, None, Fraction(5, 6), interior=True)
-    assert piece.monomials == ((1, 1),)
-    piece2 = graded_piece(fc, None, 1, interior=False)
-    assert set(piece2.monomials) == {(2, 0), (0, 3)}
-    # degrees outside the value group have empty pieces
-    assert graded_piece(fc, None, Fraction(1, 5)).monomials == ()
-
-
 def test_poincare_orthant_unit_grading():
     ps = poincare_series(cone_from_rays([(1, 0), (0, 1)]), (1, 1), 6)
     assert ps.module_dims == {Fraction(k): k - 1 for k in range(2, 7)}

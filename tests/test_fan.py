@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from newton_socle import (SparsePoly, cone_from_rays, dual_cone, dual_fan,
+from newton_socle import (SparsePoly, cone_from_rays, dual_fan,
                           fan_from_json, interior_rays, is_regular,
                           multiplicity, newton_polyhedron, regularize,
                           support_function)
@@ -32,46 +32,6 @@ from face_oracles import (brute_cone_faces, brute_meets_in_faces,
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 from perfbench.workloads import SURFACES, k_support  # noqa: E402
-
-
-ORTHANT_2 = cone_from_rays([(1, 0), (0, 1)])
-
-
-# ---------------------------------------------------------------------------
-# Dual cones
-# ---------------------------------------------------------------------------
-
-def test_orthant_self_dual():
-    assert dual_cone(ORTHANT_2) == ORTHANT_2
-
-
-def test_dual_of_ray_is_halfplane():
-    c = cone_from_rays([(3, 2)])
-    d = dual_cone(c)
-    assert d.dim == 2
-    assert (2, -3) in d.rays and (-2, 3) in d.rays
-    # every generator pairs nonnegatively against (3, 2)
-    assert all(dot((3, 2), r) >= 0 for r in d.rays)
-    assert dual_cone(d) == c
-
-
-def test_dual_of_two_dim_cone():
-    c = cone_from_rays([(1, 0), (3, 2)])
-    d = dual_cone(c)
-    assert set(d.rays) == {(0, 1), (2, -3)}
-    assert dual_cone(d) == c
-
-
-def test_dual_involution_random():
-    rng = random.Random(3)
-    for n in (2, 3):
-        for _ in range(15):
-            rays = [tuple(rng.randint(0, 4) for _ in range(n))
-                    for _ in range(n)]
-            c = cone_from_rays(rays)
-            if c.dim != n:
-                continue
-            assert dual_cone(dual_cone(c)) == c
 
 
 @given(supports(max_vars=3, convenient=True))

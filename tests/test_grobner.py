@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from newton_socle import (SparsePoly, buchberger, compact_faces, face_part,
-                          newton_polyhedron, nondegenerate,
+                          face_parts, newton_polyhedron, nondegenerate,
                           nondegeneracy_report, torus_has_zero)
 from newton_socle import grobner
-from newton_socle.errors import InputError
+from newton_socle.errors import InputError, VerificationError
 from newton_socle.grobner import face_torus_polynomial
 from newton_socle.linalg import det, hermite_basis, rank, solve
 
@@ -302,3 +302,80 @@ def test_index_two_edge_reduces_to_one_variable():
     assert report["nondegenerate"]
     assert [e["method"] for e in report["faces"]] == \
         ["monomial", "monomial", "groebner-Q"]
+
+
+def same_terms(got, want):
+    """``==``, and the same terms in the same order with the same types."""
+    assert got == want
+    assert [(e, c, type(c)) for e, c in got.terms.items()] == \
+        [(e, c, type(c)) for e, c in want.terms.items()]
+
+
+@st.composite
+def face_supports(draw):
+    """A polynomial of 2-6 terms in 2-4 variables with p/q coefficients,
+    standing in for a face part.  Half of the supports are k*P + s, so that
+    their differences span a lattice of index k^rank (k = 2, 3)."""
+    n = draw(st.integers(2, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                           min_size=2, max_size=6, unique=True))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 3))
+        shift = draw(st.tuples(*[st.integers(0, 2)] * n))
+        points = [tuple(k * x + y for x, y in zip(p, shift)) for p in points]
+    coeff = st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                      st.integers(1, 3))
+    return SparsePoly(n, {p: draw(coeff) for p in points})
+
+
+@given(face_supports())
+@settings(max_examples=200, deadline=None)
+def test_lattice_substitution_matches_the_solve_route(fs):
+    F = face_torus_polynomial(fs)
+    same_terms(F, oracle.face_torus_polynomial(fs))
+    m0 = next(iter(fs.terms))
+    assert F.nvars == rank([tuple(a - b for a, b in zip(m, m0))
+                            for m in fs.terms])
+
+
+def test_lattice_substitution_on_the_index_two_edge():
+    for text in ("x1^4 + 2*x1^2*x2^2 + x2^4", "x1^4 + x1^2*x2^2 + x2^4",
+                 "x1^6 + x1^4*x2^2 + x1^2*x2^4 + 3*x2^6"):
+        fs = poly(text)
+        same_terms(face_torus_polynomial(fs), oracle.face_torus_polynomial(fs))
+
+
+def test_lattice_substitution_raises_off_the_lattice():
+    # the differences of the index-two edge x1^4, x1^2*x2^2, x2^4
+    basis = hermite_basis([(0, 0), (-2, 2), (-4, 4)])
+    assert basis == [(2, -2)]
+    assert grobner._hermite_coordinates(basis, [(2, -2), (-4, 4)]) == \
+        [(1,), (-2,)]
+    # in the span but not in the lattice, and outside the span
+    for v in ((1, -1), (1, 0), (0, 2)):
+        with pytest.raises(VerificationError):
+            grobner._hermite_coordinates(basis, [v])
+
+
+@given(systems(max_terms=4))
+@settings(max_examples=100, deadline=None)
+def test_clean_constructions_equal_the_validating_ones(gens):
+    # x_i d/dx_i, the Rabinowitsch system and every face part are built
+    # without validating their terms again; the validating constructor
+    # gives the same polynomials, terms in the same order
+    for g in gens:
+        for i in range(g.nvars):
+            same_terms(g.x_ddx(i), SparsePoly(g.nvars, {
+                e: c * e[i] for e, c in g.terms.items()}))
+    system = grobner._rabinowitsch_system(gens)
+    want = oracle.rabinowitsch_system(gens)
+    assert len(system) == len(want)
+    for got, expected in zip(system, want):
+        same_terms(got, expected)
+    f = sum(gens[1:], gens[0])
+    if f.is_zero() or any(sum(e) == 0 for e in f.terms):
+        return
+    faces = compact_faces(newton_polyhedron(f))
+    for face, part in zip(faces, face_parts(f, faces)):
+        same_terms(part, SparsePoly(f.nvars, {
+            e: c for e, c in f.terms.items() if face.contains(e)}))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from newton_socle import (SparsePoly, buchberger, cone_from_rays, dual_cone,
+from newton_socle import (SparsePoly, buchberger, cone_from_rays,
                           fan_from_json, grothendieck_residue, is_regular,
                           newton_polyhedron, poincare_series, regularize)
 from newton_socle.errors import VerificationError
@@ -42,26 +42,6 @@ def test_hull_certificates_random_3d():
         # each vertex is a support point tight on n independent facets
         for v in D.vertices:
             assert v in supp
-
-
-def test_dual_cone_certificates_random():
-    rng = random.Random(1000)
-    for n in (2, 3, 4):
-        for _ in range(10):
-            gens = [tuple(rng.randint(0, 3) for _ in range(n))
-                    for _ in range(rng.randint(1, n + 1))]
-            if all(all(x == 0 for x in g) for g in gens):
-                continue
-            c = cone_from_rays(gens)
-            d = dual_cone(c, n)
-            # duality pairing is nonnegative both ways
-            for r in c.rays:
-                for s in d.rays:
-                    assert dot(r, s) >= 0
-            # dual facet normals are the primitive cone generators
-            for l in c.facet_normals:
-                assert all(dot(l, r) >= 0 for r in c.rays)
-            assert dual_cone(d, n).rays == c.rays
 
 
 def test_groebner_spolys_reduce_to_zero():

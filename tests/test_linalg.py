@@ -117,6 +117,29 @@ def test_primitive_matches_the_fraction_oracle(v):
     same(linalg.primitive(v), oracle.primitive(v))
 
 
+def as_fractions(rows):
+    """The same entries, each a ``Fraction``, so that they take the
+    rational route."""
+    return [tuple(map(Fraction, r)) for r in rows]
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+    min_size=n, max_size=n)), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_integer_paths_match_the_rational_path(rows, q):
+    # integer vectors skip the scaling to integers; Fraction vectors, with
+    # denominator 1 or q, take it
+    same(linalg.det(rows), linalg.det(as_fractions(rows)))
+    same(linalg.det(rows) / q ** len(rows),
+         linalg.det([[Fraction(x, q) for x in r] for r in rows]))
+    for v in rows + [[]]:
+        same(linalg.primitive(v), linalg.primitive(as_fractions([v])[0]))
+        same(linalg.primitive(v),
+             linalg.primitive([Fraction(x, q) for x in v]))
+        same(linalg.primitive(tuple(v)), oracle.primitive(v))
+
+
 def test_edge_shapes():
     for rows in ([], [()], [(0, 0, 0)], [(0, 0), (0, 0)],
                  [(1, 2, 3, 4, 5, 6, 7)], [(1,), (2,), (Fraction(1, 2),)]):

@@ -246,6 +246,28 @@ def test_a_store_with_a_first_build_answers_as_one_without(text, min_D,
     assert _normal_forms(span) == _normal_forms(fresh)
 
 
+# A store whose first build certifies answers where the degree cap would
+# refuse, at the truncation the escalation reaches without the cap (here
+# k0 + 4, as the start lies below k0); a store without a first build keeps
+# the refusal.
+@pytest.mark.parametrize("text, refusal", [
+    ("x1^7+x2^8+x3^9", "no finite-colength certificate up to D=20"),
+    ("x1^20+x2^23", "the escalation would start at D=46, beyond the cap 40"),
+])
+def test_a_certifying_first_build_answers_beyond_the_degree_cap(text,
+                                                                 refusal):
+    f = poly(text)
+    gens = ideal_generators(f)[0]
+    store = CertifiedSpans(gens, interior_truncation(newton_polyhedron(f)))
+    span = store.certified()
+    assert span.algebra.D == span.m_power_bound + 4
+    fresh = build_ideal(gens, span.algebra.D)
+    assert span.m_power_bound == fresh.m_power_bound
+    assert _normal_forms(span) == _normal_forms(fresh)
+    with pytest.raises(TruncationError, match=refusal):
+        certified_ideal(gens)
+
+
 def test_socle_newton_order_cusp():
     report = socle_newton_order(poly("x1^2 + x2^3"))
     assert report["nu_socle"] == Fraction(7, 6)

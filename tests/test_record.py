@@ -167,14 +167,14 @@ def test_each_launch_loads_only_what_its_command_runs(launch):
 # shows.
 EXPORTED = """
     CanonicalQuotient CapError Cone FaceCone FaceDescriptor Fan GB
-    GradedPiece GradingForm INFINITY IdealSpan InputError LatticeSpace
+    GradingForm INFINITY IdealSpan InputError LatticeSpace
     MinorTable NewtonPolyhedron RayData RegularizationError ResidueResult
     SparsePoly TruncatedLocalAlgebra TruncationError VerificationError
     buchberger build_ideal canonical_quotient certified_ideal
     check_minor_identity check_ones_column_identity class_nonzero
-    compact_faces cone_from_rays coset_newton_order dual_cone dual_fan
+    compact_faces cone_from_rays coset_newton_order dual_fan
     face_cone face_derivatives face_part face_parts faces fan_from_json
-    graded_piece grading_form grothendieck_residue ideal_generators
+    grading_form grothendieck_residue ideal_generators
     interior_rays is_regular jacobian_multiplication_check koszul_check
     koszul_top_dimension lattice_space member monomial_residue multiplicity
     newton_order newton_polyhedron nondegeneracy_report nondegenerate
@@ -218,3 +218,24 @@ def test_one_launch_builds_two_argument_parsers(monkeypatch):
     args = cli.build_parser().parse_args(["polyhedron", "--poly", "x1^2"])
     assert built == ["newton-socle", "newton-socle polyhedron"]
     assert args.func is cli.cmd_polyhedron and args.poly == "x1^2"
+
+
+def test_term_patterns_compile_on_the_first_literal_parse():
+    # a JSON polynomial is read without compiling the literal patterns; the
+    # first literal parse compiles them
+    out = fresh_interpreter(
+        "import re\n"
+        "compiled = []\n"
+        "real = re.compile\n"
+        "def recording(pattern, flags=0):\n"
+        "    compiled.append(pattern)\n"
+        "    return real(pattern, flags)\n"
+        "re.compile = recording\n"
+        "from newton_socle import polylattice\n"
+        "own = {polylattice._TERM_PATTERN, polylattice._VAR_PATTERN}\n"
+        "polylattice.SparsePoly.from_json("
+        "'{\"nvars\": 1, \"terms\": [{\"e\": [2], \"c\": \"1\"}]}')\n"
+        "print(sorted(own & set(compiled)) == [])\n"
+        "polylattice.SparsePoly.parse('x1^2 + 3*x2')\n"
+        "print(own <= set(compiled))\n")
+    assert out.split() == ["True", "True"]

@@ -198,6 +198,7 @@ def invocations():
     out.append(("fan --regular K=10", ["fan", "--poly", k10, "--regular"]))
     # and its Buchberger runs: the degenerate K=10 faces and every pool cubic
     out.append(("nondeg K=10", ["nondeg", "--poly", k10, "--seed", "1"]))
+    out.append(("nondeg K=14", ["nondeg", "--poly", k14, "--seed", "1"]))
     for i, cubic in enumerate(load_expected("geometry")["cubic_pool"]):
         out.append(("nondeg cubic %d" % i,
                     ["nondeg", "--poly", cubic, "--seed", "1"]))
@@ -253,6 +254,10 @@ def invocations():
     out.append(("koszul triangle S=7",
                 ["koszul", "--polytope", "[[0,0],[7,0],[0,7]]",
                  "--trials", "1"]))
+    # the log span's first build certifies beyond the escalation caps
+    for f in ("x1^7+x2^8+x3^9", "x1^20+x2^23"):
+        out.append(("verify-all " + f,
+                    ["verify-all", "--poly", f, "--seed", "1"]))
     out.append(("fractional exponent",
                 ["polyhedron", "--poly",
                  '{"nvars": 1, "terms": [{"e": [1.5], "c": "1"}]}']))
