@@ -16,9 +16,9 @@ the denominator at the point and 0 on every kernel vector.  As the rows are
 independent, the unit combinations supported on coordinates k-1..n-1 are
 in one-to-one correspondence with the solutions of the Cramer system, so a
 subset is singular for both or for neither, and a Cramer answer that passes
-is the unique combination on the slice.  :func:`chain_coefficients_direct`
-keeps the second route whole: it solves the square system of the point and
-the kernel vectors for c.
+is the unique combination on the slice.  The second route whole, which
+solves the square system of the point and the kernel vectors for c, is a
+test oracle (``tests/combid_oracles.py``).
 
 The signed sum over orderings of the chain products is one pass over
 subsets by size, T(∅) = 1 and
@@ -141,33 +141,6 @@ def _full_slice(M, s):
     return full
 
 
-def _slice_coefficients(M, s, rows):
-    """``(nums, dens)`` with c_l^I = nums[l - k + 1] / dens[l - k + 1],
-    solved from the slice parametrization, or None when I is empty or the
-    combination is not unique.  ``rows`` is sorted."""
-    k = len(rows)
-    if not k:
-        return None
-    n = len(M[0])
-    mat, pivots, L = _slice_parametrization(M, s, rows)
-    point = [0] * n
-    for row, p in zip(mat, pivots):
-        point[p] = row[n] * (L // row[p])
-    system = [point[k - 1:] + [L]]
-    for f in sorted(set(range(n)) - set(pivots)):
-        v = [0] * n
-        v[f] = L
-        for row, p in zip(mat, pivots):
-            v[p] = -row[f] * (L // row[p])
-        system.append(v[k - 1:] + [0])
-    m = n - k + 1
-    if _row_reduce(system, m + 1) != list(range(m)):
-        return None
-    nums = [row[m] for row in system]
-    dens = [row[i] for i, row in enumerate(system)]
-    return nums, dens
-
-
 def _on_slice(param, k, nums, den):
     """Whether sum_l nums[l - k + 1] x_l = den on E_I, for the k rows of
     I: the Cramer numerators substituted into the point and every kernel
@@ -197,18 +170,6 @@ def chain_coefficients_cramer(table, index_set):
         return None
     nums, den = got
     return {l: Fraction(x, den) for l, x in enumerate(nums, len(rows) - 1)}
-
-
-def chain_coefficients_direct(table, index_set):
-    """Same coefficients from the defining property: the combination of the
-    coordinate covectors k..n restricted to the slice E_I equals 1.  None when
-    the restricted system is singular."""
-    rows = sorted(index_set)
-    got = _slice_coefficients(table.scaled, table.scale, rows)
-    if got is None:
-        return None
-    return {l: Fraction(x, d)
-            for l, (x, d) in enumerate(zip(*got), len(rows) - 1)}
 
 
 def _subset_plan(nrows, max_size):

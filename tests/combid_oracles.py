@@ -9,6 +9,10 @@ the signed chain sum runs over every ordering of a subset, so they serve
 only the small tables of the tests.  The package's functions of the same
 names must return the same values, of the same types.  Tables are
 ``newton_socle.MinorTable``s.
+
+``slice_coefficients`` is the integer form of ``chain_coefficients_direct``
+on the package's slice parametrization, which its Cramer coefficients are
+compared against.
 """
 
 from fractions import Fraction
@@ -16,8 +20,37 @@ from itertools import combinations, permutations
 import random
 
 from linalg_oracles import det, kernel_basis, rank, solve
-from newton_socle.combid import MinorTable
+from newton_socle.combid import MinorTable, _slice_parametrization
 from newton_socle.errors import InputError, VerificationError
+from newton_socle.linalg import _row_reduce
+
+
+def slice_coefficients(M, s, rows):
+    """``(nums, dens)`` with c_l^I = nums[l - k + 1] / dens[l - k + 1],
+    solved from the slice parametrization of the integer matrix ``M`` =
+    s·A, or None when I is empty or the combination is not unique.
+    ``rows`` is sorted."""
+    k = len(rows)
+    if not k:
+        return None
+    n = len(M[0])
+    mat, pivots, L = _slice_parametrization(M, s, rows)
+    point = [0] * n
+    for row, p in zip(mat, pivots):
+        point[p] = row[n] * (L // row[p])
+    system = [point[k - 1:] + [L]]
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[f] = L
+        for row, p in zip(mat, pivots):
+            v[p] = -row[f] * (L // row[p])
+        system.append(v[k - 1:] + [0])
+    m = n - k + 1
+    if _row_reduce(system, m + 1) != list(range(m)):
+        return None
+    nums = [row[m] for row in system]
+    dens = [row[i] for i, row in enumerate(system)]
+    return nums, dens
 
 
 def _sign_of_sequence(seq):

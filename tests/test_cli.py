@@ -18,7 +18,7 @@ from newton_socle.cli import main
 from conftest import supports
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
-from perfbench.workloads import CURVES, SURFACES  # noqa: E402
+from perfbench.workloads import CURVES, SURFACES, k_support  # noqa: E402
 
 
 def run_cli(argv, env_seed=None):
@@ -654,8 +654,7 @@ def test_detlemma_above_the_row_cap_is_refused(monkeypatch):
     # one trial visits all 2^rows row subsets, so nothing may run
     def never(*_):
         raise AssertionError("a chain coefficient was computed")
-    for name in ("_cramer_coefficients", "_slice_parametrization",
-                 "_slice_coefficients"):
+    for name in ("_cramer_coefficients", "_slice_parametrization"):
         monkeypatch.setattr(newton_socle.combid, name, never)
     cap = newton_socle.combid.MAX_TRIAL_ROWS
     err = io.StringIO()
@@ -742,3 +741,129 @@ def test_report_json_round_trip(tmp_path):
     assert code == 0
     rep = json.loads(out_file.read_text())
     assert json.loads(json.dumps(rep)) == rep
+
+
+# ---------------------------------------------------------------------------
+# The process entry point, cli.launch
+# ---------------------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(newton_socle.__file__))
+# a 130 kB polyhedron report, twice a 64 KiB pipe buffer
+K100 = k_support(100)
+
+
+@pytest.fixture
+def launch_env(monkeypatch):
+    """One environment for in-process runs and the processes they are
+    compared with: no seed override, an 80-column help text, and a
+    block-buffered stdout, so that a report must be flushed."""
+    monkeypatch.delenv("NEWTON_SOCLE_SEED", raising=False)
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("PYTHONPATH", SRC)
+
+
+def in_process(argv):
+    """``main(argv)``'s exit code, stdout and stderr, the last two as
+    bytes."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def launched(argv, code=None, **kwargs):
+    """The exit code, stdout and stderr of a process that runs ``argv``
+    through ``python -m newton_socle.cli``, or through the ``-c`` program
+    ``code``."""
+    prefix = ["-m", "newton_socle.cli"] if code is None else ["-c", code]
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    proc = subprocess.run([sys.executable] + prefix + argv,
+                          stderr=subprocess.PIPE, timeout=60, **kwargs)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def k100_report():
+    code, out, _ = in_process(["polyhedron", "--poly", K100])
+    assert code == 0 and len(out) > 65536
+    return out
+
+
+def test_launch_writes_a_report_beyond_a_pipe_buffer(launch_env, k100_report):
+    assert launched(["polyhedron", "--poly", K100]) == (0, k100_report, b"")
+
+
+def test_launch_completes_an_out_file(launch_env, k100_report, tmp_path):
+    out = tmp_path / "report.json"
+    assert launched(["polyhedron", "--poly", K100, "--out", str(out)]) == \
+        (0, b"", b"")
+    assert out.read_bytes() == k100_report
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify-all", "--poly", "x1^2 + x2^3"], 0),
+    (["nondeg", "--poly", k_support(10)], 1),
+    (["polyhedron", "--poly", "x1^^2"], 2),
+    (["polyhedron", "--vars", "2"], 2),
+    (["--help"], 0),
+], ids=["verify-all", "degenerate-K=10", "malformed-literal", "usage-error",
+        "help"])
+def test_launch_keeps_the_exit_code_and_output(launch_env, argv, code):
+    got = launched(argv)
+    assert got[0] == code
+    assert got == in_process(argv)
+    if argv == ["--help"]:
+        assert got[1].startswith(b"usage: newton-socle")
+        assert b"full verification pipeline" in got[1]
+
+
+def test_launch_runs_atexit_handlers(launch_env):
+    argv = ["nu", "--poly", "x1^2 + x2^3", "--g", "x1*x2"]
+    code = ("import atexit, sys\n"
+            "from newton_socle.cli import launch\n"
+            "atexit.register(sys.stdout.write, 'handler ran\\n')\n"
+            "launch()\n")
+    _, out, err = in_process(argv)
+    assert launched(argv, code) == (0, out + b"handler ran\n", err)
+
+
+@pytest.mark.parametrize("body, stderr_has", [
+    ("cli.main = lambda: 1 / 0", b"ZeroDivisionError"),
+    ("cli.main = lambda: sys.exit('stopped')", b"stopped"),
+], ids=["exception", "string-exit"])
+def test_launch_leaves_other_exits_to_the_interpreter(launch_env, body,
+                                                      stderr_has):
+    code = ("import atexit, sys\n"
+            "import newton_socle.cli as cli\n"
+            "atexit.register(sys.stderr.write, 'handler ran\\n')\n"
+            + body + "\ncli.launch()\n")
+    rc, out, err = launched([], code)
+    assert rc == 1 and not out
+    assert stderr_has in err and err.endswith(b"handler ran\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--poly", "x1^2+x2^3"],
+    ["polyhedron", "--poly", K100],
+], ids=["verify-all", "polyhedron-K=100"])
+def test_launch_on_a_closed_stdout_exits_1(launch_env, monkeypatch, argv,
+                                           unbuffered):
+    # a buffered 3 kB report meets the closed pipe when launch flushes it,
+    # any other one when main writes it
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        code, _, err = launched(argv, stdout=w)
+    finally:
+        os.close(w)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith(b"output error: ")
+    assert b"Traceback" not in err and b"Exception ignored" not in err

@@ -5,10 +5,11 @@
 Each tree is a checkout of this repository.  Every invocation of a fixed
 list runs as ``python -m newton_socle.cli ...`` with ``PYTHONPATH`` set to
 ``<tree>/src``, once per tree (the two side by side), from a temporary
-directory that holds the fan files some invocations read.  One line is
-printed per invocation: ``same`` when stdout, stderr and the exit code
-agree byte for byte, else ``DIFF`` with both exit codes and the first line
-where stdout, and where stderr, differ.  The exit status is 0 when every
+directory that holds the fan files some invocations read, with stdout
+block-buffered as it is by default.  One line is printed per invocation:
+``same`` when stdout, stderr and the exit code agree byte for byte, else
+``DIFF`` with both exit codes and the first line where stdout, and where
+stderr, differ.  The exit status is 0 when every
 invocation agrees and 1 otherwise.  Standard library only, besides this
 checkout's ``perfbench`` inputs and ``src``, which gives the admissible
 faces ``kbar`` is run on.
@@ -208,6 +209,9 @@ def invocations():
         out.append(("polyhedron K=%d" % K, ["polyhedron", "--poly", kK]))
         out.append(("fan K=%d" % K, ["fan", "--poly", kK]))
         out.append(("nondeg K=%d" % K, ["nondeg", "--poly", kK, "--seed", "1"]))
+    # a report larger than a 64 KiB pipe buffer, written out before the
+    # process ends without the interpreter's teardown
+    out.append(("polyhedron K=100", ["polyhedron", "--poly", k_support(100)]))
     # x1^2*x2 + x2^3 fails the axis condition before any face system is
     # built; the other two have a degenerate face, whose system Buchberger
     # runs to a full basis
@@ -267,6 +271,8 @@ def invocations():
 def run(tree, argv, cwd):
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     env.pop("NEWTON_SOCLE_SEED", None)
+    # stdout block-buffered, as a user's pipe is, so reports are flushed
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.run([sys.executable, "-m", "newton_socle.cli"] + argv,
                           capture_output=True, env=env, cwd=cwd)
     return proc.returncode, proc.stdout, proc.stderr
