@@ -5,15 +5,23 @@ Exit codes: 0 all checks pass, 1 a verification check failed, 2 malformed
 input, 3 a truncation, subdivision or size cap was hit.
 
 Start-up is most of a short launch, so each command imports the modules it
-runs inside its own function and only the dispatched command's parser is
-built: ``--help`` loads no compute module at all.  The process entry point
-is :func:`launch`, which ends the process without the interpreter's
-teardown; :func:`main` returns its exit code to in-process callers.
+runs inside its own function.  A plain command line, a command name and its
+options written out in full as ``--name value``, is read off the option
+table ``_COMMANDS`` without argparse, whose import and first use cost about
+4 ms.  Argparse is imported and built only for the other lines: help, usage
+errors, and the forms that reading leaves out (``--name=value``,
+abbreviations, repeats, negative numbers, ``--``), so that their text and
+their parse stay argparse's own.  It builds the parser of the dispatched
+command alone, and ``--help`` loads no compute module.
+
+The process entry point is :func:`launch`, which ends the process without
+the interpreter's teardown; :func:`main` returns its exit code to
+in-process callers.
 """
 
-import argparse
 import os
 import sys
+import types
 
 from .errors import (CapError, InputError, RegularizationError,
                      TruncationError, VerificationError)
@@ -357,151 +365,157 @@ def cmd_verify_all(args):
     return report, EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
-class _SubCommands(argparse._SubParsersAction):
-    """Sub-commands that cost a name and a help line each until argparse
-    dispatches to one: only that command's parser is built, so a launch
-    builds the parser of the one command it runs."""
+# ---------------------------------------------------------------------------
+# Options
+# ---------------------------------------------------------------------------
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.choices = self._commands = {}
+# An option is its flag and the keyword arguments of argparse's add_argument
+# for it; its dest is the flag's, as argparse derives it.  Both parsers read
+# these: _parse_plain and the argparse parser that build_parser builds.
+_POLY = ("--poly", {"required": True,
+                    "help": "polynomial file or literal (x1..xn grammar)"})
+_VARS = ("--vars", {"type": int,
+                    "help": "number of variables (inferred when omitted)"})
+_SEED = ("--seed", {"type": int, "default": 0})
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
+_G = ("--g", {"required": True})
+_H = ("--h", {"required": True})
+_TRUNC = ("--trunc", {"type": int})
+_COMMON = (_POLY, _VARS, _SEED, _FORMAT,
+           ("--out", {"help": "output path (default stdout)"}))
+_REPORT = (_SEED, _FORMAT, ("--out", {}))
 
-    def add_command(self, name, func, populate, help):
-        """A sub-command ``name`` that runs ``func``; ``populate(parser)``
-        adds its arguments when its parser is built."""
-        self._commands[name] = (func, populate)
-        self._choices_actions.append(
-            self._ChoicesPseudoAction(name, (), help))
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        if name not in self._name_parser_map:
-            func, populate = self._commands[name]
-            sub = self.add_parser(name)
-            populate(sub)
-            sub.set_defaults(func=func)
-        super().__call__(parser, namespace, values, option_string)
-
-
-def _common(p):
-    p.add_argument("--poly", required=True,
-                   help="polynomial file or literal (x1..xn grammar)")
-    p.add_argument("--vars", type=int, default=None,
-                   help="number of variables (inferred when omitted)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-
-
-def _fan_args(p):
-    _common(p)
-    p.add_argument("--regular", action="store_true")
-    p.add_argument("--fan", default=None,
-                   help="fan JSON to use in place of the dual fan")
-
-
-def _nu_args(p):
-    _common(p)
-    p.add_argument("--g", required=True)
-
-
-def _socle_order_args(p):
-    _common(p)
-    p.add_argument("--trunc", type=int, default=None)
-
-
-def _kbar_args(p):
-    _common(p)
-    p.add_argument("--face", type=int, required=True,
-                   help="index into the admissible faces")
-
-
-def _residue_args(p):
-    p.add_argument("--g", required=True)
-    p.add_argument("--system", required=True,
-                   help="JSON array file or ';'-joined literals")
-    p.add_argument("--vars", type=int, default=None)
-    p.add_argument("--trunc", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None)
+# command name -> (function, help line, options), in the order of --help
+_COMMANDS = {
+    "polyhedron": (cmd_polyhedron, "vertices, facets and faces", _COMMON),
+    "fan": (cmd_fan, "dual fan, optionally regularized", _COMMON + (
+        ("--regular", {"action": "store_true", "default": False}),
+        ("--fan", {"help": "fan JSON to use in place of the dual fan"}))),
+    "nu": (cmd_nu, "Newton order of g for the polyhedron of f",
+           _COMMON + (_G,)),
+    "nondeg": (cmd_nondeg, "nondegeneracy with per-face detail", _COMMON),
+    "socle-order": (cmd_socle_order, "Newton order of the socle",
+                    _COMMON + (_TRUNC,)),
+    "kbar": (cmd_kbar, "graded quotient data for one face", _COMMON + (
+        ("--face", {"type": int, "required": True,
+                    "help": "index into the admissible faces"}),)),
+    "residue": (cmd_residue, "Grothendieck residue of g against a system", (
+        _G,
+        ("--system", {"required": True,
+                      "help": "JSON array file or ';'-joined literals"}),
+        ("--vars", {"type": int}), _TRUNC) + _REPORT),
+    "verify-thm1": (cmd_verify_thm1, "interior support implies membership",
+                    _COMMON + (_H, _TRUNC)),
+    "verify-thm2": (cmd_verify_thm2, "residue nonvanishing for a face",
+                    _COMMON + (_H, ("--face", {"type": int, "required": True}),
+                               ("--r", {"type": int, "required": True}),
+                               _TRUNC)),
+    "detlemma": (cmd_detlemma, "random trials of the minor identities", (
+        ("--rows", {"type": int, "required": True}),
+        ("--cols", {"type": int, "required": True}),
+        ("--trials", {"type": int, "default": 100})) + _REPORT),
+    "koszul": (cmd_koszul, "lattice Koszul quotient and trace value", (
+        ("--polytope", {"required": True,
+                        "help": "preset name, JSON file, or JSON literal"}),
+        ("--trials", {"type": int, "default": 3})) + _REPORT),
+    "verify-all": (cmd_verify_all, "full verification pipeline", _COMMON + (
+        _TRUNC, ("--detlemma-trials", {"type": int, "default": 25}))),
+}
 
 
-def _thm1_args(p):
-    _common(p)
-    p.add_argument("--h", required=True)
-    p.add_argument("--trunc", type=int, default=None)
-
-
-def _thm2_args(p):
-    _common(p)
-    p.add_argument("--h", required=True)
-    p.add_argument("--face", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--trunc", type=int, default=None)
-
-
-def _detlemma_args(p):
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None)
-
-
-def _koszul_args(p):
-    p.add_argument("--polytope", required=True,
-                   help="preset name, JSON file, or JSON literal")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None)
-
-
-def _verify_all_args(p):
-    _common(p)
-    p.add_argument("--trunc", type=int, default=None)
-    p.add_argument("--detlemma-trials", type=int, default=25)
+def _parse_plain(argv):
+    """The attributes ``build_parser().parse_args(argv)`` sets, as a dict,
+    when ``argv`` is a plain line: a command name, then its options, each
+    at most once, written out in full as ``--name value`` (a ``store_true``
+    flag bare), no value led by '-', each value of its option's type and
+    choices, and every required option given.  None for any other line,
+    which is argparse's to parse: help, usage errors, and the forms this
+    reading leaves out, such as ``--name=value``, abbreviations, repeats,
+    negative numbers and ``--``."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    func, _, options = command
+    declared = dict(options)
+    given = {}
+    rest = iter(argv[1:])
+    for flag in rest:
+        kwargs = declared.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(rest, None)
+        if value is None or value.startswith("-"):
+            return None
+        convert = kwargs.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError):
+                return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    fields = {"command": argv[0], "func": func}
+    for flag, kwargs in options:
+        if flag not in given and kwargs.get("required"):
+            return None
+        fields[flag[2:].replace("-", "_")] = given.get(flag,
+                                                      kwargs.get("default"))
+    return fields
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The argparse parser of every command, for the lines
+    :func:`_parse_plain` declines.  Argparse builds the parser of the one
+    command it dispatches to, and writes help and usage errors."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            # argparse's writer swallows an OSError: a --help launch on a
+            # closed stdout would exit 0 without a word
+            (file or sys.stdout).write(self.format_help())
+
+    class SubCommands(argparse._SubParsersAction):
+        """Sub-commands that cost a name and a help line each until
+        argparse dispatches to one, which alone has its parser built."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.choices = _COMMANDS
+            for name, (_, summary, _) in _COMMANDS.items():
+                self._choices_actions.append(
+                    self._ChoicesPseudoAction(name, (), summary))
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            name = values[0]
+            if name not in self._name_parser_map:
+                func, _, options = _COMMANDS[name]
+                sub = self.add_parser(name)
+                for flag, kwargs in options:
+                    sub.add_argument(flag, **kwargs)
+                sub.set_defaults(func=func)
+            super().__call__(parser, namespace, values, option_string)
+
+    parser = Parser(
         prog="newton-socle",
         description="Exact Newton-polyhedron invariants of polynomial "
                     "singularities and their mechanical verification.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                action=_SubCommands)
-    sub.add_command("polyhedron", cmd_polyhedron, _common,
-                    help="vertices, facets and faces")
-    sub.add_command("fan", cmd_fan, _fan_args,
-                    help="dual fan, optionally regularized")
-    sub.add_command("nu", cmd_nu, _nu_args,
-                    help="Newton order of g for the polyhedron of f")
-    sub.add_command("nondeg", cmd_nondeg, _common,
-                    help="nondegeneracy with per-face detail")
-    sub.add_command("socle-order", cmd_socle_order, _socle_order_args,
-                    help="Newton order of the socle")
-    sub.add_command("kbar", cmd_kbar, _kbar_args,
-                    help="graded quotient data for one face")
-    sub.add_command("residue", cmd_residue, _residue_args,
-                    help="Grothendieck residue of g against a system")
-    sub.add_command("verify-thm1", cmd_verify_thm1, _thm1_args,
-                    help="interior support implies membership")
-    sub.add_command("verify-thm2", cmd_verify_thm2, _thm2_args,
-                    help="residue nonvanishing for a face")
-    sub.add_command("detlemma", cmd_detlemma, _detlemma_args,
-                    help="random trials of the minor identities")
-    sub.add_command("koszul", cmd_koszul, _koszul_args,
-                    help="lattice Koszul quotient and trace value")
-    sub.add_command("verify-all", cmd_verify_all, _verify_all_args,
-                    help="full verification pipeline")
+    parser.add_subparsers(dest="command", required=True, action=SubCommands)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    fields = _parse_plain(argv)
+    if fields is None:
+        args = build_parser().parse_args(argv)
+    else:
+        args = types.SimpleNamespace(**fields)
     env_seed = os.environ.get("NEWTON_SOCLE_SEED")
     if env_seed is not None and hasattr(args, "seed"):
         try:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import newton_socle
+from newton_socle import cli
 from newton_socle.cli import main
 
 from conftest import supports
@@ -744,6 +745,90 @@ def test_report_json_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The plain reading of a command line, against argparse
+# ---------------------------------------------------------------------------
+
+# The forms of a line that the plain reading leaves to argparse.
+FLAWS = ("equals", "abbreviation", "negative", "repeat", "help", "dash-dash",
+         "bad-type", "bad-choice", "dash-led", "flag-value", "unknown",
+         "missing", "no-value", "positional", "command")
+
+
+def option_value(kwargs):
+    """A value that the option of add_argument ``kwargs`` takes."""
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    if kwargs.get("type") is int:
+        return st.integers(0, 10 ** 6).map(str) | st.sampled_from(
+            ["+3", " 7 ", "1_0", "007"])
+    return st.text("x12^+* -=;.", max_size=8).filter(
+        lambda v: not v.startswith("-"))
+
+
+@st.composite
+def command_lines(draw):
+    """``(argv, flaw)``: a line drawn from the CLI's option table, and the
+    form of FLAWS it has (None for a plain line)."""
+    flaw = draw(st.none() | st.sampled_from(FLAWS))
+    name = "fan" if flaw == "flag-value" else draw(
+        st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._COMMANDS[name][2]
+    groups = {}
+    for flag, kwargs in options:
+        if kwargs.get("required") or draw(st.booleans()):
+            groups[flag] = [flag] if "action" in kwargs else \
+                [flag, draw(option_value(kwargs))]
+    valued = [o for o in options if "action" not in o[1]]
+    ints = [o for o in options if o[1].get("type") is int]
+    if flaw in ("equals", "abbreviation", "repeat", "dash-led"):
+        flag, kwargs = draw(st.sampled_from(valued))
+        value = draw(option_value(kwargs))
+        groups[flag] = {"equals": [flag + "=" + value],
+                        "abbreviation": [flag[:-1], value],
+                        "repeat": [flag, value, flag, value],
+                        "dash-led": [flag, "-x1^2 + x2^3"]}[flaw]
+    elif flaw in ("negative", "bad-type"):
+        flag = draw(st.sampled_from(ints))[0]
+        groups[flag] = [flag, "-3" if flaw == "negative" else "two"]
+    elif flaw == "bad-choice":
+        groups["--format"] = ["--format", "yaml"]
+    elif flaw == "flag-value":
+        groups["--regular"] = ["--regular", "yes"]
+    elif flaw == "unknown":
+        groups["--bogus"] = ["--bogus", "1"]
+    elif flaw == "missing":
+        required = [flag for flag, kwargs in options if kwargs.get("required")]
+        del groups[draw(st.sampled_from(required))]
+    words = [w for g in draw(st.permutations(list(groups.values())))
+             for w in g]
+    if flaw == "no-value":
+        words.append(draw(st.sampled_from(valued))[0])
+    elif flaw in ("help", "dash-dash", "positional"):
+        word = {"help": draw(st.sampled_from(["-h", "--help"])),
+                "dash-dash": "--", "positional": "x1^2"}[flaw]
+        words.insert(draw(st.integers(0, len(words))), word)
+    elif flaw == "command":
+        name = draw(st.sampled_from([name[:-1], name.upper(), "--" + name]))
+    return [name] + words, flaw
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_plain_reading_agrees_with_argparse(line):
+    argv, flaw = line
+    fields = cli._parse_plain(argv)
+    assert (fields is None) == (flaw is not None)
+    if fields is not None:
+        assert fields == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [[], ["verify-all"], ["--help"],
+                                  ["--poly", "x1", "verify-all"]])
+def test_plain_reading_declines_a_line_without_its_command(argv):
+    assert cli._parse_plain(argv) is None
+
+
+# ---------------------------------------------------------------------------
 # The process entry point, cli.launch
 # ---------------------------------------------------------------------------
 
@@ -851,11 +936,13 @@ def test_launch_leaves_other_exits_to_the_interpreter(launch_env, body,
 @pytest.mark.parametrize("argv", [
     ["verify-all", "--poly", "x1^2+x2^3"],
     ["polyhedron", "--poly", K100],
-], ids=["verify-all", "polyhedron-K=100"])
+    ["--help"],
+    ["verify-all", "--help"],
+], ids=["verify-all", "polyhedron-K=100", "help", "verify-all-help"])
 def test_launch_on_a_closed_stdout_exits_1(launch_env, monkeypatch, argv,
                                            unbuffered):
-    # a buffered 3 kB report meets the closed pipe when launch flushes it,
-    # any other one when main writes it
+    # a buffered 3 kB report or help text meets the closed pipe when launch
+    # flushes it, any other one when main writes it
     monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
     r, w = os.pipe()
     os.close(r)

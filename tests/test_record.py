@@ -124,18 +124,22 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     assert out.strip() == "[]"
 
 
+# What argparse loads: a launch of a plain line leaves it unloaded.
+ARGPARSE = {"argparse", "gettext", "locale"}
+
 # Launches whose loaded modules are checked: argv, modules that must stay
 # unloaded, and package modules that must stay unloaded (None: any besides
 # the CLI and its errors).
 LAUNCHES = {
     "help": (["--help"], {"fractions", "decimal", "json"}, None),
-    "polyhedron": (["polyhedron", "--poly", "x1^2 + x2^3"], set(),
+    "polyhedron": (["polyhedron", "--poly", "x1^2 + x2^3"], ARGPARSE,
                    {"fan", "facering", "grobner", "localalg", "residue",
                     "combid", "context"}),
-    "verify-all": (["verify-all", "--poly", "x1^2 + x2^3"], set(), set()),
+    "verify-all": (["verify-all", "--poly", "x1^2 + x2^3", "--seed", "1"],
+                   ARGPARSE, set()),
     "detlemma": (["detlemma", "--rows", "3", "--cols", "5", "--trials", "1"],
-                 set(), {"polylattice", "fan", "facering", "grobner",
-                         "localalg", "residue", "context"}),
+                 ARGPARSE, {"polylattice", "fan", "facering", "grobner",
+                            "localalg", "residue", "context"}),
 }
 
 
@@ -157,6 +161,8 @@ def test_each_launch_loads_only_what_its_command_runs(launch):
     package = {m.split(".", 1)[1] for m in modules
                if m.startswith("newton_socle.")}
     assert not modules & (absent | {"dataclasses", "inspect"})
+    # help is argparse's to write
+    assert ("argparse" in modules) == (launch == "help")
     if absent_package is None:
         assert package <= {"cli", "errors"}
     else:
@@ -205,7 +211,7 @@ def test_package_exports_resolve_on_first_access():
     assert newton_socle.__version__ == "0.1.0"
 
 
-def test_one_launch_builds_two_argument_parsers(monkeypatch):
+def test_only_a_declined_line_builds_argument_parsers(monkeypatch, capsys):
     from newton_socle import cli
     built = []
     init = argparse.ArgumentParser.__init__
@@ -215,9 +221,14 @@ def test_one_launch_builds_two_argument_parsers(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    args = cli.build_parser().parse_args(["polyhedron", "--poly", "x1^2"])
+    assert cli.main(["polyhedron", "--poly", "x1^2"]) == 0
+    assert built == []
+    # a usage error builds the top-level parser and the command's alone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["polyhedron", "--vars", "2"])
+    assert exc.value.code == 2
     assert built == ["newton-socle", "newton-socle polyhedron"]
-    assert args.func is cli.cmd_polyhedron and args.poly == "x1^2"
+    assert "required: --poly" in capsys.readouterr().err
 
 
 def test_term_patterns_compile_on_the_first_literal_parse():

@@ -80,6 +80,26 @@ def invocations():
                                     "--vars", "two"]))
     for command in ("fan", "verify-all", "residue", "detlemma", "koszul"):
         out.append((command + " --help", [command, "--help"]))
+    # one line per form that the CLI's plain reading declines and leaves to
+    # argparse, and two that it reads itself (a choice, a dash-free value)
+    base = ["verify-all", "--poly", "x1^2 + x2^3"]
+    for ident, extra in (("--seed=1", ["--seed=1"]),
+                         ("abbreviated --det 3", ["--det", "3"]),
+                         ("--seed -1", ["--seed", "-1"]),
+                         ("repeated --seed", ["--seed", "1", "--seed", "2"]),
+                         ("-h", ["-h"]),
+                         ("trailing --", ["--"]),
+                         ("--format yaml", ["--format", "yaml"]),
+                         ("--format text", ["--format", "text"]),
+                         ("--seed two", ["--seed", "two"]),
+                         ("--seed without a value", ["--seed"])):
+        out.append(("verify-all " + ident, base + extra))
+    out.append(("verify-all dash-led --poly",
+                ["verify-all", "--poly", "-x1^2 + x2^3"]))
+    out.append(("fan --regular without --poly", ["fan", "--regular"]))
+    out.append(("fan --regular with a value",
+                ["fan", "--poly", "x1^2 + x2^3", "--regular", "yes"]))
+    out.append(("verify-all positional", ["verify-all", "x1^2 + x2^3"]))
     for item in CURVES + SURFACES:
         out.append(("verify-all " + item["poly"],
                     ["verify-all", "--poly", item["poly"], "--seed", "1"]))
