@@ -30,10 +30,10 @@ _EXPORTS = {
                  "ideal_generators", "jacobian_multiplication_check",
                  "member", "socle", "socle_newton_order",
                  "verify_interior_membership"),
-    "residue": ("LatticeSpace", "ResidueResult", "grothendieck_residue",
-                "koszul_check", "koszul_top_dimension", "lattice_space",
-                "monomial_residue", "trace_volume_check",
-                "verify_residue_nonvanishing", "volume_by_lattice_count"),
+    "residue": ("ResidueResult", "grothendieck_residue", "koszul_check",
+                "koszul_top_dimension", "monomial_residue",
+                "trace_volume_check", "verify_residue_nonvanishing",
+                "volume_by_lattice_count"),
     "combid": ("MinorTable", "check_minor_identity",
                "check_ones_column_identity", "random_minor_identity_trials"),
 }

@@ -4,15 +4,21 @@ index sets it collapses to the determinant with a ones column.
 
 The identities run on one integer matrix M = s·A, where s is a common
 denominator of A; ``Fraction`` is built only in what the public functions
-return.  The coefficients c_l^I making a unit combination on the affine
-slice E_I = {x : A_I x = 1} come from Cramer's rule on integer determinants,
+return.  Every minor and every slice below comes from one routine,
+``linalg._gauss_jordan``, Bareiss's fraction-free Gauss–Jordan elimination:
+its entries stay minors of its input, which is what this module reads, and
+its matrices are small and dense.  The coefficients c_l^I making a unit
+combination on the affine slice E_I = {x : A_I x = 1} come from Cramer's
+rule on integer determinants,
   c_l^I = det[m_l; M_I cols 0..k-2] / (s·det[1...1; M_I cols 0..k-2]),
-both expanded along their first row, so one set of cofactors serves every l
-(none when the denominator vanishes).  They are checked on every subset of
-two or more rows against a parametrization of the slice: one fraction-free
-elimination of [M_I | s] gives a point of E_I and one kernel vector per free
-column, and the Cramer numerators are substituted into them, which must give
-the denominator at the point and 0 on every kernel vector.  As the rows are
+both expanded along their first row, so one set of cofactors
+(``linalg.signed_minors``) serves every l (none when the denominator
+vanishes).  They are checked on every subset of two or more rows against a
+parametrization of the slice: one pass over [M_I | s] leaves every pivot
+entry equal to one minor d, so scaled by d the point of E_I with free
+coordinates 0 and the kernel vector of each free column are read off its
+rows, and the Cramer numerators substituted into them must give the
+denominator at the point and 0 on every kernel vector.  As the rows are
 independent, the unit combinations supported on coordinates k-1..n-1 are
 in one-to-one correspondence with the solutions of the Cramer system, so a
 subset is singular for both or for neither, and a Cramer answer that passes
@@ -24,7 +30,8 @@ The signed sum over orderings of the chain products is one pass over
 subsets by size, T(∅) = 1 and
 T(P) = c^P_{|P|-1} · Σ_{i∈P} (-1)^{#{p∈P : p>i}} · T(P∖{i}),
 grouping the orderings of P by their last element: 2^r·r products instead
-of Σ_k C(r,k)·k!·k.  Minors are integer Bareiss determinants of M."""
+of Σ_k C(r,k)·k!·k.  The minors it is compared with are integer
+determinants of M."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -33,7 +40,7 @@ import random
 
 from ._record import DERIVED, record
 from .errors import CapError, InputError, VerificationError
-from .linalg import _bareiss, _row_reduce, signed_minors
+from .linalg import _gauss_jordan, _int_det, signed_minors
 
 # The largest row count random trials accept.  A trial visits all 2^rows row
 # subsets, and the elimination for the Cramer cofactors of each subset
@@ -88,7 +95,7 @@ class MinorTable:
         cols = sorted(col_set)
         if len(rows) != len(cols):
             raise InputError("minor needs equal index counts")
-        return Fraction(_bareiss([[self.scaled[i][j] for j in cols]
+        return Fraction(_int_det([[self.scaled[i][j] for j in cols]
                                   for i in rows]),
                         self.scale ** len(rows))
 
@@ -96,7 +103,7 @@ class MinorTable:
 def _leading_minor(M, rows):
     """The integer minor of ``M`` on ``rows`` and the first |rows| columns."""
     k = len(rows)
-    return _bareiss([list(M[i][:k]) for i in rows])
+    return _int_det([list(M[i][:k]) for i in rows])
 
 
 def _cramer_coefficients(M, s, rows):
@@ -121,13 +128,14 @@ def _cramer_coefficients(M, s, rows):
 
 
 def _slice_parametrization(M, s, rows):
-    """The reduced [M_I | s], its pivot columns and L = lcm(d_i).  Row i
-    reads d_i x_{p_i} + sum_f e_if x_f = r_i over the free columns f, so
-    scaled by L the point of E_I with free x = 0 and the kernel vector of
-    each free column are integer.  ``rows`` is sorted and nonempty."""
+    """The reduced [M_I | s], its pivot columns and its common pivot entry
+    d (:func:`linalg._gauss_jordan`).  Row i reads d x_{p_i} + sum_f e_if
+    x_f = r_i over the free columns f, so scaled by d the point of E_I with
+    free x = 0 and the kernel vector of each free column are integer.
+    ``rows`` is sorted and nonempty."""
     mat = [list(M[j]) + [s] for j in rows]
-    pivots = _row_reduce(mat, len(M[0]) + 1)
-    return mat, pivots, lcm(*(row[p] for row, p in zip(mat, pivots)))
+    pivots, d, _ = _gauss_jordan(mat)
+    return mat, pivots, d
 
 
 def _full_slice(M, s):
@@ -145,19 +153,17 @@ def _on_slice(param, k, nums, den):
     """Whether sum_l nums[l - k + 1] x_l = den on E_I, for the k rows of
     I: the Cramer numerators substituted into the point and every kernel
     vector of ``param``, the slice parametrization of I."""
-    mat, pivots, L = param
+    mat, pivots, d = param
     n = len(mat[0]) - 1
-    # the point has x_{p_i} = L r_i / d_i and the kernel vector of a free f
-    # has x_f = L and x_{p_i} = -L e_if / d_i (both scaled by L), so with
-    # w_i = nums at p_i times L / d_i the substituted values are
-    # sum_i w_i r_i and L nums_f - sum_i w_i e_if
-    w = [nums[p - k + 1] * (L // row[p]) if p >= k - 1 else 0
-         for row, p in zip(mat, pivots)]
-    if sum(wi * row[n] for wi, row in zip(w, mat)) != den * L:
+    # scaled by d, the point has x_{p_i} = r_i and the kernel vector of a
+    # free f has x_f = d and x_{p_i} = -e_if, so with w_i = nums at p_i the
+    # substituted values are sum_i w_i r_i and d nums_f - sum_i w_i e_if
+    w = [nums[p - k + 1] if p >= k - 1 else 0 for p in pivots]
+    if sum(wi * row[n] for wi, row in zip(w, mat)) != den * d:
         return False
     free = set(range(n)).difference(pivots)
     return all(sum(wi * row[f] for wi, row in zip(w, mat))
-               == (nums[f - k + 1] * L if f >= k - 1 else 0) for f in free)
+               == (nums[f - k + 1] * d if f >= k - 1 else 0) for f in free)
 
 
 def chain_coefficients_cramer(table, index_set):
@@ -300,7 +306,7 @@ def _ones_column_identity(M, s, plan):
     out = {"ok": total == minor_sum, "sum": str(total),
            "minor_sum": str(minor_sum), "skipped": False}
     if len(M[0]) == r1 and all(sum(row) == s for row in M):
-        ones_det = Fraction(_bareiss([list(row[:r1 - 1]) + [s] for row in M]),
+        ones_det = Fraction(_int_det([list(row[:r1 - 1]) + [s] for row in M]),
                             s ** r1)
         plain_det = Fraction(_leading_minor(M, full), s ** r1)
         out["ones_column_det"] = str(ones_det)

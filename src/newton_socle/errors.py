@@ -21,9 +21,5 @@ class CapError(RuntimeError):
 
 
 class RegularizationError(RuntimeError):
-    """Fan regularization hit its iteration cap.  The partial fan is attached
-    so the caller can inspect how far subdivision got."""
-
-    def __init__(self, message, partial_fan=None):
-        super().__init__(message)
-        self.partial_fan = partial_fan
+    """Fan regularization hit its iteration cap; the message names the cap,
+    the singular cones left and their largest multiplicity."""

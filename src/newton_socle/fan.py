@@ -568,12 +568,10 @@ def _regularize_stellar(fan):
                        for i, side in enumerate(sides) if side > 0)
         cones = new
     singular = [simplex(t)[1] for t in cones if simplex(t)[1] > 1]
-    partial = fan_from_cones(n, [_simplex_cone(t, built) for t in cones],
-                             validate=False)
     raise RegularizationError(
         "stellar subdivision stopped at its cap of %d steps with %d singular "
         "cones left, of multiplicity up to %d"
-        % (STELLAR_STEPS, len(singular), max(singular)), partial_fan=partial)
+        % (STELLAR_STEPS, len(singular), max(singular)))
 
 
 def regularize(fan):

@@ -3,25 +3,31 @@
 Vectors are tuples of ``int`` or ``fractions.Fraction``; matrices are
 sequences of row tuples.  Sizes here are desk scale, so plain elimination
 with exact arithmetic is the right tool, but it never runs on ``Fraction``
-entries.  Each row is turned once into a primitive integer row: scaled by
-the lcm of its denominators and divided by the gcd of its entries (this
-keeps its span); a row of ``int`` entries skips the scaling.
-:func:`_row_reduce` is the one Gauss–Jordan routine behind ``rref``,
-``rank``, ``solve`` and ``kernel_basis``: it cancels each pivot by integer
-cross-multiplication and divides every row it changes by its gcd, so the
-rows stay primitive.  :func:`_bareiss`, behind ``det``, is Bareiss's
-fraction-free elimination on integer rows (E. H. Bareiss, "Sylvester's
-identity and multistep integer-preserving Gaussian elimination", Math. Comp.
-22 (1968)); ``signed_minors`` runs the same exact division by the previous
-pivot as one Gauss–Jordan pass.  ``Fraction`` is built only
-in what ``rref``, ``solve``, ``kernel_basis`` and ``det`` return.
+entries: each row is cleared of denominators once (scaled by the lcm of
+its denominators; a row of ``int`` entries skips this), and ``Fraction`` is
+built only in what the functions return.  Two eliminations do all the
+work, each picked by its job.
 
-Spans of sparse vectors (dicts from a column to its entry) go through
-:class:`Echelon` instead: the same primitive integer rows, kept sparse and
-pivoting on the largest column.  Callers number their columns once so that
-this is the pivot order they want (a truncated local algebra numbers its
-monomials in degrevlex order).  Ideal spans, face-ring quotients, parameter
-choice, the Jacobian injectivity check and the Koszul rank all use it.
+Row spaces go through :class:`Echelon`, a sparse echelon of primitive
+integer rows {column: entry} that pivots on the largest column.  Its
+elimination never touches a zero entry, and it divides rows by their
+content, so it serves tall and nearly empty systems: ideal spans, face-ring
+quotients, parameter choice, the socle's multiplication maps, the Jacobian
+injectivity check, the Koszul rank and the trace functional's solve.
+Callers number their columns once so that the pivot order is the one they
+want.  ``rref``,
+``rank``, ``solve`` and ``kernel_basis`` number the positions of a dense
+row right to left, so that the pivots are the leftmost positions and the
+reduced form (:meth:`Echelon.reduced_rows`) is the canonical RREF.
+
+Minors go through :func:`_gauss_jordan`, Bareiss's fraction-free
+Gauss–Jordan elimination of dense integer rows (E. H. Bareiss, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22 (1968)).  Every entry it leaves is a minor of its input, so one
+pass gives a determinant (``det``), all maximal minors of a (k-1) x k
+matrix (``signed_minors``) and the slice parametrizations of ``combid``.
+Its rows are never divided by their content, which is what keeps them
+minors, so it serves the small dense matrices whose minors are wanted.
 """
 
 from fractions import Fraction
@@ -65,64 +71,16 @@ def primitive(v):
     return tuple(x // g for x in w)
 
 
-def _row_reduce(mat, ncols):
-    """Fraction-free Gauss–Jordan elimination of integer rows.
-
-    ``mat`` is a list of integer lists, changed in place; primitive rows keep
-    the entries small, but any integer rows will do.  Pivots are chosen
-    left to right (first nonzero column, first row from the top that has it),
-    and each is cancelled from every other row ``row`` by ``row <- (p/g) row
-    - (a/g) pivot_row`` with ``g = gcd(a, p)``, after which the row is
-    divided by its gcd.  The result is the reduced echelon form up to a
-    nonzero integer scale per row.  Returns the pivot columns; ``mat[i]`` is
-    then the row with pivot ``pivots[i]``.
-    """
-    pivots = []
-    nrows = len(mat)
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        for i in range(r, nrows):
-            if mat[i][c]:
-                break
-        else:
-            continue
-        prow = mat[i]
-        mat[i] = mat[r]
-        mat[r] = prow
-        p = prow[c]
-        for i in range(nrows):
-            row = mat[i]
-            a = row[c]
-            if not a or i == r:
-                continue
-            g = gcd(a, p)
-            s, t = p // g, a // g
-            # prow is zero left of c, so there the row is only scaled
-            row = [s * x for x in row[:c]] + \
-                [s * x - t * y for x, y in zip(row[c:], prow[c:])]
-            h = gcd(*row)
-            mat[i] = [x // h for x in row] if h > 1 else row
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _primitive_rows(rows):
-    return [list(primitive(r)) for r in rows]
-
-
-def _primitive_sparse_row(terms, ncols):
-    """``list(primitive(v))`` for the row ``v`` of length ``ncols`` whose
-    nonzero entries are ``terms`` {column: rational}; the lcm and gcd run
-    over those entries only."""
-    ints, _ = _integral(terms)
-    g = gcd(*ints.values())
-    row = [0] * ncols
-    for j, x in ints.items():
-        row[j] = x // g
-    return row
+def _dense_echelon(rows):
+    """The :class:`Echelon` of the dense rows ``rows``: position j of a row
+    of length l is column l - 1 - j, so that the pivots are the leftmost
+    positions."""
+    ech = Echelon()
+    for r in rows:
+        last = len(r) - 1
+        terms = {last - j: x for j, x in enumerate(r) if x}
+        ech.insert(terms if _all_int(terms.values()) else _integral(terms)[0])
+    return ech
 
 
 def rref(rows):
@@ -132,19 +90,24 @@ def rref(rows):
     are chosen left to right (first nonzero column), which makes the result
     canonical for a fixed row span.  Entries are ``Fraction``.
     """
-    mat = _primitive_rows(rows)
-    if not mat:
+    if not rows:
         return [], []
-    pivots = _row_reduce(mat, len(mat[0]))
-    return [tuple(Fraction(x, row[c]) for x in row)
-            for row, c in zip(mat, pivots)], pivots
+    ncols = len(rows[0])
+    last = ncols - 1
+    red = _dense_echelon(rows).reduced_rows()
+    pivots = sorted(red, reverse=True)
+    out = []
+    for p in pivots:
+        row = red[p]
+        vec = [Fraction(0)] * ncols
+        for m, x in row.items():
+            vec[last - m] = Fraction(x, row[p])
+        out.append(tuple(vec))
+    return out, [last - p for p in pivots]
 
 
 def rank(rows):
-    mat = _primitive_rows(rows)
-    if not mat:
-        return 0
-    return len(_row_reduce(mat, len(mat[0])))
+    return len(_dense_echelon(rows).rows)
 
 
 def kernel_basis(rows, ncols=None):
@@ -158,73 +121,86 @@ def kernel_basis(rows, ncols=None):
             raise ValueError("ncols required for empty matrix")
         return [tuple(Fraction(int(i == j)) for j in range(ncols))
                 for i in range(ncols)]
-    return _integer_kernel(_primitive_rows(rows), len(rows[0]))
-
-
-def _integer_kernel(mat, ncols):
-    """``kernel_basis`` of the integer rows ``mat``, which it reduces in
-    place."""
-    pivots = _row_reduce(mat, ncols)
-    pivset = set(pivots)
+    ncols = len(rows[0])
+    last = ncols - 1
     basis = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
+    for terms in _dense_echelon(rows).kernel(ncols):
         vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(mat, pivots):
-            vec[pc] = Fraction(-row[fc], row[pc])
+        for m, x in terms.items():
+            vec[last - m] = x
         basis.append(tuple(vec))
     return basis
 
 
 def solve(rows, rhs):
-    """One exact solution of A x = b, or None if inconsistent."""
+    """One exact solution of A x = b, or None if inconsistent.
+
+    The right-hand side is column 0 of the augmented rows, the last pivot
+    candidate, so the system is inconsistent exactly when it is a pivot."""
     if not rows:
         return None
     ncols = len(rows[0])
-    mat = _primitive_rows(tuple(r) + (b,) for r, b in zip(rows, rhs))
-    pivots = _row_reduce(mat, ncols + 1)
-    if ncols in pivots:
+    ech = _dense_echelon(tuple(r) + (b,) for r, b in zip(rows, rhs))
+    if 0 in ech.rows:
         return None
     x = [Fraction(0)] * ncols
-    for row, pc in zip(mat, pivots):
-        x[pc] = Fraction(row[ncols], row[pc])
+    for p, row in ech.reduced_rows().items():
+        x[ncols - p] = Fraction(row.get(0, 0), row[p])
     return tuple(x)
 
 
-def _bareiss(mat):
-    """Determinant of a square integer matrix by Bareiss's fraction-free
-    elimination; ``mat`` is a list of int lists, changed in place.
+def _gauss_jordan(mat):
+    """Bareiss's fraction-free Gauss–Jordan elimination of the integer rows
+    ``mat`` (lists of one length), changed in place.
 
-    After step ``k`` every entry left is a ``(k+1)``-minor of the matrix, so
-    the division by the previous pivot is exact and the last pivot is the
-    determinant (up to the sign of the row swaps)."""
-    n = len(mat)
+    Pivots are chosen left to right (first nonzero column, first row from
+    the top that has it), and each is cancelled from every other row, the
+    rows above it too, with an exact division by the previous pivot: after
+    each step every entry is a minor of the input on the pivot rows and
+    columns so far, so every pivot entry is the last pivot d, the minor on
+    all pivot rows and columns up to the sign of the row swaps.  Row i of
+    ``mat[:len(pivots)]`` then reads d x_(p_i) + sum_f e_if x_f over the
+    free columns f, and the rows below it are zero.  Returns ``(pivots, d,
+    sign)``, with d = 1 when there is no pivot."""
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
     sign = 1
     prev = 1
-    for k in range(n):
-        if not mat[k][k]:
-            for i in range(k + 1, n):
-                if mat[i][k]:
-                    break
-            else:
-                return 0
-            mat[k], mat[i] = mat[i], mat[k]
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if mat[i][c]:
+                break
+        else:
+            continue
+        if i != r:
+            mat[r], mat[i] = mat[i], mat[r]
             sign = -sign
-        prow = mat[k]
-        p = prow[k]
-        for row in mat[k + 1:]:
-            a = row[k]
-            for j in range(k + 1, n):
-                row[j] = (p * row[j] - a * prow[j]) // prev
+        prow = mat[r]
+        p = prow[c]
+        for i, row in enumerate(mat):
+            if i != r:
+                a = row[c]
+                mat[i] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
         prev = p
-    return sign * prev
+        pivots.append(c)
+        r += 1
+    return pivots, prev, sign
+
+
+def _int_det(mat):
+    """Determinant of the square integer matrix ``mat`` (int lists, changed
+    in place)."""
+    pivots, d, sign = _gauss_jordan(mat)
+    return sign * d if len(pivots) == len(mat) else 0
 
 
 def det(rows):
     """Exact determinant, as a ``Fraction``: integer rows go to
-    :func:`_bareiss` as they are, and any other row is first scaled to
+    :func:`_gauss_jordan` as they are, and any other row is first scaled to
     integers by the lcm of its denominators."""
     n = len(rows)
     scale = 1
@@ -237,7 +213,7 @@ def det(rows):
             d, w = _integer_row(r)
             scale *= d
             mat.append(w)
-    return Fraction(_bareiss(mat), scale)
+    return Fraction(_int_det(mat), scale)
 
 
 def signed_minors(rows):
@@ -247,46 +223,20 @@ def signed_minors(rows):
     vector C is orthogonal to every row, and it is zero exactly when the
     rows are dependent.
 
-    One fraction-free Gauss–Jordan elimination (Bareiss's division by the
-    previous pivot, applied to the rows above the pivot as well) leaves
-    every pivot entry equal to d, the minor on the pivot columns up to the
-    sign of the row swaps, and the free column f holding the Cramer
-    numerators.  So x_f = d, x_(p_i) = -row_i[f] spans the kernel, and C is
-    that vector times (-1)^f and the swap sign.  Dependent rows leave more
-    than one free column, and C is then zero."""
+    After :func:`_gauss_jordan` every pivot entry is d, the minor on the
+    pivot columns up to the sign of the row swaps, and the free column f
+    holds the Cramer numerators.  So x_f = d, x_(p_i) = -row_i[f] spans the
+    kernel, and C is that vector times (-1)^f and the swap sign.  Dependent
+    rows leave more than one free column, and C is then zero."""
     k = len(rows) + 1
     mat = [list(r[:k]) for r in rows]
-    sign = 1
-    prev = 1
-    pivots, free = [], []
-    r = 0
-    for c in range(k):
-        for i in range(r, k - 1):
-            if mat[i][c]:
-                break
-        else:
-            free.append(c)
-            if len(free) > 1:
-                return [0] * k
-            continue
-        if i != r:
-            mat[r], mat[i] = mat[i], mat[r]
-            sign = -sign
-        prow = mat[r]
-        p = prow[c]
-        for i, row in enumerate(mat):
-            if i == r:
-                continue
-            a = row[c]
-            for j in range(k):
-                row[j] = (p * row[j] - a * prow[j]) // prev
-        prev = p
-        pivots.append(c)
-        r += 1
-    f, = free
+    pivots, d, sign = _gauss_jordan(mat)
+    if len(pivots) < k - 1:
+        return [0] * k
+    f, = set(range(k)).difference(pivots)
     s = sign if f % 2 == 0 else -sign
     out = [0] * k
-    out[f] = s * prev
+    out[f] = s * d
     for c, row in zip(pivots, mat):
         out[c] = -s * row[f]
     return out
@@ -327,7 +277,9 @@ class Echelon:
     insert integer rows without zero entries, clearing denominators
     themselves (:func:`_integral`).  Rows are primitive integer dicts with a
     positive pivot entry, and elimination is fraction-free: ``Fraction``
-    appears only where ``reduce`` hands its results back.  ``len(rows)`` is
+    appears only where ``reduce`` and ``kernel`` hand their results back.
+    Inserting leaves the rows in echelon form, whose tails may hold other
+    pivot columns; :meth:`reduced_rows` clears them.  ``len(rows)`` is
     the rank, and the pivot set (the keys of ``rows``) depends only on the
     span."""
 
@@ -398,6 +350,45 @@ class Echelon:
             row = {m: v // g for m, v in row.items()}
         self.rows[pivot] = row
         return True
+
+    def reduced_rows(self):
+        """Reduce every row against the others, in place, and return
+        ``rows``: then no row has an entry in another row's pivot column,
+        and each row is primitive with a positive pivot entry, so it is the
+        row of the reduced echelon form times a positive integer.  Rows are
+        taken by ascending pivot, so each row is cancelled against rows that
+        are already reduced, once per pivot column in its tail."""
+        rows = self.rows
+        for p in sorted(rows):
+            work = rows[p]
+            tail = [m for m in work if m != p and m in rows]
+            if not tail:
+                continue
+            work = dict(work)
+            for m in tail:
+                row = rows[m]
+                g = gcd(work[m], row[m])
+                a, b = row[m] // g, work[m] // g
+                if a != 1:
+                    for k in work:
+                        work[k] *= a
+                _sub_multiple(work, b, row)
+            g = gcd(*work.values())
+            rows[p] = {m: v // g for m, v in work.items()} if g > 1 else work
+        return rows
+
+    def kernel(self, ncols):
+        """Basis of the vectors over columns ``0..ncols-1`` orthogonal to
+        every row, one per free column f, largest f first: the dict with
+        x_f = 1 and x_p = -row_p[f] / row_p[p] at each pivot p of the
+        reduced rows (:meth:`reduced_rows`)."""
+        basis = {f: {f: Fraction(1)} for f in range(ncols - 1, -1, -1)
+                 if f not in self.rows}
+        for p, row in self.reduced_rows().items():
+            for m, x in row.items():
+                if m != p:
+                    basis[m][p] = Fraction(-x, row[p])
+        return list(basis.values())
 
 
 def hermite_basis(rows):

@@ -16,8 +16,7 @@ from operator import add, mul
 from ._record import record
 from .errors import (CapError, InputError, TruncationError,
                      VerificationError)
-from .linalg import (Echelon, _integer_kernel, _integral,
-                     _primitive_sparse_row)
+from .linalg import Echelon, _integral
 from .polylattice import (INFINITY, SparsePoly, newton_order,
                           newton_polyhedron)
 
@@ -357,22 +356,24 @@ def socle(span):
     if not basis:
         return []
     n = len(basis)
+    last = n - 1
     index = {m: i for i, m in enumerate(basis)}
     nvars = span.algebra.nvars
-    mat = []
+    # basis[j] is column last - j, so that the pivots are the first basis
+    # monomials and each socle element has coefficient 1 on the last basis
+    # monomial it involves, the normalization of kernel_basis
+    ech = Echelon()
     for v in range(nvars):
-        # rows[i][j]: the coefficient of basis[i] in x_v * basis[j]
+        # rows[i][last - j]: the coefficient of basis[i] in x_v * basis[j]
         rows = [{} for _ in basis]
         for j, b in enumerate(basis):
             shifted = b[:v] + (b[v] + 1,) + b[v + 1:]
             for m, c in span.reduce({shifted: Fraction(1)}).items():
-                rows[index[m]][j] = c
-        mat.extend(_primitive_sparse_row(r, n) for r in rows)
-    reps = []
-    for vec in _integer_kernel(mat, n):
-        reps.append(SparsePoly(nvars, {basis[j]: c for j, c in enumerate(vec)
-                                       if c != 0}))
-    return reps
+                rows[index[m]][last - j] = c
+        for r in rows:
+            ech.insert(_integral(r)[0])
+    return [SparsePoly(nvars, {basis[last - j]: c for j, c in vec.items()})
+            for vec in ech.kernel(n)]
 
 
 def ideal_generators(f):

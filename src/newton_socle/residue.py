@@ -214,31 +214,6 @@ def nonvanishing_residue(f, h, r, g, quotient, log_residue):
 # Lattice-point models on compact polytopes
 # ---------------------------------------------------------------------------
 
-@record
-class LatticeSpace:
-    polytope: tuple
-    dilation: int
-    interior: bool
-    points: tuple
-
-    def to_json(self):
-        return {"dilation": self.dilation, "interior": self.interior,
-                "points": [list(p) for p in self.points]}
-
-
-def lattice_space(polytope_points, dilation, interior=False):
-    """Lattice points of the dilated polytope, or of its interior."""
-    if dilation < 0:
-        raise InputError("dilation must be nonnegative")
-    pts = [tuple(p) for p in polytope_points]
-    if dilation == 0:
-        n = len(pts[0])
-        origin = (0,) * n
-        return LatticeSpace(tuple(pts), 0, interior, (origin,))
-    points = polytope_lattice_points(pts, interior=interior, dilation=dilation)
-    return LatticeSpace(tuple(pts), dilation, interior, tuple(sorted(points)))
-
-
 def koszul_top_dimension(polytope_points, gs):
     """Dimension of L((n+1)*interior) modulo the images of the g_i from
     L(n*interior); equals 1 for generic tuples with full Newton polytope.
@@ -256,12 +231,12 @@ def koszul_top_dimension(polytope_points, gs):
             raise InputError("section support leaves the polytope")
         if not verts <= supp:
             raise InputError("section does not have the full Newton polytope")
-    big = lattice_space(pts, n + 1, interior=True).points
+    big = polytope_lattice_points(pts, interior=True, dilation=n + 1)
     if len(big) > MAX_KOSZUL_MONOMIALS:
         raise CapError("the %d-dilate interior has %d lattice points, above "
                        "the cap of %d" % (n + 1, len(big),
                                           MAX_KOSZUL_MONOMIALS))
-    small = lattice_space(pts, n, interior=True).points
+    small = polytope_lattice_points(pts, interior=True, dilation=n)
     image = Echelon()
     image_dim = 0
     for g in gs:

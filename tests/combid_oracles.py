@@ -19,10 +19,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 import random
 
-from linalg_oracles import det, kernel_basis, rank, solve
+from linalg_oracles import det, kernel_basis, rank, rref, solve
 from newton_socle.combid import MinorTable, _slice_parametrization
 from newton_socle.errors import InputError, VerificationError
-from newton_socle.linalg import _row_reduce
 
 
 def slice_coefficients(M, s, rows):
@@ -34,23 +33,23 @@ def slice_coefficients(M, s, rows):
     if not k:
         return None
     n = len(M[0])
-    mat, pivots, L = _slice_parametrization(M, s, rows)
+    mat, pivots, d = _slice_parametrization(M, s, rows)
     point = [0] * n
     for row, p in zip(mat, pivots):
-        point[p] = row[n] * (L // row[p])
-    system = [point[k - 1:] + [L]]
+        point[p] = row[n] * (d // row[p])
+    system = [point[k - 1:] + [d]]
     for f in sorted(set(range(n)) - set(pivots)):
         v = [0] * n
-        v[f] = L
+        v[f] = d
         for row, p in zip(mat, pivots):
-            v[p] = -row[f] * (L // row[p])
+            v[p] = -row[f] * (d // row[p])
         system.append(v[k - 1:] + [0])
     m = n - k + 1
-    if _row_reduce(system, m + 1) != list(range(m)):
+    red, pivots = rref(system)
+    if pivots != list(range(m)):
         return None
-    nums = [row[m] for row in system]
-    dens = [row[i] for i, row in enumerate(system)]
-    return nums, dens
+    coeffs = [row[m] for row in red]
+    return [c.numerator for c in coeffs], [c.denominator for c in coeffs]
 
 
 def _sign_of_sequence(seq):

@@ -5,14 +5,13 @@ it moved to fraction-free elimination on primitive integer rows, with the
 functions it built on them.  They divide by every pivot, so each entry is a
 ``Fraction`` and every step normalizes it; they serve only the small
 matrices of the tests.  The package's functions of the same names must
-return the same values, of the same types.  ``signed_minors`` is the
-integer route through one determinant per minor.
+return the same values, of the same types.  ``signed_minors`` takes one
+``det`` of this module per minor, so that no oracle shares the package's
+elimination.
 """
 
 from fractions import Fraction
 from math import gcd
-
-from newton_socle.linalg import _bareiss
 
 
 def primitive(v):
@@ -139,7 +138,8 @@ def in_row_span(rows, vec):
 
 def signed_minors(rows):
     """``linalg.signed_minors`` as it was before one elimination gave all
-    the minors: k separate Bareiss determinants, one per deleted column."""
+    the minors: k separate determinants (:func:`det`), one per deleted
+    column."""
     k = len(rows) + 1
-    return [(-1) ** t * _bareiss([[*r[:t], *r[t + 1:]] for r in rows])
+    return [(-1) ** t * int(det([[*r[:t], *r[t + 1:]] for r in rows]))
             for t in range(k)]

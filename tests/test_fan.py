@@ -509,9 +509,8 @@ def test_stellar_cap_exits_3_and_names_the_cap(monkeypatch, capsys):
     assert main(["fan", "--poly", "x1^2+x2^3+x3^4", "--regular"]) == 3
     err = capsys.readouterr().err
     assert "cap of 2 steps" in err and "singular cones left" in err
-    with pytest.raises(RegularizationError) as info:
+    with pytest.raises(RegularizationError, match="cap of 2 steps"):
         regularize(dual_fan(newton_polyhedron(poly("x1^2+x2^3+x3^4"))))
-    assert not is_regular(info.value.partial_fan)
 
 
 def test_is_regular_examples():

@@ -1,11 +1,14 @@
-"""The integer Gauss–Jordan kernel of ``linalg``, its sparse ``Echelon``
-and its signed minors, against the ``Fraction`` elimination and the
-determinant-per-minor route they replaced (``linalg_oracles``).
+"""The two elimination kernels of ``linalg``, the sparse ``Echelon`` behind
+row spaces and the fraction-free Gauss–Jordan pass behind minors, and the
+functions built on them, against the ``Fraction`` elimination and
+determinant of ``linalg_oracles``.
 
 Results are compared by ``repr``, so a ``Fraction`` returned where an
 ``int`` was (or the reverse) counts as a difference."""
 
 from fractions import Fraction
+from math import gcd
+
 from hypothesis import given, settings, strategies as st
 
 from newton_socle import linalg
@@ -159,25 +162,29 @@ def test_edge_shapes():
 
 
 @st.composite
-def minor_matrices(draw):
-    """Integer (k-1) x k matrices, k = 1..6, full rank or not: some rows
+def integer_matrices(draw, nrows, ncols):
+    """Integer ``nrows`` x ``ncols`` matrices, full rank or not: some rows
     are zero or integer combinations of earlier rows."""
-    k = draw(st.integers(1, 6))
     rows = []
-    for _ in range(k - 1):
+    for _ in range(nrows):
         kind = draw(st.sampled_from(["random", "random", "random", "zero",
                                      "combination"]))
         if kind == "zero":
-            rows.append([0] * k)
+            rows.append([0] * ncols)
         elif kind == "combination" and rows:
             coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
                                    max_size=len(rows)))
             rows.append([sum(c * r[j] for c, r in zip(coeffs, rows))
-                         for j in range(k)])
+                         for j in range(ncols)])
         else:
-            rows.append(draw(st.lists(st.integers(-9, 9), min_size=k,
-                                      max_size=k)))
+            rows.append(draw(st.lists(st.integers(-9, 9), min_size=ncols,
+                                      max_size=ncols)))
     return rows
+
+
+def minor_matrices():
+    """Integer (k-1) x k matrices, k = 1..6."""
+    return st.integers(1, 6).flatmap(lambda k: integer_matrices(k - 1, k))
 
 
 @given(minor_matrices())
@@ -195,3 +202,91 @@ def test_signed_minors_edge_shapes():
     same(linalg.signed_minors([[0, 3]]), [3, 0])
     same(linalg.signed_minors([[1, 2, 3], [2, 4, 6]]), [0, 0, 0])
     same(linalg.signed_minors([[0, 1, 0], [1, 0, 0]]), [0, 0, -1])
+
+
+@st.composite
+def sparse_rows(draw):
+    """``(ncols, rows)``: rows {column: entry} over columns 0..ncols-1 with
+    int and p/q entries, a few entries each; some rows are empty, some
+    repeat an earlier row and some are combinations of earlier rows, so
+    the rank is often deficient."""
+    ncols = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat",
+                                     "combination"]))
+        if kind == "zero":
+            rows.append({})
+        elif kind == "repeat" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(ENTRIES, min_size=len(rows),
+                                   max_size=len(rows)))
+            row = {}
+            for c, r in zip(coeffs, rows):
+                for m, x in r.items():
+                    row[m] = row.get(m, 0) + c * x
+            rows.append({m: x for m, x in row.items() if x})
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1), max_size=4))
+            rows.append({m: draw(ENTRIES.filter(bool)) for m in cols})
+    return ncols, rows
+
+
+@given(sparse_rows())
+@settings(max_examples=300, deadline=None)
+def test_echelon_reduced_rows_and_kernel_match_the_fraction_oracle(shape):
+    ncols, rows = shape
+    last = ncols - 1
+    # column m of the echelon is position last - m of the dense row
+    dense = [tuple(r.get(last - j, 0) for j in range(ncols)) for r in rows]
+    ech = linalg.Echelon()
+    for r in rows:
+        ech.insert(linalg._integral(r)[0])
+    want, want_pivots = oracle.rref(dense)
+    red = ech.reduced_rows()
+    pivots = sorted(red, reverse=True)
+    assert [last - p for p in pivots] == want_pivots
+    got = []
+    for p in pivots:
+        row = red[p]
+        # primitive, with a positive pivot and no zero entry
+        assert row[p] > 0 and gcd(*row.values()) == 1 and all(row.values())
+        got.append(tuple(Fraction(row.get(last - j, 0), row[p])
+                         for j in range(ncols)))
+    same(got, want)
+    # reducing the rows in place keeps the span
+    assert not any(ech.reduce(r) for r in rows)
+    kernel = [tuple(v.get(last - j, Fraction(0)) for j in range(ncols))
+              for v in ech.kernel(ncols)]
+    same(kernel, oracle.kernel_basis(dense, ncols))
+
+
+@given(st.integers(1, 6).flatmap(matrices), st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_is_none_on_inconsistent_systems(rows, data):
+    ncols = len(rows[0])
+    rhs = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    # an equation repeated with another right-hand side, and a zero row
+    # with a nonzero one
+    for extra_row, b in ((rows[0], rhs[0] + 1), ((0,) * ncols, 1)):
+        assert linalg.solve(rows + [extra_row], rhs + [b]) is None
+        assert oracle.solve(rows + [extra_row], rhs + [b]) is None
+
+
+@given(st.integers(1, 5).flatmap(lambda r: st.integers(r, r + 3).flatmap(
+    lambda c: integer_matrices(r, c))))
+@settings(max_examples=300, deadline=None)
+def test_gauss_jordan_gives_the_rref_over_one_minor(rows):
+    mat = [list(r) for r in rows]
+    pivots, d, sign = linalg._gauss_jordan(mat)
+    want, want_pivots = oracle.rref(rows)
+    assert pivots == want_pivots
+    rank = len(pivots)
+    # every pivot entry is d, so the pivot rows over d are the rref, and
+    # the rows below them are zero
+    same([tuple(Fraction(x, d) for x in row) for row in mat[:rank]], want)
+    assert not any(any(row) for row in mat[rank:])
+    if len(rows) == len(rows[0]):
+        same(Fraction(sign * d if rank == len(rows) else 0),
+             oracle.det(rows))

@@ -173,7 +173,7 @@ def test_each_launch_loads_only_what_its_command_runs(launch):
 # shows.
 EXPORTED = """
     CanonicalQuotient CapError Cone FaceCone FaceDescriptor Fan GB
-    GradingForm INFINITY IdealSpan InputError LatticeSpace
+    GradingForm INFINITY IdealSpan InputError
     MinorTable NewtonPolyhedron RayData RegularizationError ResidueResult
     SparsePoly TruncatedLocalAlgebra TruncationError VerificationError
     buchberger build_ideal canonical_quotient certified_ideal
@@ -182,7 +182,7 @@ EXPORTED = """
     face_cone face_derivatives face_part face_parts faces fan_from_json
     grading_form grothendieck_residue ideal_generators
     interior_rays is_regular jacobian_multiplication_check koszul_check
-    koszul_top_dimension lattice_space member monomial_residue multiplicity
+    koszul_top_dimension member monomial_residue multiplicity
     newton_order newton_polyhedron nondegeneracy_report nondegenerate
     normalized_volume poincare_series random_minor_identity_trials
     regularize select_parameters socle socle_newton_order support_function

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from newton_socle import (SparsePoly, compact_faces, grothendieck_residue,
                           ideal_generators, koszul_check,
-                          koszul_top_dimension, lattice_space,
-                          monomial_residue, newton_polyhedron,
+                          koszul_top_dimension, monomial_residue,
+                          newton_polyhedron,
                           normalized_volume, trace_volume_check,
                           verify_residue_nonvanishing, volume_by_lattice_count)
 from newton_socle.errors import InputError
 from newton_socle.linalg import det
+from newton_socle.polylattice import polytope_lattice_points
 from newton_socle.residue import random_section
 
 from conftest import poly
@@ -272,21 +273,21 @@ def test_nonvanishing_across_family(family):
 # ---------------------------------------------------------------------------
 
 def test_lattice_space_triangle():
-    ls = lattice_space(TRIANGLE, 1)
-    assert set(ls.points) == {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1),
-                              (0, 2), (0, 3)}
-    assert lattice_space(TRIANGLE, 0).points == ((0, 0),)
-    assert set(lattice_space(TRIANGLE, 1, interior=True).points) == {(1, 1)}
-    assert set(lattice_space(TRIANGLE, 2, interior=True).points) == \
+    ls = polytope_lattice_points(TRIANGLE)
+    assert set(ls) == {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2), (0, 3)}
+    assert set(polytope_lattice_points(TRIANGLE, interior=True)) == {(1, 1)}
+    assert set(polytope_lattice_points(TRIANGLE, interior=True,
+                                       dilation=2)) == \
         {(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)}
 
 
 def test_lattice_space_counts_match_brute(family_polyhedra):
     # dilates of the unit square: (l+1)^2 points, (l-1)^2 interior
     for l in range(1, 5):
-        assert len(lattice_space(SQUARE, l).points) == (l + 1) ** 2
-        assert len(lattice_space(SQUARE, l, interior=True).points) == \
-            (l - 1) ** 2
+        assert len(polytope_lattice_points(SQUARE, dilation=l)) == \
+            (l + 1) ** 2
+        assert len(polytope_lattice_points(SQUARE, interior=True,
+                                           dilation=l)) == (l - 1) ** 2
 
 
 def test_koszul_dimension_one_examples():

@@ -282,6 +282,19 @@ def invocations():
     for f in ("x1^7+x2^8+x3^9", "x1^20+x2^23"):
         out.append(("verify-all " + f,
                     ["verify-all", "--poly", f, "--seed", "1"]))
+    # the eliminations at a size where they do real work: trace functionals
+    # solved on 360 and 243 unknowns, the socle of a 256-monomial quotient,
+    # and det-lemma tables of 10 x 12 and 8 x 8 (square, so the ones-column
+    # identity runs too)
+    for f in ("x1^3+x2^4+x3^5+x4^6", "x1^3+x2^3+x3^3+x4^3+x5^3"):
+        out.append(("verify-all " + f,
+                    ["verify-all", "--poly", f, "--seed", "1"]))
+    out.append(("socle-order x1^4+x2^4+x3^4+x4^4",
+                ["socle-order", "--poly", "x1^4+x2^4+x3^4+x4^4"]))
+    out.append(("detlemma 10x12", ["detlemma", "--rows", "10", "--cols",
+                                   "12", "--trials", "3"]))
+    out.append(("detlemma 8x8", ["detlemma", "--rows", "8", "--cols", "8",
+                                 "--trials", "5"]))
     out.append(("fractional exponent",
                 ["polyhedron", "--poly",
                  '{"nvars": 1, "terms": [{"e": [1.5], "c": "1"}]}']))
