@@ -12,7 +12,11 @@ table ``_COMMANDS`` without argparse, whose import and first use cost about
 errors, and the forms that reading leaves out (``--name=value``,
 abbreviations, repeats, negative numbers, ``--``), so that their text and
 their parse stay argparse's own.  It builds the parser of the dispatched
-command alone, and ``--help`` loads no compute module.
+command alone, and ``--help`` loads no compute module.  Reports are written
+by :func:`_write_json`, which gives the bytes of ``json.dumps(report,
+indent=2, sort_keys=True)`` without the json module; json loads only for
+JSON inputs, for ``--format text`` and for a value the writer leaves to
+it, so a launch on a literal polynomial loads none.
 
 The process entry point is :func:`launch`, which ends the process without
 the interpreter's teardown; :func:`main` returns its exit code to
@@ -68,10 +72,9 @@ def _parse_polynomial(text, nvars=None):
 
 def _parse_system(text, nvars=None):
     """A list of polynomials from a JSON array or ';'-joined literals."""
-    import json
-
     from .polylattice import SparsePoly
     if text.startswith("["):
+        import json
         try:
             objs = json.loads(text)
         except ValueError as exc:
@@ -89,12 +92,12 @@ def read_polynomial(spec, nvars=None):
 def read_polytope(spec):
     """Lattice points spanning a full-dimensional polytope: a preset name, a
     JSON file or a JSON literal."""
+    if spec in _POLYTOPE_PRESETS:
+        return _POLYTOPE_PRESETS[spec]
     import json
 
     from .linalg import rank, vec_sub
     from .polylattice import exact_int
-    if spec in _POLYTOPE_PRESETS:
-        return _POLYTOPE_PRESETS[spec]
     text = _read_text(spec)
     try:
         pts = [tuple(map(exact_int, p)) for p in json.loads(text)]
@@ -132,12 +135,66 @@ def _face_entry(face, idx):
     }
 
 
+def _write_json(value, parts, pad=""):
+    """Append to ``parts`` the text of ``json.dumps(value, indent=2,
+    sort_keys=True)`` nested at the indent ``pad``.  Dicts with ``str``
+    keys, lists, tuples, None, bools, exact ints and strings of printable
+    ASCII without '"' or '\\' are written here; any other value goes to
+    ``json.dumps``, re-indented to ``pad``, so json alone decides every
+    escape and float."""
+    kind = type(value)
+    if kind is str and value.isascii() and value.isprintable() \
+            and '"' not in value and "\\" not in value:
+        parts.append('"' + value + '"')
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            parts.append("{}")
+            return
+        inner = pad + "  "
+        lead = "{\n" + inner
+        for key in sorted(value):
+            parts.append(lead)
+            _write_json(key, parts)
+            parts.append(": ")
+            _write_json(value[key], parts, inner)
+            lead = ",\n" + inner
+        parts.append("\n" + pad + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            parts.append("[]")
+            return
+        inner = pad + "  "
+        lead = "[\n" + inner
+        for item in value:
+            parts.append(lead)
+            _write_json(item, parts, inner)
+            lead = ",\n" + inner
+        parts.append("\n" + pad + "]")
+    else:
+        import json
+        parts.append(json.dumps(value, indent=2, sort_keys=True)
+                     .replace("\n", "\n" + pad))
+
+
 def emit_report(report, fmt="json", out=None):
-    """Serialize a report deterministically; ``text`` gives a flat summary."""
-    import json
+    """Serialize a report deterministically; ``text`` gives a flat summary.
+    The JSON form is ``json.dumps(report, indent=2, sort_keys=True)``,
+    written by :func:`_write_json`."""
     if fmt == "json":
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        parts = []
+        _write_json(report, parts)
+        parts.append("\n")
+        payload = "".join(parts)
     elif fmt == "text":
+        import json
         lines = []
 
         def walk(prefix, obj):

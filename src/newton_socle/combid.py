@@ -30,8 +30,9 @@ The signed sum over orderings of the chain products is one pass over
 subsets by size, T(∅) = 1 and
 T(P) = c^P_{|P|-1} · Σ_{i∈P} (-1)^{#{p∈P : p>i}} · T(P∖{i}),
 grouping the orderings of P by their last element: 2^r·r products instead
-of Σ_k C(r,k)·k!·k.  The minors it is compared with are integer
-determinants of M."""
+of Σ_k C(r,k)·k!·k.  The minor it is compared with, on I and the first
+|I| columns, is read off the same pass over [M_I | s]: the signed pivot
+entry when its pivots are those columns, else 0."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -128,14 +129,14 @@ def _cramer_coefficients(M, s, rows):
 
 
 def _slice_parametrization(M, s, rows):
-    """The reduced [M_I | s], its pivot columns and its common pivot entry
-    d (:func:`linalg._gauss_jordan`).  Row i reads d x_{p_i} + sum_f e_if
-    x_f = r_i over the free columns f, so scaled by d the point of E_I with
-    free x = 0 and the kernel vector of each free column are integer.
-    ``rows`` is sorted and nonempty."""
+    """The reduced [M_I | s], its pivot columns, its common pivot entry d
+    and the sign of its row swaps (:func:`linalg._gauss_jordan`).  Row i
+    reads d x_{p_i} + sum_f e_if x_f = r_i over the free columns f, so
+    scaled by d the point of E_I with free x = 0 and the kernel vector of
+    each free column are integer.  ``rows`` is sorted and nonempty."""
     mat = [list(M[j]) + [s] for j in rows]
-    pivots, d, _ = _gauss_jordan(mat)
-    return mat, pivots, d
+    pivots, d, sign = _gauss_jordan(mat)
+    return mat, pivots, d, sign
 
 
 def _full_slice(M, s):
@@ -153,7 +154,7 @@ def _on_slice(param, k, nums, den):
     """Whether sum_l nums[l - k + 1] x_l = den on E_I, for the k rows of
     I: the Cramer numerators substituted into the point and every kernel
     vector of ``param``, the slice parametrization of I."""
-    mat, pivots, d = param
+    mat, pivots, d, _ = param
     n = len(mat[0]) - 1
     # scaled by d, the point has x_{p_i} = r_i and the kernel vector of a
     # free f has x_f = d and x_{p_i} = -e_if, so with w_i = nums at p_i the
@@ -231,6 +232,7 @@ def _minor_identity(M, s, plan, full):
     parametrization of all rows."""
     nrows = len(M)
     coeff = []
+    minors = []
     skipped = []
     for rows, _, _ in plan:
         k = len(rows)
@@ -238,10 +240,12 @@ def _minor_identity(M, s, plan, full):
             # one row is its own slice equation: c = M_i0 / s, and nothing
             # to substitute
             coeff.append((M[rows[0]][0], s))
+            minors.append(M[rows[0]][0])
             continue
         cc = _cramer_coefficients(M, s, rows)
         if cc is None:
             coeff.append(None)
+            minors.append(None)
             skipped.append(list(rows))
             continue
         param = full if k == nrows else _slice_parametrization(M, s, rows)
@@ -249,17 +253,20 @@ def _minor_identity(M, s, plan, full):
             raise VerificationError(
                 "coefficient routes disagree on %r" % (rows,))
         coeff.append((cc[0][0], cc[1]))
+        # the same pass gives the minor on I and columns 0..k-1: sign·d
+        # when they are its first pivots, else 0, as pivots are taken left
+        # to right and those columns then have rank below k
+        _, pivots, d, sign = param
+        minors.append(sign * d if pivots[:k] == list(range(k)) else 0)
     sums = _signed_chain_sums(coeff, plan, nrows)
     checked = 0
     failures = []
-    for rows, mask, _ in plan:
+    for (rows, mask, _), minor in zip(plan, minors):
         total = sums[mask]
         if total is None:
             continue
         checked += 1
         scale = s ** len(rows)
-        minor = (M[rows[0]][0] if len(rows) == 1
-                 else _leading_minor(M, rows))
         if total[0] * scale != minor * total[1]:
             failures.append({"rows": list(rows),
                              "sum": str(Fraction(*total)),

@@ -27,7 +27,6 @@ the input fan's cones, so a cone it keeps is not built again.
 from fractions import Fraction
 from functools import cache, cached_property, cmp_to_key
 from itertools import combinations
-import json
 
 from ._record import record
 from .errors import InputError, RegularizationError, VerificationError
@@ -224,7 +223,7 @@ def _face_closure(nvars, max_cones):
     return tuple(sorted(set(built.values()), key=lambda c: (c.dim, c.rays)))
 
 
-def fan_from_cones(nvars, max_cones, validate=True):
+def fan_from_cones(nvars, max_cones):
     """Close the given cones under faces and assemble a fan.
 
     When the given cones are all full-dimensional and simplicial, they are
@@ -236,14 +235,13 @@ def fan_from_cones(nvars, max_cones, validate=True):
         maxs = sorted({c.rays: c for c in max_cones}.values(),
                       key=lambda c: c.rays)
         fan = Fan.of_simplices(nvars, maxs)
-        if validate and not _triangulates_orthant(nvars, maxs):
+        if not _triangulates_orthant(nvars, maxs):
             validate_fan(fan)
         return fan
     cones = _face_closure(nvars, max_cones)
     rays = sorted({c.rays[0] for c in cones if c.dim == 1})
     fan = Fan(nvars, cones, tuple(rays))
-    if validate:
-        validate_fan(fan)
+    validate_fan(fan)
     return fan
 
 
@@ -281,6 +279,7 @@ def _triangulates_orthant(n, maxs):
 def fan_from_json(obj):
     try:
         if isinstance(obj, str):
+            import json
             obj = json.loads(obj)
         rays = [tuple(map(exact_int, r)) for r in obj["rays"]]
         cone_rays = [[rays[i] for i in c] for c in obj["cones"]]

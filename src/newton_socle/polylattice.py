@@ -14,7 +14,6 @@ the face's facets are among them.
 
 from fractions import Fraction
 from itertools import product
-import json
 import math
 import re
 
@@ -189,6 +188,7 @@ class SparsePoly:
     def from_json(cls, obj):
         try:
             if isinstance(obj, str):
+                import json
                 obj = json.loads(obj)
             terms = {}
             for t in obj["terms"]:
@@ -511,6 +511,7 @@ class NewtonPolyhedron:
     @classmethod
     def from_json(cls, obj):
         if isinstance(obj, str):
+            import json
             obj = json.loads(obj)
         verts = tuple(tuple(int(x) for x in v) for v in obj["vertices"])
         n = len(verts[0])

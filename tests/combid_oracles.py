@@ -33,7 +33,7 @@ def slice_coefficients(M, s, rows):
     if not k:
         return None
     n = len(M[0])
-    mat, pivots, d = _slice_parametrization(M, s, rows)
+    mat, pivots, d, _ = _slice_parametrization(M, s, rows)
     point = [0] * n
     for row, p in zip(mat, pivots):
         point[p] = row[n] * (d // row[p])

@@ -26,7 +26,9 @@ subdivision that solves for every coefficient, where
 ``fan._regularize_stellar`` reads them off facet normals computed once.
 ``eager_fan`` closes the given cones under faces at once, where
 ``fan.fan_from_cones`` leaves the closure of full-dimensional simplicial
-cones until ``Fan.cones`` is read.
+cones until ``Fan.cones`` is read.  ``unvalidated_fan`` assembles a fan as
+``fan.fan_from_cones`` does but skips its validation, for the tests that
+need fans it would reject.
 """
 
 from functools import cmp_to_key
@@ -291,6 +293,19 @@ def regularize_3d(fan):
                 new_triangles.append(tuple(sorted(pair + (center,))))
         triangles = sorted(set(new_triangles))
     raise RegularizationError("stellar subdivision hit the iteration cap")
+
+
+def unvalidated_fan(nvars, max_cones):
+    """The fan :func:`fan_from_cones` assembles from the given cones, with
+    no check that it is one: the full-dimensional simplicial cones as its
+    maximal cones, any others closed under faces at once."""
+    if max_cones and all(len(c.rays) == c.dim == nvars for c in max_cones):
+        maxs = sorted({c.rays: c for c in max_cones}.values(),
+                      key=lambda c: c.rays)
+        return Fan.of_simplices(nvars, maxs)
+    cones = fanmod._face_closure(nvars, max_cones)
+    rays = sorted({c.rays[0] for c in cones if c.dim == 1})
+    return Fan(nvars, cones, tuple(rays))
 
 
 def eager_fan(nvars, max_cones):

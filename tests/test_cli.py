@@ -744,6 +744,40 @@ def test_report_json_round_trip(tmp_path):
     assert json.loads(json.dumps(rep)) == rep
 
 
+class _Int(int):
+    """An int subclass, which json writes with ``int.__repr__``."""
+
+    def __repr__(self):
+        return "_Int(%d)" % self
+
+
+# strings the report writer writes itself, and ones only json may escape
+_CHARS = st.one_of(st.characters(min_codepoint=0x20, max_codepoint=0x7e),
+                   st.sampled_from('"\\\n\t\x00\x1f\x7f\x85é€\u2028'
+                                   '\U0001f600\U00010000'),
+                   st.characters())
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10 ** 60, max_value=-10 ** 18),
+    st.integers().map(_Int), st.floats(), st.text(_CHARS))
+
+
+def _json_values(leaves):
+    return st.one_of(
+        st.lists(leaves, max_size=4),
+        st.lists(leaves, max_size=4).map(tuple),
+        st.dictionaries(st.text(_CHARS, max_size=6), leaves, max_size=4),
+        st.dictionaries(st.integers(), leaves, max_size=3))
+
+
+@given(st.recursive(_JSON_LEAVES, _json_values, max_leaves=30))
+@settings(max_examples=300, deadline=None)
+def test_report_writer_matches_json(value):
+    parts = []
+    cli._write_json(value, parts)
+    assert "".join(parts) == json.dumps(value, indent=2, sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # The plain reading of a command line, against argparse
 # ---------------------------------------------------------------------------
@@ -904,6 +938,22 @@ def test_launch_keeps_the_exit_code_and_output(launch_env, argv, code):
     if argv == ["--help"]:
         assert got[1].startswith(b"usage: newton-socle")
         assert b"full verification pipeline" in got[1]
+
+
+def test_launch_on_a_literal_polynomial_loads_no_json(launch_env):
+    # json is in sys.modules at the end only if something imported it
+    code = ("import atexit, sys\n"
+            "preloaded = 'json' in sys.modules\n"
+            "atexit.register(lambda: sys.stderr.write(\n"
+            "    '%s %s' % (preloaded, 'json' in sys.modules)))\n"
+            "from newton_socle.cli import launch\n"
+            "launch()\n")
+    rc, out, err = launched(["verify-all", "--poly", "x1^2 + x2^3"], code)
+    assert rc == 0 and json.loads(out)["ok"]
+    preloaded, loaded = err.decode().split()
+    if preloaded == "True":
+        pytest.skip("site had already loaded json")
+    assert loaded == "False"
 
 
 def test_launch_runs_atexit_handlers(launch_env):

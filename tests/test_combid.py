@@ -240,9 +240,9 @@ def test_disagreeing_routes_are_caught(monkeypatch):
         return nums[:-1] + [nums[-1] + den], den
 
     def off_point(M, s, rows):
-        mat, pivots, L = param(M, s, rows)
+        mat, pivots, L, sign = param(M, s, rows)
         mat[-1][-1] += mat[-1][pivots[-1]]
-        return mat, pivots, L
+        return mat, pivots, L, sign
 
     for name, corrupt in (("_cramer_coefficients", off_numerator),
                           ("_slice_parametrization", off_point)):

@@ -28,7 +28,8 @@ from newton_socle.polylattice import faces
 from conftest import FAMILY, poly, supports
 from face_oracles import (brute_cone_faces, brute_meets_in_faces,
                           double_polar_cone, eager_fan, hull_hj_chain,
-                          inequality_normal_cone, regularize_3d)
+                          inequality_normal_cone, regularize_3d,
+                          unvalidated_fan)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir))
 from perfbench.workloads import SURFACES, k_support  # noqa: E402
@@ -99,8 +100,7 @@ RAY_POOL_3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
 def test_validate_fan_matches_pairwise_oracle(cone_rays):
     # validate_fan checks the orthant, a full-dimensional cone, the fan
     # axiom, then the support; the oracle checks the fan axiom on all pairs
-    fan = fan_from_cones(3, [cone_from_rays(c) for c in cone_rays],
-                         validate=False)
+    fan = unvalidated_fan(3, [cone_from_rays(c) for c in cone_rays])
     assume(fan.maximal_cones())
     try:
         validate_fan(fan)
@@ -192,7 +192,7 @@ def _check_simplicial_against_pairwise(n, cones):
     """The facet-pair criterion accepts exactly the fans validate_fan
     accepts, and a fan it rejects fails with validate_fan's own message.
     Returns that message, or None for a fan."""
-    fan = fan_from_cones(n, cones, validate=False)
+    fan = unvalidated_fan(n, cones)
     try:
         validate_fan(fan)
         pairwise = None
@@ -213,7 +213,7 @@ def _check_simplicial_against_pairwise(n, cones):
 @settings(max_examples=30, deadline=None)
 def test_simplicial_fans_match_the_pairwise_route(n, data):
     cones = data.draw(simplicial_cone_sets(n))
-    fan = fan_from_cones(n, cones, validate=False)
+    fan = unvalidated_fan(n, cones)
     if _check_simplicial_against_pairwise(n, cones) is None:
         assert brute_meets_in_faces(fan)
 
@@ -552,7 +552,7 @@ def test_interior_rays_coordinate_fan_empty():
 def test_interior_rays_needs_coordinate_rays():
     fan = fan_from_cones(2, [cone_from_rays([(1, 0), (1, 1)]),
                              cone_from_rays([(1, 1), (0, 1)])])
-    bad = fan_from_cones(2, [cone_from_rays([(1, 2), (1, 0)])], validate=False)
+    bad = unvalidated_fan(2, [cone_from_rays([(1, 2), (1, 0)])])
     with pytest.raises(InputError):
         interior_rays(bad, poly("x1 + x2"))
     assert [r.generator for r in interior_rays(fan, poly("x1*x2"))] == [(1, 1)]

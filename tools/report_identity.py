@@ -298,6 +298,17 @@ def invocations():
     out.append(("fractional exponent",
                 ["polyhedron", "--poly",
                  '{"nvars": 1, "terms": [{"e": [1.5], "c": "1"}]}']))
+    # each input that is parsed as JSON, which imports json when it is read
+    out.append(("malformed JSON --poly",
+                ["polyhedron", "--poly", '{"nvars": 2']))
+    out.append(("residue JSON-array system",
+                ["residue", "--g", "x1*x2^2", "--system",
+                 '[{"nvars": 2, "terms": [{"e": [2, 0], "c": "2"}]}, '
+                 '{"nvars": 2, "terms": [{"e": [0, 3], "c": "3"}]}]']))
+    out.append(("verify-all JSON x1^2 + x2^3",
+                ["verify-all", "--poly",
+                 '{"nvars": 2, "terms": [{"e": [2, 0], "c": "1"}, '
+                 '{"e": [0, 3], "c": "1"}]}', "--seed", "1"]))
     return out
 
 
